@@ -78,15 +78,9 @@ def _parse_horizons(text: str):
 
 
 def _learner_spec(args) -> harness.LearnerSpec:
-    preset = PRESET_FLAGS[args.preset]
-    if args.learner == "hedge" and args.eta is None:
-        raise ValueError("--learner hedge needs --eta")
-    if preset == "manual" and args.learner == "exp3g":
-        if args.eta is None or args.gamma is None:
-            raise ValueError("--preset manual needs --eta and --gamma")
     return harness.LearnerSpec(
         algorithm=args.learner,
-        preset="manual" if args.learner == "hedge" else preset,
+        preset="manual" if args.learner == "hedge" else PRESET_FLAGS[args.preset],
         eta=args.eta,
         gamma=args.gamma,
         mode=args.mode,
@@ -156,8 +150,7 @@ def _single_run(args, chi=None):
     if num_actions is None:
         raise ValueError("need --k to size the environment")
     spec = _learner_spec(args)
-    root = np.random.SeedSequence(args.seed)
-    env_ss, player_ss = root.spawn(2)
+    env_ss, player_ss = harness.cell_streams(args.seed, 0, 0)
     env = environments.build_environment(
         env_spec, args.T, env_ss, num_actions=num_actions, graph=graph, chi=chi
     )
@@ -233,10 +226,11 @@ def cmd_lowerbound(args) -> int:
     if args.which in ("thm4", "all"):
         g = FeedbackGraph(3, [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
         spec = harness.LearnerSpec(algorithm="exp3g", preset="manual", eta=0.2, gamma=0.1)
+        _, player_ss = harness.cell_streams(args.seed, 0, 0)
         runs = {}
         for chi in (0, 1):
             env = environments.hidden_arm_env(chi, horizon, 3)
-            runs[chi] = harness.run_game(g, spec, env, np.random.SeedSequence(args.seed))
+            runs[chi] = harness.run_game(g, spec, env, player_ss)
         measured = harness.expected_regret_thm4(runs[0], runs[1])
         pairs += [
             ("thm4_measured", measured),
@@ -335,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="seeded repetitions over a horizon grid, to CSV",
-        epilog="GRAPHBANDIT_THREADS caps how many repetitions run in parallel.",
+        epilog=(
+            "GRAPHBANDIT_THREADS=N runs repetitions in N worker processes "
+            "(a ProcessPoolExecutor); the rows do not depend on N."
+        ),
     )
     add_game_flags(p, "horizon grid")
     p.add_argument("--T", required=True, help="comma-separated horizon grid, increasing")

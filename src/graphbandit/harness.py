@@ -17,12 +17,12 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .environments import Environment, EnvSpec, build_environment
-from .graph import FeedbackGraph, GraphClass
+from .graph import FeedbackGraph
 from .graph import profile as graph_profile
 from .learners import (
     BEFORE_ACTION,
@@ -31,6 +31,7 @@ from .learners import (
     MODE_UNINFORMED,
     MODES,
     ConstantAction,
+    DoublingExp3G,
     Exp3G,
     FeedbackEvent,
     Hedge,
@@ -43,7 +44,7 @@ from .learners import (
 )
 
 ALGORITHMS = ("exp3g", "hedge", "uniform", "constant")
-PRESETS = ("strong", "weak", "loopless_clique", "uninformed", "manual")
+PRESETS = ("strong", "weak", "loopless_clique", "uninformed", "manual", "doubling")
 
 CSV_COLUMNS = (
     "graph", "K", "class", "alpha", "delta", "learner", "preset", "mode",
@@ -72,6 +73,8 @@ class LearnerSpec:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.preset == "doubling" and (self.algorithm, self.mode) != ("exp3g", MODE_INFORMED):
+            raise ValueError("the doubling preset drives exp3g in informed mode")
 
 
 @dataclass
@@ -133,6 +136,8 @@ def _build_learner(spec: LearnerSpec, num_actions, graph, base_graph, horizon):
         if spec.eta is None:
             raise ValueError("hedge needs an explicit eta")
         return Hedge(num_actions, spec.eta)
+    if spec.preset == "doubling":
+        return DoublingExp3G(num_actions)
     preset = _resolve_preset(spec, base_graph, num_actions, horizon)
     return Exp3G(
         num_actions,
@@ -149,15 +154,13 @@ def run_game(
     spec: LearnerSpec,
     env: Environment,
     seed,
-    learner=None,
 ) -> GameTranscript:
     """Play the full protocol: (informed: reveal the graph) -> act -> incur ->
     feedback along the out-neighborhood -> (uninformed: reveal) -> update.
 
     `graph` may be None only when the environment carries its own graph
     sequence; a fixed graph together with a time-varying mode is treated as a
-    constant sequence. Pass `learner` to drive a pre-built player (the
-    doubling wrapper uses this); otherwise one is built from the spec.
+    constant sequence.
     """
     num_actions = env.num_actions
     if graph is not None and graph.num_vertices != num_actions:
@@ -176,8 +179,7 @@ def run_game(
 
     horizon = env.horizon
     base_graph = graph if graph is not None else env.graph_at(0)
-    if learner is None:
-        learner = _build_learner(spec, num_actions, graph, base_graph, horizon)
+    learner = _build_learner(spec, num_actions, graph, base_graph, horizon)
     rng = np.random.default_rng(seed)
 
     actions = np.empty(horizon, dtype=np.int64)
@@ -329,7 +331,9 @@ def _profile_columns(graph: FeedbackGraph) -> dict:
     }
 
 
-def _run_cell(config: SweepConfig, horizon_index: int, rep: int) -> dict:
+def _run_cell(config: SweepConfig, horizon_index: int, rep: int, columns=None) -> dict:
+    """One CSV row; `columns` are the graph's profile columns, computed here
+    from the cell's graph when not given."""
     horizon = config.horizons[horizon_index]
     env_ss, player_ss = cell_streams(config.seed, horizon_index, rep)
     if config.graph is not None:
@@ -365,11 +369,14 @@ def _run_cell(config: SweepConfig, horizon_index: int, rep: int) -> dict:
         player, best, regret = run.player_loss, run.best_fixed_loss, run.regret
         expected_regret = run.expected_regret
 
-    profiled = config.graph if config.graph is not None else env.graph_at(0)
+    if columns is None:
+        columns = _profile_columns(
+            config.graph if config.graph is not None else env.graph_at(0)
+        )
     row = {
         "graph": config.graph_name,
         "K": env.num_actions,
-        **_profile_columns(profiled),
+        **columns,
         "learner": config.learner.algorithm,
         "preset": config.learner.preset,
         "mode": config.learner.mode,
@@ -406,8 +413,11 @@ def sweep(config: SweepConfig) -> ExperimentReport:
         raise ValueError("horizon grid must be strictly increasing")
     if config.reps < 1:
         raise ValueError("reps must be >= 1")
+    # a fixed graph is profiled once, up front, so one beyond the exact
+    # solvers' reach is refused before any game is played
+    columns = _profile_columns(config.graph) if config.graph is not None else None
     cells = [
-        (config, hi, rep)
+        (config, hi, rep, columns)
         for hi in range(len(config.horizons))
         for rep in range(config.reps)
     ]
@@ -438,85 +448,7 @@ def sweep(config: SweepConfig) -> ExperimentReport:
 def doubling_wrapper(
     graph: FeedbackGraph | None, spec: LearnerSpec, env: Environment, seed
 ) -> GameTranscript:
-    """Restart the learner on epochs of length 1, 2, 4, ... with per-epoch
-    parameters computed from the average independence (or weak domination)
-    number of the graphs revealed so far; regret accounting runs straight
-    through the restarts.
+    """Play `spec` with its preset replaced by the doubling trick
+    (`DoublingExp3G`): informed exp3g restarted on epochs of length 1, 2, 4, ...
     """
-    if spec.mode != MODE_INFORMED:
-        raise ValueError("the doubling wrapper is for the informed model")
-    if spec.algorithm != "exp3g":
-        raise ValueError("the doubling wrapper drives the graph-feedback learner")
-    if env.time_varying and graph is not None:
-        raise ValueError("graph source is the environment; pass graph=None")
-    if not env.time_varying and graph is None:
-        raise ValueError("fixed environment needs a graph")
-
-    horizon = env.horizon
-    num_actions = env.num_actions
-    rng = np.random.default_rng(seed)
-    actions = np.empty(horizon, dtype=np.int64)
-    incurred = np.empty(horizon)
-    observed_counts = np.empty(horizon, dtype=np.int64)
-
-    alpha_sum = 0.0
-    delta_sum = 0.0
-    weak_rounds = 0
-    learner = None
-
-    for t in range(horizon):
-        g_t = env.graph_at(t) if env.time_varying else graph
-        prof = graph_profile(g_t)
-        alpha_sum += prof.alpha
-        if prof.graph_class is GraphClass.WEAKLY_OBSERVABLE:
-            delta_sum += prof.delta
-            weak_rounds += 1
-        if t & (t + 1) == 0:  # t+1 is a power of two: epoch boundary
-            epoch_len = t + 1
-            if prof.graph_class is GraphClass.WEAKLY_OBSERVABLE and weak_rounds:
-                delta_bar = delta_sum / weak_rounds
-                gamma = min(
-                    (delta_bar * math.log(num_actions) / epoch_len) ** (1 / 3), 0.5
-                )
-                eta = gamma**2 / delta_bar
-            else:
-                alpha_bar = max(alpha_sum / (t + 1), 1.0)
-                gamma = min(math.sqrt(1.0 / (alpha_bar * epoch_len)), 0.5)
-                eta = 2.0 * gamma
-            learner = Exp3G(num_actions, eta, gamma, mode=MODE_INFORMED)
-        learner.set_round_graph(g_t, BEFORE_ACTION)
-        a = learner.act(rng)
-        row = env.loss_row(t)
-        actions[t] = a
-        incurred[t] = row[a - 1]
-        obs = g_t.out_index[a - 1]
-        observed_counts[t] = len(obs)
-        learner.update(FeedbackEvent(a, obs, row[obs - 1]))
-
-    arm_totals = env.losses.sum(axis=0)
-    player_loss = float(incurred.sum())
-    best_fixed = float(arm_totals.min())
-    config = {
-        "graph": "env-sequence" if graph is None else repr(graph),
-        "K": num_actions,
-        "learner": "exp3g+doubling",
-        "preset": "doubling",
-        "mode": spec.mode,
-        "env": env.kind,
-        "chi": env.params.get("chi"),
-        "T": horizon,
-        "seed": seed if isinstance(seed, int) else "derived",
-    }
-    return GameTranscript(
-        actions=actions,
-        incurred=incurred,
-        observed_counts=observed_counts,
-        arm_totals=arm_totals,
-        player_loss=player_loss,
-        best_fixed_loss=best_fixed,
-        regret=player_loss - best_fixed,
-        expected_best_loss=(
-            float(horizon * env.means.min()) if env.means is not None else None
-        ),
-        config=config,
-    )
+    return run_game(graph, replace(spec, preset="doubling"), env, seed)

@@ -64,10 +64,6 @@ class FeedbackEvent:
     observed_losses: np.ndarray
     graph: FeedbackGraph | None = None
 
-    @property
-    def observed_pairs(self) -> tuple:
-        return tuple(zip(self.observed_actions.tolist(), self.observed_losses.tolist()))
-
 
 def importance_weighted_estimates(
     g: FeedbackGraph, p: np.ndarray, observed_actions, observed_losses
@@ -320,6 +316,59 @@ class Exp3G:
         self._p = None
         if self.mode != MODE_FIXED:
             self._round_graph = None
+
+
+class DoublingExp3G:
+    """Informed Exp3G restarted on epochs of length 1, 2, 4, ... (the doubling
+    trick). Each restart tunes gamma and eta from the average independence
+    number of the graphs revealed so far or, when the round's graph is weakly
+    observable, from the average weak domination number over the weakly
+    observable rounds; regret accounting runs straight through the restarts.
+    """
+
+    def __init__(self, num_actions: int):
+        if num_actions < 1:
+            raise ValueError("need at least one action")
+        self.num_actions = num_actions
+        self.round = 0
+        self._alpha_sum = 0.0
+        self._delta_sum = 0.0
+        self._weak_rounds = 0
+        self._learner = None
+
+    def set_round_graph(self, g: FeedbackGraph, when: str):
+        if when != BEFORE_ACTION:
+            raise ValueError("the doubling learner plays the informed model")
+        prof = graph_profile(g)
+        weak = prof.graph_class is GraphClass.WEAKLY_OBSERVABLE
+        self.round += 1
+        self._alpha_sum += prof.alpha
+        if weak:
+            self._delta_sum += prof.delta
+            self._weak_rounds += 1
+        if self.round & (self.round - 1) == 0:  # a power of two starts an epoch
+            self._learner = self._restart(weak)
+        self._learner.set_round_graph(g, when)
+
+    def _restart(self, weak: bool) -> Exp3G:
+        epoch_len = self.round
+        if weak:
+            delta_bar = self._delta_sum / self._weak_rounds
+            gamma = min(
+                (delta_bar * math.log(self.num_actions) / epoch_len) ** (1 / 3), 0.5
+            )
+            eta = gamma**2 / delta_bar
+        else:
+            alpha_bar = max(self._alpha_sum / self.round, 1.0)
+            gamma = min(math.sqrt(1.0 / (alpha_bar * epoch_len)), 0.5)
+            eta = 2.0 * gamma
+        return Exp3G(self.num_actions, eta, gamma, mode=MODE_INFORMED)
+
+    def act(self, rng) -> int:
+        return self._learner.act(rng)
+
+    def update(self, event: FeedbackEvent):
+        self._learner.update(event)
 
 
 class UniformRandom:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ def test_sweep_row_count_and_csv(capsys, tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 7
     assert lines[0].startswith("graph,K,class,alpha,delta,learner,preset,mode,env,T,rep,seed")
+
+
+def test_run_plays_the_sweep_cell_of_its_seed(capsys, tmp_path):
+    game = [
+        "--catalog", "loopy_star", "--k", "5", "--env", "bernoulli",
+        "--mu", "0.3,0.5,0.5,0.5,0.5", "--T", "256", "--seed", "3",
+    ]
+    code, out, _ = run_cli(capsys, "run", *game)
+    assert code == 0
+    out_csv = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "sweep", *game, "--reps", "1", "--out", str(out_csv))
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["rep"] == "0"
+    assert float(parse_kv(out)["regret"]) == float(row["regret"])
+
+
+def test_missing_learning_rates_exit_2(capsys):
+    game = ["run", "--catalog", "full", "--k", "3", "--env", "bernoulli",
+            "--mu", "0.3,0.5,0.5", "--T", "16"]
+    code, _, err = run_cli(capsys, *game, "--learner", "hedge")
+    assert code == 2
+    assert "eta" in err
+    code, _, err = run_cli(capsys, *game, "--preset", "manual", "--eta", "0.1")
+    assert code == 2
+    assert "gamma" in err
 
 
 def test_sweep_rejects_decreasing_grid(capsys):

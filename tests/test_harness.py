@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphbandit.environments import EnvSpec, bernoulli_env, hidden_arm_env, table_env
+from graphbandit import harness, learners
 from graphbandit.graph import FeedbackGraph, catalog
 from graphbandit.harness import (
     CSV_COLUMNS,
@@ -251,6 +252,29 @@ def test_sweep_slope_band_bandit_strong_preset():
     assert 0.3 <= report.slope() <= 0.65
 
 
+def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
+    games = []
+    play = harness.run_game
+
+    def counted(*args):
+        games.append(args)
+        return play(*args)
+
+    monkeypatch.setattr(harness, "run_game", counted)
+    monkeypatch.delenv("GRAPHBANDIT_THREADS", raising=False)
+    config = SweepConfig(
+        graph=catalog("bandit", 41),
+        graph_name="bandit",
+        learner=LearnerSpec(algorithm="exp3g", **MANUAL),
+        env=EnvSpec("bernoulli", {"mu": (0.5,) * 41}),
+        horizons=(64,),
+        reps=2,
+    )
+    with pytest.raises(ValueError, match="exceeds the exact independence-solver cap"):
+        sweep(config)
+    assert games == []
+
+
 def test_sweep_parallel_matches_serial(monkeypatch):
     config = bandit_sweep_config()
     serial = sweep(config)
@@ -260,22 +284,41 @@ def test_sweep_parallel_matches_serial(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# doubling wrapper
+# doubling trick
 
 
-def test_doubling_total_rounds_and_boundaries():
-    g = catalog("clique_minus", 4)
+def test_doubling_total_rounds_and_boundaries(monkeypatch):
+    built = []
+
+    class RecordingExp3G(learners.Exp3G):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(learners, "Exp3G", RecordingExp3G)
     horizon = 50
     table = np.ones((horizon, 4))
     table[:, 1] = 0.0
-    env = table_env(table)
     spec = LearnerSpec(algorithm="exp3g", preset="weak", mode="informed")
-    out = doubling_wrapper(g, spec, env, 1)
+    out = doubling_wrapper(catalog("clique_minus", 4), spec, table_env(table), 1)
     assert out.horizon == horizon
-    assert len(out.actions) == horizon
-    # epoch boundaries: parameter recomputation happens at rounds 1,2,4,8,...
-    boundaries = [t + 1 for t in range(horizon) if t & (t + 1) == 0]
-    assert boundaries == [1, 2, 4, 8, 16, 32]
+    # each epoch's learner counts its own updates; a fresh one starts at the
+    # round after the previous epochs end
+    epoch_lengths = [learner.round - 1 for learner in built]
+    assert sum(epoch_lengths) == horizon
+    starts = list(1 + np.cumsum([0] + epoch_lengths[:-1]))
+    assert starts == [1, 2, 4, 8, 16, 32]
+
+
+def test_doubling_game_is_pinned():
+    # a fixed-graph informed game whose player loss the doubling trick must
+    # keep reproducing exactly
+    g = catalog("clique_minus", 5)
+    env = bernoulli_env([0.3, 0.5, 0.5, 0.5, 0.5], 512, seed=4)
+    spec = LearnerSpec(algorithm="exp3g", preset="weak", mode="informed")
+    out = doubling_wrapper(g, spec, env, 7)
+    assert out.player_loss == 236.0
+    assert out.config["preset"] == "doubling"
 
 
 def test_doubling_regret_within_factor_of_plain_run():
@@ -295,3 +338,11 @@ def test_doubling_requires_informed_mode():
     env = table_env(np.zeros((8, 4)))
     with pytest.raises(ValueError):
         doubling_wrapper(g, LearnerSpec(algorithm="exp3g", preset="weak", mode="fixed"), env, 0)
+
+
+def test_doubling_preset_needs_informed_exp3g():
+    with pytest.raises(ValueError):
+        LearnerSpec(preset="doubling", mode="fixed")
+    with pytest.raises(ValueError):
+        LearnerSpec(algorithm="uniform", preset="doubling", mode="informed")
+    assert LearnerSpec(preset="doubling", mode="informed").preset == "doubling"
