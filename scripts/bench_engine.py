@@ -1,0 +1,246 @@
+#!/usr/bin/env python3
+"""Before/after numbers for the lockstep game engine, written to BENCH_engine.json.
+
+Usage: python scripts/bench_engine.py [--parent REV] [--out BENCH_engine.json]
+                                      [--work DIR] [--repeats 3] [--pairs 5]
+
+The parent revision is extracted with `git archive` into the work directory
+and measured on the same machine, in the same run, as the working tree.
+Every measurement runs in a fresh interpreter with BLAS pinned to one thread
+and with the tree's own `src/` first on the path:
+
+- per_round: microseconds per game round of a sweep with one horizon
+  (T = 2048) and R = 1, 8, 32 repetitions, for fixed (loopy_star K=10,
+  strong preset, Bernoulli), informed and uninformed (thm7 K=8, uninformed
+  preset) and doubling (thm7 K=8, informed doubling trick) play; the median
+  of `--repeats` runs;
+- pilot: wall time of `scripts/run_pilot.py` (32 reps) and whether its CSVs
+  equal the committed `pilot/*.csv` byte for byte;
+- tier1: wall time of the Tier-1 suite, its pass/fail counts and the set-up
+  time of the criterion-05 fixtures;
+- pool (working tree only): alternating pairs of the 32-rep pilot sweeps
+  played serially and split over a two-process pool, each worker playing
+  every other repetition of each sweep in lockstep (what a process pool
+  could still gain once games advance together).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 2025
+PER_ROUND_T = 2048
+PER_ROUND_RS = (1, 8, 32)
+ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+ENV.pop("GRAPHBANDIT_THREADS", None)
+
+
+def _configs(reps, horizons):
+    from graphbandit.environments import EnvSpec
+    from graphbandit.graph import catalog
+    from graphbandit.harness import LearnerSpec, SweepConfig
+
+    thm7 = dict(graph=None, graph_name="thm7-sequence", env=EnvSpec("thm7", {"k": 8}),
+                horizons=horizons, reps=reps, seed=SEED)
+    return {
+        "fixed": SweepConfig(
+            graph=catalog("loopy_star", 10), graph_name="loopy_star",
+            learner=LearnerSpec(algorithm="exp3g", preset="strong"),
+            env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 9}),
+            horizons=horizons, reps=reps, seed=SEED,
+        ),
+        "informed": SweepConfig(
+            **thm7, learner=LearnerSpec(algorithm="exp3g", preset="uninformed", mode="informed")),
+        "uninformed": SweepConfig(
+            **thm7, learner=LearnerSpec(algorithm="exp3g", preset="uninformed", mode="uninformed")),
+        "doubling": SweepConfig(
+            **thm7, learner=LearnerSpec(algorithm="exp3g", preset="doubling", mode="informed")),
+    }
+
+
+def worker_per_round(repeats):
+    """Runs inside the measured tree: µs per round by mode and R."""
+    from graphbandit import harness
+
+    out = {}
+    for r in PER_ROUND_RS:
+        for mode, config in _configs(r, (PER_ROUND_T,)).items():
+            harness.sweep(_configs(1, (64,))[mode])  # warm the profile cache
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                harness.sweep(config)
+                times.append(time.perf_counter() - start)
+            out[f"{mode}_R{r}"] = 1e6 * statistics.median(times) / (r * PER_ROUND_T)
+    return out
+
+
+def _half(config, cells, columns):
+    from graphbandit import harness
+
+    return harness._sweep_rows(config, cells, columns)
+
+
+def worker_pool(pairs):
+    """Runs inside the working tree: serial vs two-process 32-rep pilot sweeps."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from graphbandit import harness
+    from run_pilot import strong_config, weak_config
+
+    configs = (strong_config(32), weak_config(32))
+
+    def serial():
+        return [harness.sweep(c).rows for c in configs]
+
+    def pooled():
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            results = []
+            for config in configs:
+                columns = harness._profile_columns(config.graph)
+                cells = [(hi, rep) for hi in range(len(config.horizons))
+                         for rep in range(config.reps)]
+                halves = [pool.submit(_half, config, cells[i::2], columns) for i in (0, 1)]
+                rows = [None] * len(cells)
+                rows[0::2], rows[1::2] = halves[0].result(), halves[1].result()
+                results.append(rows)
+            return results
+
+    runs = []
+    for i in range(pairs):
+        row = {}
+        sides = (("serial_s", serial), ("pool2_s", pooled))
+        for name, fn in sides[::-1] if i % 2 else sides:
+            start = time.perf_counter()
+            rows = fn()
+            row[name] = time.perf_counter() - start
+            row.setdefault("rows", rows)
+            if rows != row["rows"]:
+                raise AssertionError("pooled rows differ from serial rows")
+        del row["rows"]
+        row["speedup"] = row["serial_s"] / row["pool2_s"]
+        runs.append(dict(row, first="pool2" if i % 2 else "serial"))
+    return {"pairs": runs, "median_speedup": statistics.median(r["speedup"] for r in runs)}
+
+
+def _run_worker(tree: Path, name: str, arg: int) -> dict:
+    env = dict(ENV, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", name, "--arg", str(arg)]
+    done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def measure_pilot(tree: Path, work: Path) -> dict:
+    out_dir = work / f"pilot_{tree.name}"
+    env = dict(ENV, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(tree / "scripts" / "run_pilot.py"), "--out", str(out_dir)],
+                   env=env, check=True, capture_output=True, cwd=tree)
+    wall = time.perf_counter() - start
+    same = all(
+        (out_dir / name).read_bytes() == (ROOT / "pilot" / name).read_bytes()
+        for name in ("rate_separation_strong.csv", "rate_separation_weak.csv")
+    )
+    return {"wall_s": wall, "csv_equal_committed": same}
+
+
+def measure_tier1(tree: Path) -> dict:
+    env = dict(ENV, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=0"],
+        env=env, capture_output=True, text=True, cwd=tree,
+    )
+    wall = time.perf_counter() - start
+    text = done.stdout
+    last = text.splitlines()[-1]
+    counts = {k: int(v) for v, k in re.findall(r"(\d+) (passed|failed|error)", last)}
+    setup = r"([\d.]+)s setup\s+tests/test_acceptance.py::test_criterion_(05[ab])"
+    fixtures = {m.group(2): float(m.group(1)) for m in re.finditer(setup, text)}
+    return {"wall_s": wall, "counts": counts, "criterion_05_setup_s": fixtures}
+
+
+def host() -> dict:
+    cpu = ""
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        cpu = next((line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+                    if line.startswith("model name")), "")
+    import numpy
+
+    return {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", default="HEAD", help="revision measured as 'before'")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_engine.json"))
+    parser.add_argument("--work", help="where the parent tree and pilot outputs go")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--arg", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.worker:
+        fn = {"per_round": worker_per_round, "pool": worker_pool}[args.worker]
+        print(json.dumps(fn(args.arg)))
+        return
+
+    work = Path(args.work or tempfile.mkdtemp(prefix="bench_engine_"))
+    parent = work / "parent"
+    parent.mkdir(parents=True, exist_ok=True)
+    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+    report = {
+        "config": {
+            "seed": SEED, "per_round_T": PER_ROUND_T, "per_round_R": PER_ROUND_RS,
+            "per_round_modes": {
+                "fixed": "loopy_star K=10, strong preset, bernoulli (0.3, 0.5 x 9)",
+                "informed": "thm7 K=8, uninformed preset, informed mode",
+                "uninformed": "thm7 K=8, uninformed preset, uninformed mode",
+                "doubling": "thm7 K=8, doubling preset, informed mode",
+            },
+            "repeats": args.repeats, "pool_pairs": args.pairs,
+            "pilot": "scripts/run_pilot.py, grid 2^9..2^14, 32 reps, seed 2025",
+            "blas_threads": 1,
+        },
+        "host": host(),
+        "before": {"rev": rev},
+        "after": {"rev": f"{head} + working tree"},
+    }
+    for label, tree in (("before", parent), ("after", ROOT)):
+        print(f"{label}: per-round", file=sys.stderr)
+        report[label]["us_per_round"] = _run_worker(tree, "per_round", args.repeats)
+        print(f"{label}: pilot", file=sys.stderr)
+        report[label]["pilot_32_reps"] = measure_pilot(tree, work)
+        print(f"{label}: tier-1", file=sys.stderr)
+        report[label]["tier1"] = measure_tier1(tree)
+    print("after: pool pairs", file=sys.stderr)
+    report["after"]["pool_vs_serial_32_reps"] = _run_worker(ROOT, "pool", args.pairs)
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -326,14 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=1000, help="number of rounds")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser(
-        "sweep",
-        help="seeded repetitions over a horizon grid, to CSV",
-        epilog=(
-            "GRAPHBANDIT_THREADS=N runs repetitions in N worker processes "
-            "(a ProcessPoolExecutor); the rows do not depend on N."
-        ),
-    )
+    p = sub.add_parser("sweep", help="seeded repetitions over a horizon grid, to CSV")
     add_game_flags(p, "horizon grid")
     p.add_argument("--T", required=True, help="comma-separated horizon grid, increasing")
     p.add_argument("--reps", type=int, default=8)

@@ -1,42 +1,51 @@
 """Game loop, regret accounting, and seeded experiment sweeps.
 
-Information hiding is structural: learners receive only FeedbackEvent objects
-built from the round graph's out-neighborhood, so a learner cannot read loss
-values it was never shown.
+One lockstep engine plays every game: the games of a sweep (each horizon,
+repetition and chi branch) advance together, round t of every game still
+running being one step over R x K numpy arrays, and `run_game` is its
+one-game case. The Exp3.G arithmetic is the learners module's, applied to
+all rows at once.
+
+Information hiding is structural: a player's update divides only the losses
+under its row's observed mask, the out-neighborhood of the action it played
+in the round's graph, so it cannot use loss values it was never shown.
 
 Seed contract: generators are numpy PCG64 via `np.random.default_rng`. A sweep
 derives one independent root per (horizon, repetition) cell as
 `SeedSequence(entropy=seed, spawn_key=(horizon_index, rep))`, then spawns two
-children in order: the environment stream and the player stream. Matched-chi
-pairs reuse both children, which is what makes chi-averaged comparisons exact.
+children in order: the environment stream and the player stream. Each player
+stream's uniforms are drawn up front as `rng.random(T)`, the same numbers as
+T calls to `rng.random()`. Matched-chi pairs reuse both children, which is
+what makes chi-averaged comparisons exact.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import learners
 from .environments import Environment, EnvSpec, build_environment
-from .graph import FeedbackGraph
+from .graph import FeedbackGraph, GraphClass
 from .graph import profile as graph_profile
 from .learners import (
-    BEFORE_ACTION,
     MODE_FIXED,
     MODE_INFORMED,
-    MODE_UNINFORMED,
     MODES,
     ConstantAction,
     DoublingExp3G,
     Exp3G,
-    FeedbackEvent,
     Hedge,
     Preset,
     UniformRandom,
+    doubling_rates,
+    exploration_vector,
+    informed_exploration_set,
     preset_loopless_clique,
     preset_strong,
     preset_uninformed,
@@ -160,78 +169,229 @@ def run_game(
 
     `graph` may be None only when the environment carries its own graph
     sequence; a fixed graph together with a time-varying mode is treated as a
-    constant sequence.
+    constant sequence. This is the lockstep engine's one-game case.
     """
-    num_actions = env.num_actions
-    if graph is not None and graph.num_vertices != num_actions:
-        raise ValueError(
-            f"graph has {graph.num_vertices} vertices but the environment "
-            f"has {num_actions} actions"
-        )
-    if env.time_varying:
-        if spec.mode == MODE_FIXED:
-            raise ValueError("time-varying environment needs informed or uninformed mode")
-        if graph is not None:
-            raise ValueError("graph source is the environment; pass graph=None")
-    else:
-        if graph is None:
+    [(_, run)] = _play(graph, spec, [_Game(env.horizon, lambda: env, seed)])
+    return run
+
+
+# ---------------------------------------------------------------------------
+# the lockstep engine
+
+LOCKSTEP_ROUNDS = 1 << 21  # game rounds one lockstep batch holds at once
+
+
+class _Game(NamedTuple):
+    """A game for the engine: its horizon, a builder for its environment
+    (called once, when its batch is set up), and its player stream."""
+
+    horizon: int
+    build: Callable[[], Environment]
+    seed: object
+
+
+def _play(graph: FeedbackGraph | None, spec: LearnerSpec, games):
+    """Play every game with a `spec` player, yielding (index in `games`,
+    transcript) pairs one at a time, so a caller that keeps only a summary
+    holds one transcript at a time.
+
+    Games are sorted by decreasing horizon and cut into batches of at most
+    LOCKSTEP_ROUNDS rounds (a longer game is a batch of its own); each batch
+    advances in lockstep.
+    """
+    order = sorted(range(len(games)), key=lambda i: -games[i].horizon)
+    batch, rounds = [], 0
+    for i in order + [None]:
+        if batch and (i is None or rounds + games[i].horizon > LOCKSTEP_ROUNDS):
+            yield from zip(batch, _play_batch(graph, spec, [games[j] for j in batch]))
+            batch, rounds = [], 0
+        if i is not None:
+            batch.append(i)
+            rounds += games[i].horizon
+
+
+def _play_batch(graph, spec: LearnerSpec, games):
+    """Play games sorted by decreasing horizon in lockstep; yields their
+    transcripts in order.
+
+    Round t of every game still running is one step over R x K arrays (one
+    row per game), so the games alive are always a prefix of the rows. Each
+    game's losses are copied into one flat buffer, indexed by per-row
+    offsets, and its Environment is dropped; the buffer is float16 while
+    every loss so far is exactly a float16 (0, 1/2 and 1 are). Its player's
+    uniforms are drawn up front as `rng.random(T)`, the same numbers T calls
+    to `rng.random()` give. The player's update reads only the losses under
+    the row's observed mask.
+    """
+    horizons = [game.horizon for game in games]
+    ends = np.cumsum(horizons, dtype=np.intp)
+    offsets = ends - horizons
+    total = int(ends[-1])
+    time_varying = graph is None
+    uniforms = np.zeros(total)
+    graph_ids = np.zeros(total, dtype=np.intp) if time_varying else None
+    graph_table = {} if time_varying else {graph: 0}
+    losses = None
+    eta, gamma, dist, setups = [], [], [], []
+    for r, game in enumerate(games):
+        env = game.build()
+        num_actions = env.num_actions
+        if graph is not None and graph.num_vertices != num_actions:
+            raise ValueError(
+                f"graph has {graph.num_vertices} vertices but the environment "
+                f"has {num_actions} actions"
+            )
+        if env.time_varying:
+            if spec.mode == MODE_FIXED:
+                raise ValueError("time-varying environment needs informed or uninformed mode")
+            if graph is not None:
+                raise ValueError("graph source is the environment; pass graph=None")
+        elif graph is None:
             raise ValueError("fixed environment needs a graph")
-
-    horizon = env.horizon
-    base_graph = graph if graph is not None else env.graph_at(0)
-    learner = _build_learner(spec, num_actions, graph, base_graph, horizon)
-    rng = np.random.default_rng(seed)
-
-    actions = np.empty(horizon, dtype=np.int64)
-    incurred = np.empty(horizon)
-    observed_counts = np.empty(horizon, dtype=np.int64)
-    uninformed = spec.mode == MODE_UNINFORMED
-    informed = spec.mode == MODE_INFORMED and hasattr(learner, "set_round_graph")
-    time_varying = env.time_varying
-
-    for t in range(horizon):
-        g_t = env.graph_at(t) if time_varying else graph
-        if informed:
-            learner.set_round_graph(g_t, BEFORE_ACTION)
-        a = learner.act(rng)
-        row = env.loss_row(t)
-        actions[t] = a
-        incurred[t] = row[a - 1]
-        obs = g_t.out_index[a - 1]
-        observed_counts[t] = len(obs)
-        event = FeedbackEvent(
-            a, obs, row[obs - 1], graph=g_t if uninformed else None
+        if losses is None:
+            losses = np.empty((total, num_actions), dtype=np.float16)
+        elif losses.shape[1] != num_actions:
+            raise ValueError("the games of one batch must share the action count")
+        if losses.dtype == np.float16 and not np.array_equal(
+            env.losses.astype(np.float16), env.losses
+        ):
+            losses = losses.astype(float)
+        span = slice(offsets[r], ends[r])
+        losses[span] = env.losses
+        if time_varying:
+            ids = [graph_table.setdefault(g, len(graph_table)) for g in env.graphs]
+            graph_ids[span] = np.asarray(ids, dtype=np.intp)[env.graph_index]
+        learner = _build_learner(
+            spec, num_actions, graph, graph if graph is not None else env.graph_at(0),
+            env.horizon,
         )
-        learner.update(event)
+        eta.append(getattr(learner, "eta", 1.0))
+        gamma.append(getattr(learner, "gamma", 0.0))
+        if isinstance(learner, Exp3G):
+            dist.append(exploration_vector(num_actions, learner.exploration_set))
+        elif isinstance(learner, ConstantAction):
+            dist.append(np.eye(num_actions)[learner.action - 1])
+        else:
+            dist.append(np.full(num_actions, 1.0 / num_actions))
+        if spec.algorithm != "constant":
+            uniforms[span] = np.random.default_rng(game.seed).random(env.horizon)
+        setups.append((
+            env.losses.sum(axis=0),
+            float(env.horizon * env.means.min()) if env.means is not None else None,
+            {
+                "graph": "env-sequence" if graph is None else repr(graph),
+                "K": num_actions,
+                "learner": spec.algorithm,
+                "preset": spec.preset,
+                "mode": spec.mode,
+                "env": env.kind,
+                "chi": env.params.get("chi"),
+                "T": env.horizon,
+                "seed": game.seed if isinstance(game.seed, int) else "derived",
+            },
+        ))
+    del env
 
-    arm_totals = env.losses.sum(axis=0)
-    player_loss = float(incurred.sum())
-    best_fixed = float(arm_totals.min())
-    expected_best = (
-        float(horizon * env.means.min()) if env.means is not None else None
-    )
-    config = {
-        "graph": "env-sequence" if graph is None else repr(graph),
-        "K": num_actions,
-        "learner": spec.algorithm,
-        "preset": spec.preset,
-        "mode": spec.mode,
-        "env": env.kind,
-        "chi": env.params.get("chi"),
-        "T": horizon,
-        "seed": seed if isinstance(seed, int) else "derived",
-    }
-    return GameTranscript(
-        actions=actions,
-        incurred=incurred,
-        observed_counts=observed_counts,
-        arm_totals=arm_totals,
-        player_loss=player_loss,
-        best_fixed_loss=best_fixed,
-        regret=player_loss - best_fixed,
-        expected_best_loss=expected_best,
-        config=config,
-    )
+    graphs = list(graph_table)
+    in_mats = np.stack([g.in_matrix for g in graphs])
+    out_masks = in_mats.transpose(0, 2, 1) > 0  # [g, a] is action a's observed set
+    if spec.algorithm == "hedge" and not out_masks.all():
+        raise ValueError("Hedge needs full feedback; some action does not observe every loss")
+    exp3g = spec.algorithm == "exp3g"
+    doubling = spec.preset == "doubling"
+    dist = np.stack(dist)
+    eta = np.array(eta)[:, None]
+    gamma = np.array(gamma)[:, None]
+    retarget = False
+    if exp3g and spec.mode == MODE_INFORMED:
+        # each distinct graph is profiled once per batch
+        profiles = [graph_profile(g) for g in graphs]
+        explore = np.stack([
+            exploration_vector(prof.num_vertices, informed_exploration_set(prof))
+            for prof in profiles
+        ])
+        retarget = time_varying
+        if not time_varying:
+            dist[:] = explore[0]
+        if doubling:
+            eta, gamma = _doubling_schedule(profiles, graph_ids, offsets, horizons)
+
+    actions = np.zeros(total, dtype=np.int64)
+    cumulative = np.zeros_like(dist)
+    live, restart, epoch = len(games), 0, -1
+    for t in range(horizons[0]):
+        if horizons[live - 1] <= t or t == restart:
+            while horizons[live - 1] <= t:
+                live -= 1
+            if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
+                epoch += 1
+                restart = 2 * t + 1 if doubling else -1
+                cumulative[:live] = 0.0
+            # views of the live rows, renewed only when rows retire or restart
+            cum, starts, dist_t = cumulative[:live], offsets[:live], dist[:live]
+            eta_t, gamma_t = eta[:live, epoch:epoch + 1], gamma[:live, epoch:epoch + 1]
+        idx = starts + t
+        gid = graph_ids[idx] if time_varying else 0
+        if exp3g:
+            p = learners.exp3g_distribution(
+                cum, eta_t, gamma_t, explore[gid] if retarget else dist_t
+            )
+        elif spec.algorithm == "hedge":
+            p = learners.exponential_weights(cum, eta_t)
+        else:
+            p = dist_t
+        a = learners.sample_index(p, uniforms[idx])
+        actions[idx] = a
+        if exp3g:
+            cum += learners.importance_weighted_estimates(
+                in_mats[gid], p, out_masks[gid, a], losses[idx]
+            )
+        elif spec.algorithm == "hedge":
+            cum += losses[idx]
+
+    out_counts = out_masks.sum(axis=-1)
+    for r, (arm_totals, expected_best, config) in enumerate(setups):
+        span = slice(offsets[r], ends[r])
+        played = actions[span]
+        incurred = losses[span][np.arange(len(played)), played].astype(float)
+        player_loss = float(incurred.sum())
+        best_fixed = float(arm_totals.min())
+        yield GameTranscript(
+            actions=played + 1,
+            incurred=incurred,
+            observed_counts=out_counts[graph_ids[span] if time_varying else 0, played],
+            arm_totals=arm_totals,
+            player_loss=player_loss,
+            best_fixed_loss=best_fixed,
+            regret=player_loss - best_fixed,
+            expected_best_loss=expected_best,
+            config=config,
+        )
+
+
+def _doubling_schedule(profiles, graph_ids, offsets, horizons) -> tuple:
+    """Per row and epoch, the (eta, gamma) of the doubling trick's restarts
+    at rounds 1, 2, 4, ..., from the profiles of the row's round graphs
+    (`graph_ids` is None when every round plays graph 0)."""
+    alpha = np.array([prof.alpha for prof in profiles], dtype=float)
+    weak = np.array([prof.graph_class is GraphClass.WEAKLY_OBSERVABLE for prof in profiles])
+    delta = np.where(weak, [prof.delta for prof in profiles], 0).astype(float)
+    epochs = int(horizons[0]).bit_length()
+    eta = np.ones((len(horizons), epochs))
+    gamma = np.zeros((len(horizons), epochs))
+    for r, (start, horizon) in enumerate(zip(offsets, horizons)):
+        ids = (
+            graph_ids[start:start + horizon] if graph_ids is not None
+            else np.zeros(horizon, dtype=np.intp)
+        )
+        sums = (np.cumsum(alpha[ids]), np.cumsum(delta[ids]), np.cumsum(weak[ids]))
+        for e in range(int(horizon).bit_length()):
+            s = 1 << e
+            eta[r, e], gamma[r, e] = doubling_rates(
+                profiles[0].num_vertices, s, float(sums[0][s - 1]),
+                float(sums[1][s - 1]), int(sums[2][s - 1]), bool(weak[ids[s - 1]]),
+            )
+    return eta, gamma
 
 
 def expected_regret_thm4(run_chi0: GameTranscript, run_chi1: GameTranscript) -> float:
@@ -331,82 +491,80 @@ def _profile_columns(graph: FeedbackGraph) -> dict:
     }
 
 
-def _run_cell(config: SweepConfig, horizon_index: int, rep: int, columns=None) -> dict:
-    """One CSV row; `columns` are the graph's profile columns, computed here
-    from the cell's graph when not given."""
-    horizon = config.horizons[horizon_index]
-    env_ss, player_ss = cell_streams(config.seed, horizon_index, rep)
-    if config.graph is not None:
-        num_actions = config.graph.num_vertices
-    else:
-        num_actions = config.env.params.get("k")
-
-    def one(chi=None):
-        env = build_environment(
-            config.env, horizon, env_ss, num_actions=num_actions,
-            graph=config.graph, chi=chi,
-        )
-        return run_game(
-            None if env.time_varying else config.graph,
-            config.learner, env, player_ss,
-        ), env
-
+def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
+    """The CSV rows of the (horizon index, rep) `cells`, in order, from one
+    lockstep run of all their games; `columns` are the graph's profile
+    columns, computed from each cell's first graph when not given."""
     if config.chi_average:
         chis = CHI_PAIRS.get(config.env.kind)
         if chis is None:
             raise ValueError(f"chi averaging is undefined for env {config.env.kind!r}")
-        runs = [one(chi) for chi in chis]
-        player = float(np.mean([r.player_loss for r, _ in runs]))
-        best = float(np.mean([r.best_fixed_loss for r, _ in runs]))
-        regret = float(np.mean([r.regret for r, _ in runs]))
-        expected = [r.expected_regret for r, _ in runs]
-        expected_regret = (
-            float(np.mean(expected)) if all(e is not None for e in expected) else None
-        )
-        env = runs[0][1]
     else:
-        run, env = one()
-        player, best, regret = run.player_loss, run.best_fixed_loss, run.regret
-        expected_regret = run.expected_regret
+        chis = (None,)
+    if config.graph is not None:
+        num_actions = config.graph.num_vertices
+        columns = columns or _profile_columns(config.graph)
+    else:
+        num_actions = config.env.params.get("k")
+    first_graphs = {}
 
-    if columns is None:
-        columns = _profile_columns(
-            config.graph if config.graph is not None else env.graph_at(0)
+    def build(cell, horizon, env_ss, chi):
+        env = build_environment(
+            config.env, horizon, env_ss, num_actions=num_actions,
+            graph=config.graph, chi=chi,
         )
-    row = {
-        "graph": config.graph_name,
-        "K": env.num_actions,
-        **columns,
-        "learner": config.learner.algorithm,
-        "preset": config.learner.preset,
-        "mode": config.learner.mode,
-        "env": config.env.kind,
-        "T": horizon,
-        "rep": rep,
-        "seed": config.seed,
-        "player_loss": player,
-        "best_fixed_loss": best,
-        "regret": regret,
-        "expected_regret": expected_regret,
-    }
-    return row
+        if columns is None:
+            first_graphs.setdefault(cell, env.graph_at(0))
+        return env
+
+    games = []
+    for cell in cells:
+        horizon = config.horizons[cell[0]]
+        env_ss, player_ss = cell_streams(config.seed, *cell)
+        games += [
+            _Game(horizon, partial(build, cell, horizon, env_ss, chi), player_ss)
+            for chi in chis
+        ]
+    # keep only what a row needs of each transcript
+    runs = [None] * len(games)
+    for i, run in _play(config.graph, config.learner, games):
+        runs[i] = (run.config["K"], run.player_loss, run.best_fixed_loss, run.regret,
+                   run.expected_regret)
+
+    rows = []
+    for cell, i in zip(cells, range(0, len(runs), len(chis))):
+        k, player, best, regret, expected = zip(*runs[i:i + len(chis)])
+        row = {
+            "graph": config.graph_name,
+            "K": k[0],
+            **(columns or _profile_columns(first_graphs[cell])),
+            "learner": config.learner.algorithm,
+            "preset": config.learner.preset,
+            "mode": config.learner.mode,
+            "env": config.env.kind,
+            "T": config.horizons[cell[0]],
+            "rep": cell[1],
+            "seed": config.seed,
+            "player_loss": float(np.mean(player)),
+            "best_fixed_loss": float(np.mean(best)),
+            "regret": float(np.mean(regret)),
+            "expected_regret": (
+                float(np.mean(expected)) if all(e is not None for e in expected) else None
+            ),
+        }
+        rows.append(row)
+    return rows
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRAPHBANDIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _cell_worker(args):
-    return _run_cell(*args)
+def _run_cell(config: SweepConfig, horizon_index: int, rep: int, columns=None) -> dict:
+    """One CSV row: the one-cell case of the sweep."""
+    return _sweep_rows(config, [(horizon_index, rep)], columns)[0]
 
 
 def sweep(config: SweepConfig) -> ExperimentReport:
-    """Run reps independent seeded repetitions per horizon; aggregation is a
-    deterministic reduction independent of completion order."""
+    """Run reps independent seeded repetitions per horizon, every game of the
+    grid in one lockstep run; aggregation is a deterministic reduction
+    independent of play order."""
     if not config.horizons:
         raise ValueError("horizon grid is empty")
     if list(config.horizons) != sorted(set(config.horizons)):
@@ -416,17 +574,8 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     # a fixed graph is profiled once, up front, so one beyond the exact
     # solvers' reach is refused before any game is played
     columns = _profile_columns(config.graph) if config.graph is not None else None
-    cells = [
-        (config, hi, rep, columns)
-        for hi in range(len(config.horizons))
-        for rep in range(config.reps)
-    ]
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell_worker, cells, chunksize=1))
-    else:
-        rows = [_run_cell(*cell) for cell in cells]
+    cells = [(hi, rep) for hi in range(len(config.horizons)) for rep in range(config.reps)]
+    rows = _sweep_rows(config, cells, columns)
     echo = {
         "graph": config.graph_name,
         "learner": config.learner.algorithm,

@@ -2,7 +2,10 @@
 variant with importance-weighted loss estimates and explicit exploration.
 
 Actions are the graph's vertices, 1-indexed; probability vectors are numpy
-arrays whose entry i-1 belongs to action i.
+arrays whose entry i-1 belongs to action i. The weight, draw and estimate
+functions work along a trailing action axis, so the same code serves one
+game's K-vector and the harness's R x K rows of games played in lockstep;
+the learner classes are their single-game API.
 """
 
 from __future__ import annotations
@@ -26,27 +29,64 @@ BEFORE_ACTION = "before_action"
 AFTER_ACTION = "after_action"
 
 
-def exponential_weights(cumulative: np.ndarray, eta: float) -> np.ndarray:
-    """Distribution proportional to exp(-eta * cumulative).
+def exponential_weights(cumulative: np.ndarray, eta) -> np.ndarray:
+    """Distribution proportional to exp(-eta * cumulative) along the trailing
+    action axis: one K-vector, or R x K rows with `eta` a scalar or an R x 1
+    column.
 
     Computed with a max shift in log space: the cumulative estimates can reach
     |U|/gamma per round, so the naive product underflows long before the
     distribution itself degenerates.
     """
-    z = -eta * (cumulative - cumulative.min())
+    z = eta * (np.minimum.reduce(cumulative, axis=-1, keepdims=True) - cumulative)
     w = np.exp(z)
-    return w / w.sum()
+    return w / np.add.reduce(w, axis=-1, keepdims=True)
 
 
-def sample_index(dist: np.ndarray, rng) -> int:
-    """Inverse-CDF draw using a single uniform; returns a 0-based index.
+def exp3g_distribution(cumulative: np.ndarray, eta, gamma, u: np.ndarray) -> np.ndarray:
+    """Exp3.G's play distribution: exponential weights mixed with the uniform
+    exploration distribution `u` at rate `gamma`, row by row like
+    `exponential_weights`."""
+    return (1.0 - gamma) * exponential_weights(cumulative, eta) + gamma * u
 
-    Fixed vertex order plus one uniform per draw keeps action sequences
-    reproducible across runs that share a generator state.
+
+def exploration_vector(num_actions: int, vertices) -> np.ndarray:
+    """The uniform distribution over a nonempty set of 1-indexed vertices."""
+    vertices = sorted(set(int(v) for v in vertices))
+    if not vertices:
+        raise ValueError("exploration set must be nonempty")
+    if vertices[0] < 1 or vertices[-1] > num_actions:
+        raise ValueError("exploration set out of range")
+    u = np.zeros(num_actions)
+    u[np.asarray(vertices) - 1] = 1.0 / len(vertices)
+    return u
+
+
+def informed_exploration_set(prof: GraphProfile) -> tuple:
+    """Where informed play explores on a round whose graph it was shown: the
+    smallest weakly dominating set of a weakly observable graph, else every
+    vertex."""
+    if prof.graph_class is GraphClass.WEAKLY_OBSERVABLE:
+        return tuple(sorted(prof.delta_witness))
+    return tuple(range(1, prof.num_vertices + 1))
+
+
+def sample_index(dist: np.ndarray, u):
+    """Inverse-CDF draws along the trailing action axis, one uniform per
+    row; returns 0-based indices (an int for a single distribution).
+
+    `u` holds the uniforms (a float for a single distribution) or is a
+    generator to draw them from. Counting the CDF entries at or below u is
+    searchsorted(side="right") on a nondecreasing CDF; leaving the last
+    entry out puts a uniform beyond a CDF that rounds below 1 on the last
+    action. Fixed vertex order plus one uniform per draw keeps action
+    sequences reproducible across runs that share a generator state.
     """
-    c = np.cumsum(dist)
-    idx = int(np.searchsorted(c, rng.random(), side="right"))
-    return min(idx, len(dist) - 1)
+    if hasattr(u, "random"):
+        u = u.random() if dist.ndim == 1 else u.random(dist.shape[:-1])
+    c = np.add.accumulate(dist, axis=-1)[..., :-1]
+    idx = np.add.reduce(c <= np.asarray(u)[..., None], axis=-1, dtype=np.intp)
+    return int(idx) if dist.ndim == 1 else idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,28 +105,41 @@ class FeedbackEvent:
     graph: FeedbackGraph | None = None
 
 
-def importance_weighted_estimates(
-    g: FeedbackGraph, p: np.ndarray, observed_actions, observed_losses
-) -> np.ndarray:
+def importance_weighted_estimates(g, p: np.ndarray, observed, losses) -> np.ndarray:
     """Loss estimates: observed losses divided by their observation
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
+
+    Works along the trailing action axis like `exponential_weights`. `g` is
+    the round's graph or an in-matrix: one K x K for every row, or R x K x K
+    with one per row. `observed` is a boolean mask over the actions and
+    `losses` the full loss rows, of which only the masked entries are read;
+    for a single distribution it may instead hold the 1-indexed observed
+    vertices, with `losses` aligned to them.
 
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine. P(i)=0 on the observed
     set means the event is inconsistent with p and signals a harness bug.
     """
-    idx = np.asarray(observed_actions, dtype=np.int64) - 1
-    est = np.zeros(len(p))
-    if len(idx) == 0:
-        return est
-    prob = g.in_matrix[idx] @ p
-    if prob.min() <= 0.0:
-        bad = int(idx[np.argmin(prob)]) + 1
+    in_matrix = g.in_matrix if isinstance(g, FeedbackGraph) else g
+    observed = np.asarray(observed)
+    if observed.dtype != bool:
+        idx = observed.astype(np.int64) - 1
+        observed = np.zeros(p.shape, dtype=bool)
+        observed[idx] = True
+        full = np.zeros(p.shape)
+        full[idx] = losses
+        losses = full
+    if in_matrix.ndim == 3:
+        prob = np.matmul(in_matrix, p[..., None])[..., 0]
+    else:
+        prob = p @ in_matrix.T
+    est = np.divide(losses, prob, out=np.zeros(prob.shape), where=observed)
+    if not math.isfinite(np.add.reduce(est, axis=None)):
+        bad = (np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist()
         raise RuntimeError(
-            f"observed action {bad} has zero observation probability; "
+            f"observed actions {bad} have zero observation probability; "
             "the feedback event is inconsistent with the play distribution"
         )
-    est[idx] = np.asarray(observed_losses, dtype=float) / prob
     return est
 
 
@@ -245,15 +298,8 @@ class Exp3G:
         self._p = None
 
     def _set_exploration(self, vertices):
-        vertices = sorted(set(int(v) for v in vertices))
-        if not vertices:
-            raise ValueError("exploration set must be nonempty")
-        if vertices[0] < 1 or vertices[-1] > self.num_actions:
-            raise ValueError("exploration set out of range")
-        self.exploration_set = tuple(vertices)
-        u = np.zeros(self.num_actions)
-        u[np.asarray(vertices) - 1] = 1.0 / len(vertices)
-        self._u = u
+        self._u = exploration_vector(self.num_actions, vertices)
+        self.exploration_set = tuple(int(v) + 1 for v in np.flatnonzero(self._u))
 
     @property
     def q(self) -> np.ndarray:
@@ -262,22 +308,19 @@ class Exp3G:
     @property
     def p(self) -> np.ndarray:
         if self._p is None:
-            self._p = (1.0 - self.gamma) * self.q + self.gamma * self._u
+            self._p = exp3g_distribution(self.cumulative, self.eta, self.gamma, self._u)
         return self._p
 
-    def set_round_graph(self, g: FeedbackGraph, when: str):
+    def set_round_graph(self, g: FeedbackGraph, when: str, prof: GraphProfile | None = None):
         """Supply round t's graph: before acting in the informed model, after
-        acting in the uninformed model (equivalently via the event)."""
+        acting in the uninformed model (equivalently via the event). `prof`
+        is the graph's profile when the caller has it already."""
         if g.num_vertices != self.num_actions:
             raise ValueError("graph size does not match num_actions")
         if when == BEFORE_ACTION:
             if self.mode != MODE_INFORMED:
                 raise ValueError("before_action graphs only apply to informed mode")
-            prof = graph_profile(g)
-            if prof.graph_class is GraphClass.WEAKLY_OBSERVABLE:
-                self._set_exploration(prof.delta_witness)
-            else:
-                self._set_exploration(range(1, self.num_actions + 1))
+            self._set_exploration(informed_exploration_set(prof or graph_profile(g)))
             self._round_graph = g
             self._p = None
         elif when == AFTER_ACTION:
@@ -318,6 +361,22 @@ class Exp3G:
             self._round_graph = None
 
 
+def doubling_rates(
+    num_actions: int, rounds: int, alpha_sum, delta_sum, weak_rounds: int, weak: bool
+) -> tuple:
+    """(eta, gamma) of the doubling-trick epoch that starts at round `rounds`
+    (a power of two), from the sums of alpha over all rounds so far and of
+    delta over the `weak_rounds` weakly observable ones; `weak` says whether
+    the starting round's graph is weakly observable."""
+    if weak:
+        delta_bar = delta_sum / weak_rounds
+        gamma = min((delta_bar * math.log(num_actions) / rounds) ** (1 / 3), 0.5)
+        return gamma**2 / delta_bar, gamma
+    alpha_bar = max(alpha_sum / rounds, 1.0)
+    gamma = min(math.sqrt(1.0 / (alpha_bar * rounds)), 0.5)
+    return 2.0 * gamma, gamma
+
+
 class DoublingExp3G:
     """Informed Exp3G restarted on epochs of length 1, 2, 4, ... (the doubling
     trick). Each restart tunes gamma and eta from the average independence
@@ -347,22 +406,12 @@ class DoublingExp3G:
             self._delta_sum += prof.delta
             self._weak_rounds += 1
         if self.round & (self.round - 1) == 0:  # a power of two starts an epoch
-            self._learner = self._restart(weak)
-        self._learner.set_round_graph(g, when)
-
-    def _restart(self, weak: bool) -> Exp3G:
-        epoch_len = self.round
-        if weak:
-            delta_bar = self._delta_sum / self._weak_rounds
-            gamma = min(
-                (delta_bar * math.log(self.num_actions) / epoch_len) ** (1 / 3), 0.5
+            eta, gamma = doubling_rates(
+                self.num_actions, self.round, self._alpha_sum, self._delta_sum,
+                self._weak_rounds, weak,
             )
-            eta = gamma**2 / delta_bar
-        else:
-            alpha_bar = max(self._alpha_sum / self.round, 1.0)
-            gamma = min(math.sqrt(1.0 / (alpha_bar * epoch_len)), 0.5)
-            eta = 2.0 * gamma
-        return Exp3G(self.num_actions, eta, gamma, mode=MODE_INFORMED)
+            self._learner = Exp3G(self.num_actions, eta, gamma, mode=MODE_INFORMED)
+        self._learner.set_round_graph(g, when, prof)
 
     def act(self, rng) -> int:
         return self._learner.act(rng)

@@ -1,7 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from graphbandit.environments import EnvSpec, bernoulli_env, hidden_arm_env, table_env
+from graphbandit.environments import (
+    EnvSpec,
+    bernoulli_env,
+    build_environment,
+    hidden_arm_env,
+    table_env,
+    uninformed_separation_env,
+)
 from graphbandit import harness, learners
 from graphbandit.graph import FeedbackGraph, catalog
 from graphbandit.harness import (
@@ -14,9 +24,36 @@ from graphbandit.harness import (
     sweep,
     _run_cell,
 )
-from graphbandit.learners import Exp3G, Hedge
+from graphbandit.learners import (
+    BEFORE_ACTION,
+    ConstantAction,
+    DoublingExp3G,
+    Exp3G,
+    FeedbackEvent,
+    Hedge,
+    UniformRandom,
+)
 
 MANUAL = dict(preset="manual", eta=0.2, gamma=0.1)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def play_learner(learner, env, seed, graph=None, mode="fixed"):
+    """The protocol played by one learner object, round by round: the
+    reference the lockstep engine must reproduce. Returns the actions."""
+    rng = np.random.default_rng(seed)
+    actions = []
+    for t in range(env.horizon):
+        g = env.graph_at(t) if env.time_varying else graph
+        if mode == "informed":
+            learner.set_round_graph(g, BEFORE_ACTION)
+        a = learner.act(rng)
+        obs = g.out_index[a - 1]
+        row = env.losses[t]
+        shown = g if mode == "uninformed" else None
+        learner.update(FeedbackEvent(a, obs, row[obs - 1], graph=shown))
+        actions.append(a)
+    return np.array(actions)
 
 
 def test_single_action_game_has_zero_regret():
@@ -253,14 +290,20 @@ def test_sweep_slope_band_bandit_strong_preset():
 
 
 def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
-    games = []
+    games, builds = [], []
     play = harness.run_game
+    build = harness.build_environment
 
     def counted(*args):
         games.append(args)
         return play(*args)
 
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
     monkeypatch.setattr(harness, "run_game", counted)
+    monkeypatch.setattr(harness, "build_environment", counted_build)
     monkeypatch.delenv("GRAPHBANDIT_THREADS", raising=False)
     config = SweepConfig(
         graph=catalog("bandit", 41),
@@ -272,7 +315,10 @@ def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
     )
     with pytest.raises(ValueError, match="exceeds the exact independence-solver cap"):
         sweep(config)
+    # the sweep plays its games in lockstep without calling run_game, so an
+    # environment built would be the first sign of a game started
     assert games == []
+    assert builds == []
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):
@@ -299,9 +345,14 @@ def test_doubling_total_rounds_and_boundaries(monkeypatch):
     horizon = 50
     table = np.ones((horizon, 4))
     table[:, 1] = 0.0
+    g = catalog("clique_minus", 4)
     spec = LearnerSpec(algorithm="exp3g", preset="weak", mode="informed")
-    out = doubling_wrapper(catalog("clique_minus", 4), spec, table_env(table), 1)
+    env = table_env(table)
+    reference = play_learner(DoublingExp3G(4), env, 1, graph=g, mode="informed")
+    out = doubling_wrapper(g, spec, env, 1)
     assert out.horizon == horizon
+    # the harness plays the doubling learner's game exactly
+    assert np.array_equal(out.actions, reference)
     # each epoch's learner counts its own updates; a fresh one starts at the
     # round after the previous epochs end
     epoch_lengths = [learner.round - 1 for learner in built]
@@ -346,3 +397,154 @@ def test_doubling_preset_needs_informed_exp3g():
     with pytest.raises(ValueError):
         LearnerSpec(algorithm="uniform", preset="doubling", mode="informed")
     assert LearnerSpec(preset="doubling", mode="informed").preset == "doubling"
+
+
+def test_doubling_profiles_each_distinct_graph_once(monkeypatch):
+    calls = []
+    for module in (learners, harness):
+        original = module.graph_profile
+
+        def counted(g, original=original):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(module, "graph_profile", counted)
+    env = uninformed_separation_env(8, 1000, seed=3)
+    spec = LearnerSpec(algorithm="exp3g", preset="manual", mode="informed")
+    out = doubling_wrapper(None, spec, env, 4)
+    assert out.horizon == 1000
+    assert len(calls) <= len(env.graphs) + 1
+
+
+# ---------------------------------------------------------------------------
+# the lockstep engine
+
+
+def thm7(k):
+    return dict(graph=None, graph_name="thm7-sequence", env=EnvSpec("thm7", {"k": k}))
+
+
+BERNOULLI4 = EnvSpec("bernoulli", {"mu": (0.3, 0.5, 0.5, 0.7)})
+
+
+LOCKSTEP_CASES = {
+    "fixed": dict(
+        graph=catalog("clique_minus", 5), graph_name="clique_minus",
+        learner=LearnerSpec(algorithm="exp3g", **MANUAL), env=EnvSpec("thm8", {}),
+        chi_average=True,
+    ),
+    "informed": dict(
+        **thm7(6), learner=LearnerSpec(preset="uninformed", mode="informed"),
+    ),
+    "uninformed": dict(
+        **thm7(6), learner=LearnerSpec(preset="uninformed", mode="uninformed"),
+    ),
+    "doubling": dict(
+        **thm7(6), learner=LearnerSpec(preset="doubling", mode="informed"),
+    ),
+    "hedge": dict(
+        graph=catalog("full", 4), graph_name="full",
+        learner=LearnerSpec(algorithm="hedge", eta=0.1), env=BERNOULLI4,
+    ),
+    "uniform": dict(
+        graph=catalog("loopy_star", 4), graph_name="loopy_star",
+        learner=LearnerSpec(algorithm="uniform"), env=BERNOULLI4,
+    ),
+    "constant": dict(
+        graph=catalog("loopy_star", 4), graph_name="loopy_star",
+        learner=LearnerSpec(algorithm="constant", constant_action=2), env=BERNOULLI4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_rows_never_mix(case):
+    # mixed horizons, so rows retire at different rounds of the lockstep run
+    config = SweepConfig(**LOCKSTEP_CASES[case], horizons=(37, 100, 256), reps=3, seed=5)
+    rows = sweep(config).rows
+    cells = [(hi, rep) for hi in range(3) for rep in range(3)]
+    chis = harness.CHI_PAIRS["thm8"] if config.chi_average else (None,)
+    k = config.graph.num_vertices if config.graph is not None else config.env.params["k"]
+    for (hi, rep), row in zip(cells, rows):
+        horizon = config.horizons[hi]
+        env_ss, player_ss = harness.cell_streams(config.seed, hi, rep)
+        runs = []
+        for chi in chis:
+            env = build_environment(
+                config.env, horizon, env_ss, num_actions=k, graph=config.graph, chi=chi
+            )
+            runs.append(run_game(config.graph, config.learner, env, player_ss))
+        assert (row["T"], row["rep"]) == (horizon, rep)
+        assert row["player_loss"] == float(np.mean([r.player_loss for r in runs]))
+        assert row["best_fixed_loss"] == float(np.mean([r.best_fixed_loss for r in runs]))
+        assert row["regret"] == float(np.mean([r.regret for r in runs]))
+
+
+def test_lockstep_transcripts_equal_single_games():
+    g = catalog("loopy_star", 5)
+    spec = LearnerSpec(algorithm="exp3g", preset="strong")
+    envs = [bernoulli_env([0.3, 0.5, 0.5, 0.5, 0.6], horizon, seed=i)
+            for i, horizon in enumerate((90, 300, 17, 300, 1))]
+    games = [harness._Game(e.horizon, lambda e=e: e, i) for i, e in enumerate(envs)]
+    batch = dict(harness._play(g, spec, games))
+    for i, env in enumerate(envs):
+        run = batch[i]
+        single = run_game(g, spec, env, i)
+        assert np.array_equal(run.actions, single.actions)
+        assert np.array_equal(run.observed_counts, single.observed_counts)
+        assert np.array_equal(run.incurred, single.incurred)
+        assert run.player_loss == single.player_loss
+
+
+MANUAL_RATES = dict(preset="manual", eta=0.05, gamma=0.1)
+# case -> (the single-game learner, the mode its protocol plays, the same player as a spec)
+LEARNER_CASES = {
+    "fixed": (lambda: Exp3G(5, 0.05, 0.1, graph=catalog("loopy_star", 5)), "fixed",
+              LearnerSpec(**MANUAL_RATES)),
+    "informed": (lambda: Exp3G(6, 0.05, 0.1, mode="informed"), "informed",
+                 LearnerSpec(**MANUAL_RATES, mode="informed")),
+    "uninformed": (lambda: Exp3G(6, 0.05, 0.1, mode="uninformed"), "uninformed",
+                   LearnerSpec(**MANUAL_RATES, mode="uninformed")),
+    "doubling": (lambda: DoublingExp3G(6), "informed",
+                 LearnerSpec(preset="doubling", mode="informed")),
+    "hedge": (lambda: Hedge(5, 0.1), "fixed", LearnerSpec(algorithm="hedge", eta=0.1)),
+    "uniform": (lambda: UniformRandom(5), "fixed", LearnerSpec(algorithm="uniform")),
+    "constant": (lambda: ConstantAction(5, 4), "fixed",
+                 LearnerSpec(algorithm="constant", constant_action=4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEARNER_CASES))
+def test_learner_classes_play_the_engine_game(case):
+    make, mode, spec = LEARNER_CASES[case]
+    if case in ("informed", "uninformed", "doubling"):
+        graph, env = None, uninformed_separation_env(6, 300, seed=8)
+    else:
+        graph = catalog("full" if case == "hedge" else "loopy_star", 5)
+        env = bernoulli_env([0.3, 0.5, 0.5, 0.5, 0.6], 300, seed=8)
+    reference = play_learner(make(), env, 9, graph=graph, mode=mode)
+    assert np.array_equal(run_game(graph, spec, env, 9).actions, reference)
+
+
+def _pilot_configs():
+    path = ROOT / "scripts" / "run_pilot.py"
+    spec = importlib.util.spec_from_file_location("run_pilot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {"strong": module.strong_config, "weak": module.weak_config}
+
+
+@pytest.mark.parametrize("side", ["strong", "weak"])
+def test_pilot_rows_reproduce_committed_csv(side, tmp_path):
+    reps = 4
+    config = _pilot_configs()[side](reps)
+    path = tmp_path / f"{side}.csv"
+    sweep(config).write_csv(path)
+    lines = path.read_bytes().splitlines()
+    committed = (ROOT / "pilot" / f"rate_separation_{side}.csv").read_bytes().splitlines()
+    committed_reps = (len(committed) - 1) // len(config.horizons)
+    want = [committed[0]] + [
+        committed[1 + hi * committed_reps + rep]
+        for hi in range(len(config.horizons)) for rep in range(reps)
+    ]
+    assert lines == want
