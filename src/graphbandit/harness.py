@@ -169,10 +169,23 @@ def run_game(
 
     `graph` may be None only when the environment carries its own graph
     sequence; a fixed graph together with a time-varying mode is treated as a
-    constant sequence. This is the lockstep engine's one-game case.
+    constant sequence. This is the one-game case of `run_games`.
     """
-    [(_, run)] = _play(graph, spec, [_Game(env.horizon, lambda: env, seed)])
+    [run] = run_games(graph, spec, [env], [seed])
     return run
+
+
+def run_games(graph: FeedbackGraph | None, spec: LearnerSpec, envs, seeds) -> list:
+    """Play one game per prepared environment, the i-th player seeded by
+    `seeds[i]`, all in one lockstep run; the transcripts, in the order of
+    `envs`, equal those of `run_game` on each (environment, seed) pair."""
+    if len(envs) != len(seeds):
+        raise ValueError(f"{len(envs)} environments but {len(seeds)} seeds")
+    games = [_Game(env.horizon, lambda env=env: env, seed) for env, seed in zip(envs, seeds)]
+    runs = [None] * len(games)
+    for i, run in _play(graph, spec, games):
+        runs[i] = run
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -474,10 +474,19 @@ def preset_strong(prof: GraphProfile, horizon: int) -> Preset:
 def preset_weak(prof: GraphProfile, horizon: int) -> Preset:
     """Weakly observable graphs: explore the weakly dominating set,
     gamma ~ (delta*lnK/T)^(1/3). Warns when the horizon is below the regime
-    where the regret guarantee holds, but still returns the parameters."""
+    where the regret guarantee holds, or when delta is a greedy cover rather
+    than the exact weak domination number, but still returns the parameters."""
     if prof.graph_class is not GraphClass.WEAKLY_OBSERVABLE:
         raise ValueError("weak preset needs a weakly observable graph")
     k, delta = prof.num_vertices, prof.delta
+    if not prof.delta_exact:
+        warnings.warn(
+            f"delta = {delta} is a greedy cover, not the exact weak domination "
+            f"number (K={k} is past the exact solver's cap); gamma and eta are "
+            "tuned from it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if horizon < k**3 * math.log(k) / delta**2:
         warnings.warn(
             f"horizon {horizon} is below K^3*ln(K)/delta^2 = "

@@ -5,11 +5,18 @@ The environment's actions are all 2^K binary loss assignments, one per
 column, enumerated lexicographically by vertex index (vertex 1 is the most
 significant bit). The feedback matrix H gives row i the same symbol in two
 columns exactly when the losses visible from vertex i agree between them.
+
+Both checks are least-squares membership tests. The global check is one
+solve: its matrix (all signal matrices stacked) is shared by every action
+pair, so all K(K-1)/2 pairwise loss differences go in as the columns of one
+right-hand side. The local check solves once per pair, because each pair
+has its own matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +42,14 @@ class PMInstance:
 
 
 def encode(g) -> PMInstance:
-    """Build the matrix-game pair for a feedback graph with binary losses."""
+    """Build the matrix-game pair for a feedback graph with binary losses.
+
+    Row i's symbol in column y is the number whose bits are the losses of
+    i's out-neighbors in y, read in vertex order. Its symbols are therefore
+    numbered by first appearance along the columns: the first column that
+    shows a given pattern of visible losses is the one with every other
+    loss 0, and those columns come in the order of their patterns.
+    """
     k = g.num_vertices
     if k > ENCODE_CAP:
         raise ValueError(f"K={k} exceeds the encoding cap {ENCODE_CAP}")
@@ -49,15 +63,9 @@ def encode(g) -> PMInstance:
     signals = []
     for i in range(k):
         out_idx = g.out_index[i] - 1
-        seen = {}
-        for y in range(m):
-            signature = loss[out_idx, y].tobytes()
-            symbol = seen.get(signature)
-            if symbol is None:
-                symbol = len(seen)
-                seen[signature] = symbol
-            symbols[i, y] = symbol
-        s_i = np.zeros((len(seen), m), dtype=np.int64)
+        place = 1 << np.arange(len(out_idx) - 1, -1, -1)
+        symbols[i] = place @ loss[out_idx]
+        s_i = np.zeros((1 << len(out_idx), m), dtype=np.int64)
         s_i[symbols[i], columns] = 1
         s_i.setflags(write=False)
         signals.append(s_i)
@@ -79,40 +87,34 @@ def claim_c1_check(instance: PMInstance, i: int, j: int) -> bool:
     return bool(np.array_equal(total, loss_j))
 
 
-def _in_row_space(stacked: np.ndarray, target: np.ndarray, tol: float) -> bool:
-    """Least-squares membership test: target lies in the span of the stacked
-    rows iff the residual is negligible. All data are small integers, so the
-    conditioning is benign."""
+def _in_row_space(stacked: np.ndarray, targets: np.ndarray, tol: float) -> bool:
+    """Least-squares membership test: every row of `targets` lies in the
+    span of the rows of `stacked` iff its residual is negligible. One solve
+    covers all targets, each a column of the right-hand side, and holds
+    vacuously for none. All data are small integers, so the conditioning is
+    benign."""
     a = stacked.T.astype(float)
-    b = target.astype(float)
+    b = targets.T.astype(float)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(np.linalg.norm(a @ x - b)) < tol
+    return bool(np.linalg.norm(a @ x - b, axis=0).max(initial=0.0) < tol)
 
 
 def check_global_observability(instance: PMInstance, tol: float = RESIDUAL_TOL) -> bool:
     """Every pairwise loss difference must lie in the combined row space of
-    all signal matrices."""
-    stacked = np.vstack(instance.signal_matrices)
+    all signal matrices; one solve tests them all."""
+    rows_i, rows_j = np.triu_indices(instance.num_actions, 1)
     loss = instance.loss_matrix
-    for i in range(instance.num_actions):
-        for j in range(i + 1, instance.num_actions):
-            if not _in_row_space(stacked, loss[i] - loss[j], tol):
-                return False
-    return True
+    return _in_row_space(np.vstack(instance.signal_matrices), loss[rows_i] - loss[rows_j], tol)
 
 
 def check_local_observability(instance: PMInstance, tol: float = RESIDUAL_TOL) -> bool:
     """Every pairwise loss difference must lie in the row space spanned by
     that pair's own signal matrices."""
-    loss = instance.loss_matrix
-    for i in range(instance.num_actions):
-        for j in range(i + 1, instance.num_actions):
-            stacked = np.vstack(
-                (instance.signal_matrices[i], instance.signal_matrices[j])
-            )
-            if not _in_row_space(stacked, loss[i] - loss[j], tol):
-                return False
-    return True
+    loss, signals = instance.loss_matrix, instance.signal_matrices
+    return all(
+        _in_row_space(np.vstack((signals[i], signals[j])), (loss[i] - loss[j])[None], tol)
+        for i, j in combinations(range(instance.num_actions), 2)
+    )
 
 
 def signature_families(instance: PMInstance) -> tuple:

@@ -192,3 +192,63 @@ def random_weakly_observable_graph(rng, max_vertices=14) -> FeedbackGraph:
 def random_distribution(rng, k):
     p = rng.random(k) + 1e-3
     return p / p.sum()
+
+
+# ---------------------------------------------------------------------------
+# matrix-game encoding and observability, one column and one pair at a time
+
+
+def reference_encode(g: FeedbackGraph):
+    """(loss matrix, symbol matrix, signal matrices) of the binary-loss
+    matrix game, by a dictionary of visible-loss signatures per vertex that
+    numbers each new signature as it is first met along the columns."""
+    k = g.num_vertices
+    m = 1 << k
+    columns = np.arange(m)
+    shifts = (k - 1) - np.arange(k)
+    loss = ((columns[None, :] >> shifts[:, None]) & 1).astype(np.int64)
+    symbols = np.zeros((k, m), dtype=np.int64)
+    signals = []
+    for i in range(k):
+        out_idx = np.array(sorted(v - 1 for u, v in g.edges if u == i + 1), dtype=np.int64)
+        seen = {}
+        for y in range(m):
+            signature = loss[out_idx, y].tobytes()
+            symbol = seen.get(signature)
+            if symbol is None:
+                symbol = len(seen)
+                seen[signature] = symbol
+            symbols[i, y] = symbol
+        s_i = np.zeros((len(seen), m), dtype=np.int64)
+        s_i[symbols[i], columns] = 1
+        signals.append(s_i)
+    return loss, symbols, tuple(signals)
+
+
+def _reference_in_row_space(stacked, target, tol) -> bool:
+    a = stacked.T.astype(float)
+    b = target.astype(float)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return float(np.linalg.norm(a @ x - b)) < tol
+
+
+def reference_global_observability(loss, signals, tol=1e-8) -> bool:
+    """One least-squares solve per action pair against all signal matrices
+    stacked, stopping at the first pair that fails."""
+    stacked = np.vstack(signals)
+    for i in range(len(loss)):
+        for j in range(i + 1, len(loss)):
+            if not _reference_in_row_space(stacked, loss[i] - loss[j], tol):
+                return False
+    return True
+
+
+def reference_local_observability(loss, signals, tol=1e-8) -> bool:
+    """One least-squares solve per action pair against that pair's own two
+    signal matrices, stopping at the first pair that fails."""
+    for i in range(len(loss)):
+        for j in range(i + 1, len(loss)):
+            stacked = np.vstack((signals[i], signals[j]))
+            if not _reference_in_row_space(stacked, loss[i] - loss[j], tol):
+                return False
+    return True

@@ -36,6 +36,7 @@ from graphbandit.harness import (
     cell_streams,
     expected_regret_thm4,
     run_game,
+    run_games,
     sweep,
 )
 from graphbandit.learners import Hedge, hedge_second_order_bound, importance_weighted_estimates
@@ -281,12 +282,12 @@ def test_criterion_06_loopless_clique_bound():
         bound = 5.0 * math.sqrt(horizon * math.log(k))
         spec = LearnerSpec(algorithm="exp3g", preset="loopless_clique")
         worst[k] = -math.inf
-        for index, (name, table) in enumerate(
-            adversarial_tables(k, horizon, count=20, seed=606)
-        ):
-            env = table_env(table)
-            _, player_ss = cell_streams(606, k, index)
-            out = run_game(g, spec, env, player_ss)
+        names, tables = zip(*adversarial_tables(k, horizon, count=20, seed=606))
+        runs = run_games(
+            g, spec, [table_env(table) for table in tables],
+            [cell_streams(606, k, index)[1] for index in range(len(tables))],
+        )
+        for name, out in zip(names, runs):
             worst[k] = max(worst[k], out.regret)
             assert out.regret <= bound, f"K={k} table {name}: {out.regret} > {bound}"
     elapsed = time.time() - start

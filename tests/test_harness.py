@@ -21,6 +21,7 @@ from graphbandit.harness import (
     doubling_wrapper,
     expected_regret_thm4,
     run_game,
+    run_games,
     sweep,
     _run_cell,
 )
@@ -494,6 +495,35 @@ def test_lockstep_transcripts_equal_single_games():
         assert np.array_equal(run.observed_counts, single.observed_counts)
         assert np.array_equal(run.incurred, single.incurred)
         assert run.player_loss == single.player_loss
+
+
+RUN_GAMES_CASES = {
+    # mixed horizons and float losses, one fixed graph
+    "fixed": (catalog("loopy_star", 5), LearnerSpec(algorithm="exp3g", preset="strong"),
+              lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.5, 0.6], horizon, seed=i)),
+    # each game brings its own graph sequence
+    "uninformed": (None, LearnerSpec(algorithm="exp3g", preset="uninformed", mode="uninformed"),
+                   lambda i, horizon: uninformed_separation_env(6, horizon, seed=i)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_GAMES_CASES))
+def test_run_games_equals_run_game_game_by_game(case):
+    graph, spec, make_env = RUN_GAMES_CASES[case]
+    envs = [make_env(i, horizon) for i, horizon in enumerate((90, 300, 17, 300, 1))]
+    seeds = [np.random.SeedSequence(i) for i in range(len(envs))]
+    runs = run_games(graph, spec, envs, seeds)
+    assert len(runs) == len(envs)
+    for env, seed, run in zip(envs, seeds, runs):
+        single = run_game(graph, spec, env, seed)
+        assert np.array_equal(run.actions, single.actions)
+        assert np.array_equal(run.incurred, single.incurred)
+        assert np.array_equal(run.observed_counts, single.observed_counts)
+        assert np.array_equal(run.arm_totals, single.arm_totals)
+        assert (run.player_loss, run.best_fixed_loss, run.regret, run.config) == (
+            single.player_loss, single.best_fixed_loss, single.regret, single.config)
+    with pytest.raises(ValueError, match="seeds"):
+        run_games(graph, spec, envs, seeds[:-1])
 
 
 MANUAL_RATES = dict(preset="manual", eta=0.05, gamma=0.1)

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from graphbandit.graph import FeedbackGraph, catalog, profile
+from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 from graphbandit.learners import (
     AFTER_ACTION,
     BEFORE_ACTION,
@@ -394,6 +395,16 @@ def test_preset_weak_warns_below_regime():
         preset_weak(prof, int(threshold) - 1)
     pre = preset_weak(prof, int(threshold) + 1)
     assert pre.exploration_set == (3,)
+
+
+def test_preset_weak_warns_on_inexact_delta():
+    prof = profile(catalog("clique_minus", 24))
+    assert prof.graph_class is GraphClass.WEAKLY_OBSERVABLE and not prof.delta_exact
+    with pytest.warns(RuntimeWarning, match="greedy cover"):
+        preset_weak(prof, 10**9)  # above the K^3*ln(K)/delta^2 regime bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        preset_weak(profile(catalog("clique_minus", 20)), 10**9)  # exact delta
 
 
 def test_preset_loopless_clique_values():

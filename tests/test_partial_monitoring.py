@@ -11,7 +11,12 @@ from graphbandit.partial_monitoring import (
     signature_families,
 )
 
-from oracles import random_graph
+from oracles import (
+    random_graph,
+    reference_encode,
+    reference_global_observability,
+    reference_local_observability,
+)
 
 
 def test_loss_columns_enumerate_all_assignments():
@@ -193,3 +198,64 @@ def test_observational_equivalence_recovers_out_neighborhoods():
         for i in range(1, k + 1):
             if g1.out_neighbors(i) != g2.out_neighbors(i):
                 assert f1[i - 1] != f2[i - 1]
+
+
+# ---------------------------------------------------------------------------
+# the vectorised encoding and the one-solve global check against the
+# column-by-column, pair-by-pair references
+
+
+def _criterion_08_graphs():
+    """The graph set of acceptance criterion 08."""
+    graphs = [
+        catalog(name, 2 if name == "apple_tasting" else 5)
+        for name in (
+            "full", "bandit", "loopless_clique", "apple_tasting",
+            "revealing_action", "clique_minus", "loopy_star",
+        )
+    ]
+    rng = np.random.default_rng(808)
+    while len(graphs) < 57:
+        graphs.append(random_graph(rng, int(rng.integers(2, 7)), float(rng.uniform(0.1, 0.9))))
+    return graphs
+
+
+def _seeded_graphs():
+    """210 random graphs, 30 for each K = 1..7, over the whole density range."""
+    rng = np.random.default_rng(2015)
+    return [
+        random_graph(rng, 1 + n % 7, float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.0, 1.0)))
+        for n in range(210)
+    ]
+
+
+def _k9_graph():
+    # every vertex sees itself, so the graph is strongly observable and both
+    # checks run through all 36 pairs; sparse enough that the local solves
+    # stay small
+    return [random_graph(np.random.default_rng(9), 9, 0.4, 1.0)]
+
+
+@pytest.mark.parametrize("graphs", [_criterion_08_graphs, _seeded_graphs, _k9_graph],
+                         ids=["criterion_08", "seeded_k1_to_7", "k9"])
+def test_encoding_and_verdicts_match_reference(graphs):
+    verdicts = []
+    for g in graphs():
+        inst = encode(g)
+        loss, symbols, signals = reference_encode(g)
+        assert np.array_equal(inst.loss_matrix, loss)
+        assert np.array_equal(inst.symbol_matrix, symbols)
+        assert len(inst.signal_matrices) == len(signals)
+        for new, old in zip(inst.signal_matrices, signals):
+            assert np.array_equal(new, old)
+        verdict = (check_global_observability(inst), check_local_observability(inst))
+        assert verdict == (
+            reference_global_observability(loss, signals),
+            reference_local_observability(loss, signals),
+        )
+        verdicts.append(verdict)
+    if len(verdicts) > 1:
+        # both verdicts of each check occur, so neither side is constant
+        assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+    else:
+        assert verdicts == [(True, True)]
