@@ -240,14 +240,13 @@ def cmd_lowerbound(args) -> int:
     if args.which in ("thm8", "all"):
         g = catalog("clique_minus", args.k)
         spec = harness.LearnerSpec(algorithm="exp3g", preset="weak", mode="fixed", gamma=0.0)
-        regrets = []
-        for rep in range(args.reps):
-            env_ss, player_ss = harness.cell_streams(args.seed, 0, rep)
-            vals = []
-            for chi in (-1, 1):
-                env = environments.simple_weak_env(horizon, args.k, chi, env_ss)
-                vals.append(harness.run_game(g, spec, env, player_ss).regret)
-            regrets.append(float(np.mean(vals)))
+        streams = [harness.cell_streams(args.seed, 0, rep) for rep in range(args.reps)]
+        envs = [environments.simple_weak_env(horizon, args.k, chi, env_ss)
+                for env_ss, _ in streams for chi in (-1, 1)]
+        runs = harness.run_games(g, spec, envs, [player_ss for _, player_ss in streams
+                                                 for _ in (-1, 1)])
+        # per rep, the mean over chi of its two games
+        regrets = np.array([run.regret for run in runs]).reshape(-1, 2).mean(axis=1)
         pairs += [
             ("thm8_measured", float(np.mean(regrets))),
             ("thm8_rate_formula", "T^(2/3)/8"),
@@ -273,13 +272,14 @@ def cmd_lowerbound(args) -> int:
 def cmd_pm_check(args) -> int:
     g = _resolve_graph(args)
     instance = partial_monitoring.encode(g)
-    claim = all(claim_ok for claim_ok in (
-        partial_monitoring.claim_c1_check(instance, u, v) for u, v in sorted(g.edges)
-    ))
-    global_ok = partial_monitoring.check_global_observability(instance)
-    local_ok = partial_monitoring.check_local_observability(instance)
-    flags = {"global": global_ok, "local": local_ok, "claimC1": claim}
+    claim = all(partial_monitoring.claim_c1_check(instance, u, v) for u, v in sorted(g.edges))
+    witnesses = {"global": partial_monitoring.global_witness(instance),
+                 "local": partial_monitoring.local_witness(instance)}
+    flags = {**{name: w is None for name, w in witnesses.items()}, "claimC1": claim}
     print(" ".join(f"{k}={'true' if v else 'false'}" for k, v in flags.items()))
+    for name, w in witnesses.items():
+        if w is not None:
+            _emit([(f"{name}_pair", f"{w.i},{w.j}"), (f"{name}_unseen", w.unseen)])
     if args.dump:
         environments.save_loss_table(f"{args.dump}_L.csv", instance.loss_matrix)
         np.savetxt(f"{args.dump}_H.csv", instance.symbol_matrix, delimiter=",", fmt="%d")

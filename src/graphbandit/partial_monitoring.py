@@ -6,39 +6,108 @@ column, enumerated lexicographically by vertex index (vertex 1 is the most
 significant bit). The feedback matrix H gives row i the same symbol in two
 columns exactly when the losses visible from vertex i agree between them.
 
-Both checks are least-squares membership tests. The global check is one
-solve: its matrix (all signal matrices stacked) is shared by every action
-pair, so all K(K-1)/2 pairwise loss differences go in as the columns of one
-right-hand side. The local check solves once per pair, because each pair
-has its own matrix.
+Global and local observability ask whether each pairwise loss difference
+L_i - L_j lies in the row space of a set A of signal matrices: all of them
+for the global check, the pair's own S_i and S_j for the local one (Bartók,
+Foster, Pál, Rakhlin, Szepesvári, "Partial monitoring -- classification,
+regret bounds, and algorithms", Math. of OR 2014). Loss row L_i is the
+coordinate y_i of the cube {0,1}^K and the rows of S_a span the functions of
+the losses a sees, so L_i - L_j is in the span iff L_i and L_j each are, and
+L_i is iff some a in A has i among its out-neighbours. Both checks decide
+this exactly, from integer certificates checked against H and L alone:
+
+- membership: the claim-C1 combination v of S_a's rows (v[s] = 1 for the
+  symbols s of a that occur where L_i is 1) reproduces L_i, checked as
+  v[H[a]] == L[i];
+- non-membership: z = 2 L_i - 1 sums to 0 over every symbol class of every
+  a in A, checked as np.bincount(H[a], weights=z) == 0, so z is orthogonal
+  to their span, while <L_i - L_j, z> = 2^(K-1) != 0 rules the difference
+  out.
+
+The K x K table of both certificates, per (source, vertex), is computed
+once per instance. A vertex for which neither certificate verifies means H
+does not encode a feedback graph; the checks then raise rather than guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 ENCODE_CAP = 12  # 2^K columns; refuse anything bigger
-RESIDUAL_TOL = 1e-8
+
+
+class Certificates(NamedTuple):
+    """Per source a (row) and vertex i (column): whether the membership and
+    the non-membership certificate of L_i against S_a verify."""
+
+    member: np.ndarray
+    orthogonal: np.ndarray
+
+
+class Witness(NamedTuple):
+    """An action pair (i, j), 1-based, whose loss difference is outside the
+    span of its source set's signal matrices, and a vertex of the pair that
+    no source sees."""
+
+    i: int
+    j: int
+    unseen: int
 
 
 @dataclass(frozen=True, eq=False)
 class PMInstance:
-    """Loss matrix L (K x 2^K over {0,1}), symbol matrix H (dense integers
-    per row), and the per-vertex signal matrices S_i with
-    S_i[s, y] = 1 iff H[i, y] = s. Keeps the source graph for edge checks."""
+    """Loss matrix L (K x 2^K over {0,1}) and symbol matrix H (dense
+    integers per row). Keeps the source graph for edge checks."""
 
     graph: object
     num_actions: int
     loss_matrix: np.ndarray
     symbol_matrix: np.ndarray
-    signal_matrices: tuple
 
     @property
     def num_columns(self) -> int:
         return self.loss_matrix.shape[1]
+
+    @cached_property
+    def signal_matrices(self) -> tuple:
+        """The per-vertex signal matrices S_i with S_i[s, y] = 1 iff
+        H[i, y] = s, built on first use: S_i holds 2^(|out(i)| + K)
+        entries, 1.5 GB in all for the complete graph at K = 12, and no
+        check reads them."""
+        m = self.num_columns
+        signals = []
+        for row in self.symbol_matrix:
+            s_i = np.zeros((int(row.max()) + 1, m), dtype=np.int64)
+            s_i[row, np.arange(m)] = 1
+            s_i.setflags(write=False)
+            signals.append(s_i)
+        return tuple(signals)
+
+    @cached_property
+    def certificates(self) -> Certificates:
+        """Both certificates for every (source, vertex) pair, from one
+        bincount of L over the K x K x 2^K (source, vertex, column) cells
+        and one of the symbol class sizes."""
+        loss, symbols = self.loss_matrix, self.symbol_matrix
+        k, m = loss.shape
+        n = int(symbols.max()) + 1
+        # bins[a, i, y]: the flat index of (a, i, H[a, y]) in a K x K x n table
+        bins = np.arange(k * k).reshape(k, k, 1) * n + symbols[:, None, :]
+        hits = np.bincount(bins.ravel(), weights=np.broadcast_to(loss, (k, k, m)).ravel(),
+                           minlength=k * k * n)
+        sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(), minlength=k * n)
+        # v[a, i, s] = 1 for the symbols s of a that occur where L_i is 1,
+        # and v[bins] is the combination v . S_a evaluated at every column
+        v = (hits > 0).astype(loss.dtype)
+        member = (v[bins] == loss).all(axis=2)
+        # np.bincount(H[a], weights=2 L_i - 1), by linearity
+        z_sums = 2 * hits.reshape(k, k, n) - sizes.reshape(k, 1, n)
+        orthogonal = (z_sums == 0).all(axis=2)
+        return Certificates(member, orthogonal)
 
 
 def encode(g) -> PMInstance:
@@ -53,77 +122,79 @@ def encode(g) -> PMInstance:
     k = g.num_vertices
     if k > ENCODE_CAP:
         raise ValueError(f"K={k} exceeds the encoding cap {ENCODE_CAP}")
-    m = 1 << k
-    columns = np.arange(m)
+    columns = np.arange(1 << k)
     # L[i, y]: bit of vertex i+1 in assignment y, vertex 1 most significant
     shifts = (k - 1) - np.arange(k)
     loss = ((columns[None, :] >> shifts[:, None]) & 1).astype(np.int64)
 
-    symbols = np.zeros((k, m), dtype=np.int64)
-    signals = []
+    symbols = np.zeros_like(loss)
     for i in range(k):
         out_idx = g.out_index[i] - 1
         place = 1 << np.arange(len(out_idx) - 1, -1, -1)
         symbols[i] = place @ loss[out_idx]
-        s_i = np.zeros((1 << len(out_idx), m), dtype=np.int64)
-        s_i[symbols[i], columns] = 1
-        s_i.setflags(write=False)
-        signals.append(s_i)
     loss.setflags(write=False)
     symbols.setflags(write=False)
-    return PMInstance(g, k, loss, symbols, tuple(signals))
+    return PMInstance(g, k, loss, symbols)
 
 
 def claim_c1_check(instance: PMInstance, i: int, j: int) -> bool:
     """For an edge (i, j): the symbols of vertex i's row that appear in the
-    columns where j's loss is 1 must sum, as signal-matrix rows, to exactly
-    j's loss row."""
+    columns where j's loss is 1 must select rows of S_i that sum exactly to
+    j's loss row, i.e. the membership certificate of L_j against S_i."""
     if not instance.graph.has_edge(i, j):
         raise ValueError(f"({i}, {j}) is not an edge")
-    s_i = instance.signal_matrices[i - 1]
-    loss_j = instance.loss_matrix[j - 1]
-    chosen = np.unique(instance.symbol_matrix[i - 1][loss_j == 1])
-    total = s_i[chosen].sum(axis=0)
-    return bool(np.array_equal(total, loss_j))
+    return bool(instance.certificates.member[i - 1, j - 1])
 
 
-def _in_row_space(stacked: np.ndarray, targets: np.ndarray, tol: float) -> bool:
-    """Least-squares membership test: every row of `targets` lies in the
-    span of the rows of `stacked` iff its residual is negligible. One solve
-    covers all targets, each a column of the right-hand side, and holds
-    vacuously for none. All data are small integers, so the conditioning is
-    benign."""
-    a = stacked.T.astype(float)
-    b = targets.T.astype(float)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return bool(np.linalg.norm(a @ x - b, axis=0).max(initial=0.0) < tol)
+def _first_failing_pair(seen: np.ndarray, blind: np.ndarray) -> Witness | None:
+    """From K x K tables whose entry [v, w] says whether the sources of the
+    pair {v, w} see vertex v (its membership certificate verifies against
+    one of them) or none does (its non-membership certificate verifies
+    against all of them): the first pair in lexicographic order with an
+    unseen vertex. Raises if neither holds for a vertex of some pair."""
+    pairs = ~np.eye(len(seen), dtype=bool)
+    stuck = np.argwhere(~(seen | blind) & pairs)
+    if len(stuck):
+        v, w = stuck[0] + 1
+        raise ValueError(
+            f"neither certificate verifies for vertex {v} of pair ({min(v, w)}, {max(v, w)}): "
+            "H does not encode a feedback graph"
+        )
+    failing = np.argwhere(np.triu(~(seen & seen.T), 1))
+    if not len(failing):
+        return None
+    i, j = failing[0]
+    return Witness(int(i) + 1, int(j) + 1, int(i if not seen[i, j] else j) + 1)
 
 
-def check_global_observability(instance: PMInstance, tol: float = RESIDUAL_TOL) -> bool:
-    """Every pairwise loss difference must lie in the combined row space of
-    all signal matrices; one solve tests them all."""
-    rows_i, rows_j = np.triu_indices(instance.num_actions, 1)
-    loss = instance.loss_matrix
-    return _in_row_space(np.vstack(instance.signal_matrices), loss[rows_i] - loss[rows_j], tol)
-
-
-def check_local_observability(instance: PMInstance, tol: float = RESIDUAL_TOL) -> bool:
-    """Every pairwise loss difference must lie in the row space spanned by
-    that pair's own signal matrices."""
-    loss, signals = instance.loss_matrix, instance.signal_matrices
-    return all(
-        _in_row_space(np.vstack((signals[i], signals[j])), (loss[i] - loss[j])[None], tol)
-        for i, j in combinations(range(instance.num_actions), 2)
+def global_witness(instance: PMInstance) -> Witness | None:
+    """A pair whose loss difference is outside the combined row space of all
+    signal matrices, or None if the game is globally observable."""
+    member, orthogonal = instance.certificates
+    return _first_failing_pair(
+        np.broadcast_to(member.any(axis=0)[:, None], member.shape),
+        np.broadcast_to(orthogonal.all(axis=0)[:, None], member.shape),
     )
 
 
-def signature_families(instance: PMInstance) -> tuple:
-    """Per vertex, the partition of columns induced by its symbols; two
-    graphs encode identically exactly when these partitions coincide."""
-    families = []
-    for i in range(instance.num_actions):
-        groups = {}
-        for y, s in enumerate(instance.symbol_matrix[i]):
-            groups.setdefault(int(s), []).append(y)
-        families.append(frozenset(frozenset(v) for v in groups.values()))
-    return tuple(families)
+def local_witness(instance: PMInstance) -> Witness | None:
+    """A pair whose loss difference is outside the row space of the pair's
+    own two signal matrices, or None if the game is locally observable."""
+    member, orthogonal = instance.certificates
+    # vertex v of the pair {v, w} has the sources v and w
+    return _first_failing_pair(
+        member.diagonal()[:, None] | member.T,
+        orthogonal.diagonal()[:, None] & orthogonal.T,
+    )
+
+
+def check_global_observability(instance: PMInstance) -> bool:
+    """Every pairwise loss difference lies in the combined row space of all
+    signal matrices."""
+    return global_witness(instance) is None
+
+
+def check_local_observability(instance: PMInstance) -> bool:
+    """Every pairwise loss difference lies in the row space spanned by that
+    pair's own signal matrices."""
+    return local_witness(instance) is None

@@ -252,3 +252,15 @@ def reference_local_observability(loss, signals, tol=1e-8) -> bool:
             if not _reference_in_row_space(stacked, loss[i] - loss[j], tol):
                 return False
     return True
+
+
+def signature_families(instance) -> tuple:
+    """Per vertex, the partition of columns induced by its symbols; two
+    graphs encode identically exactly when these partitions coincide."""
+    families = []
+    for i in range(instance.num_actions):
+        groups = {}
+        for y, s in enumerate(instance.symbol_matrix[i]):
+            groups.setdefault(int(s), []).append(y)
+        families.append(frozenset(frozenset(v) for v in groups.values()))
+    return tuple(families)

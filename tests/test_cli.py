@@ -161,6 +161,18 @@ def test_pm_check_apple_tasting(capsys):
     assert out.strip() == "global=true local=true claimC1=true"
 
 
+def test_pm_check_prints_the_witness_of_a_failing_verdict(capsys):
+    # clique_minus is weakly observable: vertex 1 sees no loss of its own
+    # and vertex 2 does not see it, so the pair (1, 2) alone cannot see 1
+    code, out, _ = run_cli(capsys, "pm-check", "--catalog", "clique_minus", "--k", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "global=true local=false claimC1=true",
+        "local_pair=1,2",
+        "local_unseen=1",
+    ]
+
+
 def test_pm_check_dump_writes_matrices(capsys, tmp_path):
     prefix = tmp_path / "apple"
     code, _, _ = run_cli(

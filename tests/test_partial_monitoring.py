@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from graphbandit.partial_monitoring import (
     check_local_observability,
     claim_c1_check,
     encode,
-    signature_families,
+    global_witness,
+    local_witness,
 )
 
 from oracles import (
@@ -16,6 +19,7 @@ from oracles import (
     reference_encode,
     reference_global_observability,
     reference_local_observability,
+    signature_families,
 )
 
 
@@ -114,17 +118,8 @@ def test_claim_fails_on_corrupted_symbols():
     inst = encode(g)
     corrupted = inst.symbol_matrix.copy()
     corrupted[0, 0] = corrupted[0, 3]  # merge two signature classes
-    bad = PMInstance(
-        g, inst.num_actions, inst.loss_matrix, corrupted,
-        tuple(_signal_from_symbols(corrupted[i], inst.num_columns) for i in range(2)),
-    )
+    bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
     assert not claim_c1_check(bad, 1, 1)
-
-
-def _signal_from_symbols(symbols, m):
-    out = np.zeros((int(symbols.max()) + 1, m), dtype=np.int64)
-    out[symbols, np.arange(m)] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +254,65 @@ def test_encoding_and_verdicts_match_reference(graphs):
         assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
     else:
         assert verdicts == [(True, True)]
+
+
+# ---------------------------------------------------------------------------
+# the exact certificates behind both checks
+
+
+def test_certificate_table_is_the_adjacency_matrix():
+    # L_i is a combination of S_a's rows exactly when a sees i, and
+    # 2 L_i - 1 is orthogonal to them exactly when it does not
+    for g in _seeded_graphs():
+        k = g.num_vertices
+        member, orthogonal = encode(g).certificates
+        adjacency = np.array([[g.has_edge(a, i) for i in range(1, k + 1)]
+                              for a in range(1, k + 1)])
+        assert np.array_equal(member, adjacency)
+        assert np.array_equal(orthogonal, ~adjacency)
+
+
+def _first_pair_with_an_unseen_vertex(g, sources):
+    for i, j in combinations(range(1, g.num_vertices + 1), 2):
+        for v in (i, j):
+            if not any(g.has_edge(a, v) for a in sources(i, j)):
+                return (i, j, v)
+    return None
+
+
+def test_witness_is_the_first_pair_with_an_unseen_vertex():
+    for g in _seeded_graphs():
+        inst = encode(g)
+        everyone = range(1, g.num_vertices + 1)
+        assert global_witness(inst) == _first_pair_with_an_unseen_vertex(g, lambda i, j: everyone)
+        assert local_witness(inst) == _first_pair_with_an_unseen_vertex(g, lambda i, j: (i, j))
+
+
+def test_seed_313_graph_gets_the_verdicts_of_its_class():
+    # the analysis benchmark's matrix-game corpus graph 264 with its vertices
+    # renamed by seed 313: a least-squares solve on its stacked signal
+    # matrices fails with LAPACK's "SVD did not converge"
+    g = FeedbackGraph(7, [
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 5), (2, 6), (3, 1), (3, 2),
+        (3, 4), (3, 5), (4, 1), (4, 2), (4, 5), (4, 7), (5, 1), (5, 2), (5, 3), (5, 4),
+        (5, 6), (5, 7), (6, 1), (6, 2), (6, 6), (7, 1), (7, 4), (7, 6),
+    ])
+    inst = encode(g)
+    cls = classify_graph(g)
+    assert cls is GraphClass.WEAKLY_OBSERVABLE
+    assert check_global_observability(inst) == (cls is not GraphClass.NOT_OBSERVABLE)
+    assert check_local_observability(inst) == (cls is GraphClass.STRONGLY_OBSERVABLE)
+
+
+def test_checks_raise_when_neither_certificate_verifies():
+    g = catalog("bandit", 2)
+    inst = encode(g)
+    corrupted = inst.symbol_matrix.copy()
+    corrupted[0, 0] = corrupted[0, 3]  # vertex 1's classes no longer fix or free y_1
+    bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
+    member, orthogonal = bad.certificates
+    assert not member[:, 0].any() and not orthogonal[:, 0].all()
+    with pytest.raises(ValueError, match="neither certificate verifies for vertex 1"):
+        check_global_observability(bad)
+    with pytest.raises(ValueError, match="neither certificate verifies for vertex 1"):
+        check_local_observability(bad)
