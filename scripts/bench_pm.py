@@ -144,15 +144,14 @@ def analysis_pairs(trees: dict, seeds) -> dict:
     return {"runs": runs, "summary": summary}
 
 
-def analysis_trace(tree: Path, seed: int) -> dict:
-    """The partial_monitoring per-layer metrics and key=value lines."""
+def analysis_trace(tree: Path, seed: int, layer: str = "partial_monitoring") -> dict:
+    """One layer's per-layer metrics and key=value lines."""
     lines = _bench_run(tree, seed, 1).splitlines()
     metrics = json.loads(lines[-1])["metrics"]
-    out = {name: m["value"] for name, m in metrics.items()
-           if name.startswith("partial_monitoring.")}
+    out = {name: m["value"] for name, m in metrics.items() if name.startswith(layer + ".")}
     for line in lines[:-1]:
         key, sep, value = line.partition("=")
-        if sep and key.startswith("partial_monitoring."):
+        if sep and key.startswith(layer + "."):
             out[key] = float(value)
     return out
 

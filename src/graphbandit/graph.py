@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -43,9 +42,10 @@ class GraphClass(Enum):
 
 
 class FeedbackGraph:
-    """Immutable directed graph over actions 1..K with self-loops allowed."""
+    """Immutable directed graph over actions 1..K with self-loops allowed,
+    kept as per-vertex bitmasks; the edge set is built on first read."""
 
-    __slots__ = ("_k", "_edges", "_in", "_out", "_in_matrix", "_out_index", "_sym")
+    __slots__ = ("_k", "_edges", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         if num_vertices < 1:
@@ -58,7 +58,7 @@ class FeedbackGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for K={k}")
             edge_set.add((u, v))
         self._k = k
-        self._edges = frozenset(edge_set)
+        self._edges = None
         in_masks = [0] * k
         out_masks = [0] * k
         for u, v in edge_set:
@@ -69,6 +69,7 @@ class FeedbackGraph:
         self._in_matrix = None
         self._out_index = None
         self._sym = None
+        self._tags = None
 
     @property
     def num_vertices(self) -> int:
@@ -76,10 +77,14 @@ class FeedbackGraph:
 
     @property
     def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = frozenset(
+                (u, v) for u in range(1, self._k + 1) for v in _mask_to_vertices(self._out[u - 1])
+            )
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        return (u, v) in self.edges
 
     def _check_vertex(self, i: int):
         if not 1 <= i <= self._k:
@@ -111,7 +116,7 @@ class FeedbackGraph:
         """
         if self._in_matrix is None:
             m = np.zeros((self._k, self._k))
-            for u, v in self._edges:
+            for u, v in self.edges:
                 m[v - 1, u - 1] = 1.0
             m.setflags(write=False)
             self._in_matrix = m
@@ -135,27 +140,22 @@ class FeedbackGraph:
         an edge and u != v. Self-loops are dropped; this is the graph whose
         independent sets match the directed definition."""
         if self._sym is None:
-            sym = [0] * self._k
-            for u, v in self._edges:
-                if u != v:
-                    sym[u - 1] |= 1 << (v - 1)
-                    sym[v - 1] |= 1 << (u - 1)
-            self._sym = tuple(sym)
+            self._sym = tuple((m | self._out[i]) & ~(1 << i) for i, m in enumerate(self._in))
         return self._sym
 
     def __eq__(self, other):
         if not isinstance(other, FeedbackGraph):
             return NotImplemented
-        return self._k == other._k and self._edges == other._edges
+        return self._k == other._k and self._out == other._out
 
     def __hash__(self):
-        return hash((self._k, self._edges))
+        return hash((self._k, self._out))
 
     def __repr__(self):
-        return f"FeedbackGraph(K={self._k}, edges={len(self._edges)})"
+        return f"FeedbackGraph(K={self._k}, edges={sum(bin(m).count('1') for m in self._out)})"
 
     def __reduce__(self):
-        return (FeedbackGraph, (self._k, tuple(sorted(self._edges))))
+        return (FeedbackGraph, (self._k, tuple(sorted(self.edges))))
 
 
 def _mask_to_vertices(mask: int) -> frozenset:
@@ -175,29 +175,32 @@ def classify_vertex(g: FeedbackGraph, i: int) -> VertexClass:
     """Tag a vertex: unobservable (no in-edges), strong (self-loop or in-edges
     from all other vertices), weak otherwise."""
     g._check_vertex(i)
-    in_mask = g.in_mask(i)
-    if in_mask == 0:
-        return VertexClass.UNOBSERVABLE
-    self_bit = 1 << (i - 1)
-    others = ((1 << g.num_vertices) - 1) ^ self_bit
-    if in_mask & self_bit or (in_mask & others) == others:
-        return VertexClass.STRONG
-    return VertexClass.WEAK
+    return _vertex_tags(g)[i - 1]
+
+
+def _vertex_tags(g: FeedbackGraph) -> tuple:
+    """Every vertex's tag, computed once per graph and kept on it."""
+    if g._tags is None:
+        full = (1 << g.num_vertices) - 1
+        g._tags = tuple(
+            VertexClass.UNOBSERVABLE if in_mask == 0
+            else VertexClass.STRONG if in_mask >> i & 1 or in_mask | 1 << i == full
+            else VertexClass.WEAK
+            for i, in_mask in enumerate(g._in)
+        )
+    return g._tags
 
 
 def weakly_observable_set(g: FeedbackGraph) -> frozenset:
     """The set W of weakly observable vertices (excludes unobservable ones)."""
-    return frozenset(
-        i for i in range(1, g.num_vertices + 1)
-        if classify_vertex(g, i) is VertexClass.WEAK
-    )
+    return frozenset(i for i, t in enumerate(_vertex_tags(g), 1) if t is VertexClass.WEAK)
 
 
 def classify_graph(g: FeedbackGraph) -> GraphClass:
-    tags = [classify_vertex(g, i) for i in range(1, g.num_vertices + 1)]
-    if any(t is VertexClass.UNOBSERVABLE for t in tags):
+    tags = _vertex_tags(g)
+    if VertexClass.UNOBSERVABLE in tags:
         return GraphClass.NOT_OBSERVABLE
-    if all(t is VertexClass.STRONG for t in tags):
+    if VertexClass.WEAK not in tags:
         return GraphClass.STRONGLY_OBSERVABLE
     return GraphClass.WEAKLY_OBSERVABLE
 
@@ -223,33 +226,27 @@ def _clique_cover_bound(adj, cand: int) -> int:
     return bound
 
 
-def _mis_size(adj, cand: int, target=None) -> int:
-    """Maximum independent set size within the vertex bitmask `cand`.
-
-    With `target` set, the search stops as soon as an independent set of
-    that size is found (the return value is then only a lower bound, but
-    always >= target when one exists).
-    """
+def _mis_size(adj, cand: int) -> int:
+    """Maximum independent set size within the vertex bitmask `cand`."""
     best = 0
 
     def visit(sub: int, size: int):
         nonlocal best
-        if target is not None and best >= target:
-            return
-        # strip vertices isolated inside `sub`: always taken
-        while sub:
-            iso = 0
+        # take every vertex with at most one neighbour inside `sub`: some
+        # maximum independent set contains it (swap it for that neighbour)
+        taken = True
+        while taken:
+            taken = False
             scan = sub
             while scan:
                 b = scan & -scan
-                v = b.bit_length() - 1
-                if adj[v] & sub == 0:
-                    iso |= b
                 scan ^= b
-            if not iso:
-                break
-            size += bin(iso).count("1")
-            sub &= ~iso
+                nb = adj[b.bit_length() - 1] & sub
+                if nb & (nb - 1) == 0:
+                    sub &= ~(b | nb)
+                    scan &= sub
+                    size += 1
+                    taken = True
         if sub == 0:
             if size > best:
                 best = size
@@ -277,30 +274,31 @@ def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
     """Largest set of vertices with no directed edge between distinct members.
 
     Returns (alpha, witness) where the witness is the lexicographically
-    smallest maximum independent set. Graphs beyond `exact_cap` vertices are
-    rejected rather than solved approximately.
+    smallest maximum independent set: once alpha is known, a depth-first
+    search takes vertices in index order, trying each one in before leaving
+    it out, and prunes every branch whose clique-cover bound falls short of
+    alpha, so the first set of size alpha it reaches is the smallest one.
+    Graphs beyond `exact_cap` vertices are rejected rather than solved
+    approximately.
     """
     k = g.num_vertices
     if k > exact_cap:
         raise ValueError(f"K={k} exceeds the exact independence-solver cap {exact_cap}")
     adj = g.symmetric_masks
-    full = (1 << k) - 1
-    alpha = _mis_size(adj, full)
-    chosen = []
-    allowed = full
-    for v in range(k):
-        if not (allowed >> v) & 1:
-            continue
-        rest = allowed & ~adj[v] & ~((1 << (v + 1)) - 1)
-        need = alpha - len(chosen) - 1
-        if need <= _mis_size(adj, rest, target=need):
-            chosen.append(v + 1)
-            allowed = rest
-            if len(chosen) == alpha:
-                break
-        else:
-            allowed &= ~(1 << v)
-    return alpha, frozenset(chosen)
+    alpha = _mis_size(adj, (1 << k) - 1)
+
+    def first(cand: int, size: int):
+        if size == alpha:
+            return 0
+        if size + _clique_cover_bound(adj, cand) < alpha:
+            return None
+        b = cand & -cand
+        rest = first(cand & ~adj[b.bit_length() - 1] & ~b, size + 1)
+        if rest is not None:
+            return rest | b
+        return first(cand ^ b, size)
+
+    return alpha, _mask_to_vertices(first((1 << k) - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +310,19 @@ def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
     observable vertices.
 
     Returns (delta, witness, exact). When W is empty the answer is 0 with an
-    empty witness. Up to `exact_cap` vertices the subsets are enumerated by
-    increasing size (so the witness is the lexicographically smallest
-    optimum); beyond the cap a greedy set cover runs and `exact` is False.
+    empty witness. Up to `exact_cap` vertices the cover size grows one at a
+    time, and at each size a depth-first search picks dominators in
+    increasing index order, so the first cover it finds is the
+    lexicographically smallest optimum. It branches only up to the last
+    dominator of the lowest uncovered weak vertex, and prunes when more
+    uncovered weak vertices have pairwise disjoint dominator sets than picks
+    are left. Beyond the cap a greedy set cover runs and `exact` is False.
     """
     w = weakly_observable_set(g)
     if not w:
         return 0, frozenset(), True
     k = g.num_vertices
-    wmask = 0
-    for v in w:
-        wmask |= 1 << (v - 1)
+    wmask = sum(1 << (v - 1) for v in w)
     cover = [g.out_mask(v + 1) & wmask for v in range(k)]
     cand = [v for v in range(k) if cover[v]]
     union = 0
@@ -332,13 +332,40 @@ def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
         # cannot happen: every observable vertex has an in-neighbor
         raise RuntimeError("weakly observable vertex without a dominator")
     if k <= exact_cap:
-        for size in range(1, len(cand) + 1):
-            for combo in combinations(cand, size):
-                m = 0
-                for v in combo:
-                    m |= cover[v]
-                if m == wmask:
-                    return size, frozenset(v + 1 for v in combo), True
+        dominators = g._in  # a weak vertex's in-neighbors are all candidates
+
+        def packing(uncovered: int, allowed: int) -> int:
+            """Picks that `uncovered` still needs from the vertices `allowed`."""
+            used = need = 0
+            while uncovered:
+                b = uncovered & -uncovered
+                uncovered ^= b
+                doms = dominators[b.bit_length() - 1] & allowed
+                if not doms:
+                    return k + 1
+                if not doms & used:
+                    used |= doms
+                    need += 1
+            return need
+
+        def first(uncovered: int, start: int, picks: int):
+            if not uncovered:
+                return 0
+            allowed = -1 << start
+            if packing(uncovered, allowed) > picks:
+                return None
+            doms = dominators[(uncovered & -uncovered).bit_length() - 1] & allowed
+            for v in range(start, doms.bit_length()):
+                if cover[v]:
+                    rest = first(uncovered & ~cover[v], v + 1, picks - 1)
+                    if rest is not None:
+                        return rest | 1 << v
+            return None
+
+        for size in range(max(1, packing(wmask, -1)), len(cand) + 1):
+            found = first(wmask, 0, size)
+            if found is not None:
+                return size, _mask_to_vertices(found), True
         raise RuntimeError("unreachable: union of candidate covers equals W")
     remaining = wmask
     picked = []

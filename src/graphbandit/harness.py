@@ -332,35 +332,37 @@ def _play_batch(graph, spec: LearnerSpec, games):
     actions = np.zeros(total, dtype=np.int64)
     cumulative = np.zeros_like(dist)
     live, restart, epoch = len(games), 0, -1
-    for t in range(horizons[0]):
-        if horizons[live - 1] <= t or t == restart:
-            while horizons[live - 1] <= t:
-                live -= 1
-            if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
-                epoch += 1
-                restart = 2 * t + 1 if doubling else -1
-                cumulative[:live] = 0.0
-            # views of the live rows, renewed only when rows retire or restart
-            cum, starts, dist_t = cumulative[:live], offsets[:live], dist[:live]
-            eta_t, gamma_t = eta[:live, epoch:epoch + 1], gamma[:live, epoch:epoch + 1]
-        idx = starts + t
-        gid = graph_ids[idx] if time_varying else 0
-        if exp3g:
-            p = learners.exp3g_distribution(
-                cum, eta_t, gamma_t, explore[gid] if retarget else dist_t
-            )
-        elif spec.algorithm == "hedge":
-            p = learners.exponential_weights(cum, eta_t)
-        else:
-            p = dist_t
-        a = learners.sample_index(p, uniforms[idx])
-        actions[idx] = a
-        if exp3g:
-            cum += learners.importance_weighted_estimates(
-                in_mats[gid], p, out_masks[gid, a], losses[idx]
-            )
-        elif spec.algorithm == "hedge":
-            cum += losses[idx]
+    # a zero observation probability divides by zero just before the estimate raises
+    with np.errstate(divide="ignore"):
+        for t in range(horizons[0]):
+            if horizons[live - 1] <= t or t == restart:
+                while horizons[live - 1] <= t:
+                    live -= 1
+                if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
+                    epoch += 1
+                    restart = 2 * t + 1 if doubling else -1
+                    cumulative[:live] = 0.0
+                # views of the live rows, renewed only when rows retire or restart
+                cum, starts, dist_t = cumulative[:live], offsets[:live], dist[:live]
+                eta_t, gamma_t = eta[:live, epoch:epoch + 1], gamma[:live, epoch:epoch + 1]
+            idx = starts + t
+            gid = graph_ids[idx] if time_varying else 0
+            if exp3g:
+                p = learners.exp3g_distribution(
+                    cum, eta_t, gamma_t, explore[gid] if retarget else dist_t
+                )
+            elif spec.algorithm == "hedge":
+                p = learners.exponential_weights(cum, eta_t)
+            else:
+                p = dist_t
+            a = learners.sample_index(p, uniforms[idx])
+            actions[idx] = a
+            if exp3g:
+                cum += learners.importance_weighted_estimates(
+                    in_mats[gid], p, out_masks[gid, a], losses[idx]
+                )
+            elif spec.algorithm == "hedge":
+                cum += losses[idx]
 
     out_counts = out_masks.sum(axis=-1)
     for r, (arm_totals, expected_best, config) in enumerate(setups):

@@ -127,11 +127,10 @@ def encode(g) -> PMInstance:
     shifts = (k - 1) - np.arange(k)
     loss = ((columns[None, :] >> shifts[:, None]) & 1).astype(np.int64)
 
-    symbols = np.zeros_like(loss)
-    for i in range(k):
-        out_idx = g.out_index[i] - 1
-        place = 1 << np.arange(len(out_idx) - 1, -1, -1)
-        symbols[i] = place @ loss[out_idx]
+    # place[i, j] = 2^(number of i's out-neighbors after j) if i sees j, else 0
+    sees = (g.in_matrix.T > 0).astype(np.int64)
+    place = sees << (np.cumsum(sees[:, ::-1], axis=1)[:, ::-1] - sees)
+    symbols = place @ loss
     loss.setflags(write=False)
     symbols.setflags(write=False)
     return PMInstance(g, k, loss, symbols)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from graphbandit.graph import FeedbackGraph
+from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph
 
 
 def is_independent(g: FeedbackGraph, vertices) -> bool:
@@ -192,6 +192,150 @@ def random_weakly_observable_graph(rng, max_vertices=14) -> FeedbackGraph:
 def random_distribution(rng, k):
     p = rng.random(k) + 1e-3
     return p / p.sum()
+
+
+# ---------------------------------------------------------------------------
+# the exact solvers as first written: one branch-and-bound size solve plus up
+# to K feasibility solves for alpha, subsets by increasing size for delta
+
+
+def _reference_clique_cover_bound(adj, cand: int) -> int:
+    """Greedy clique partition of `cand`; its size bounds the independence
+    number from above (an independent set meets each clique at most once)."""
+    bound = 0
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= ~(1 << v)
+        grow = rest & adj[v]
+        while grow:
+            u = (grow & -grow).bit_length() - 1
+            rest &= ~(1 << u)
+            grow &= adj[u]
+        bound += 1
+    return bound
+
+
+def _reference_mis_size(adj, cand: int, target=None) -> int:
+    """Maximum independent set size within the vertex bitmask `cand`.
+
+    With `target` set, the search stops as soon as an independent set of
+    that size is found (the return value is then only a lower bound, but
+    always >= target when one exists).
+    """
+    best = 0
+
+    def visit(sub: int, size: int):
+        nonlocal best
+        if target is not None and best >= target:
+            return
+        # strip vertices isolated inside `sub`: always taken
+        while sub:
+            iso = 0
+            scan = sub
+            while scan:
+                b = scan & -scan
+                v = b.bit_length() - 1
+                if adj[v] & sub == 0:
+                    iso |= b
+                scan ^= b
+            if not iso:
+                break
+            size += bin(iso).count("1")
+            sub &= ~iso
+        if sub == 0:
+            if size > best:
+                best = size
+            return
+        if size + _reference_clique_cover_bound(adj, sub) <= best:
+            return
+        # pivot on a maximum-degree vertex
+        pivot, pivot_deg = -1, -1
+        scan = sub
+        while scan:
+            b = scan & -scan
+            v = b.bit_length() - 1
+            d = bin(adj[v] & sub).count("1")
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+            scan ^= b
+        visit(sub & ~adj[pivot] & ~(1 << pivot), size + 1)
+        visit(sub & ~(1 << pivot), size)
+
+    visit(cand, 0)
+    return best
+
+
+def reference_independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
+    """(alpha, lexicographically smallest maximum independent set): alpha
+    from one solve, then the witness vertex by vertex, each vertex kept iff
+    the rest can still be completed to alpha."""
+    k = g.num_vertices
+    if k > exact_cap:
+        raise ValueError(f"K={k} exceeds the exact independence-solver cap {exact_cap}")
+    adj = _undirected_masks(g)
+    full = (1 << k) - 1
+    alpha = _reference_mis_size(adj, full)
+    chosen = []
+    allowed = full
+    for v in range(k):
+        if not (allowed >> v) & 1:
+            continue
+        rest = allowed & ~adj[v] & ~((1 << (v + 1)) - 1)
+        need = alpha - len(chosen) - 1
+        if need <= _reference_mis_size(adj, rest, target=need):
+            chosen.append(v + 1)
+            allowed = rest
+            if len(chosen) == alpha:
+                break
+        else:
+            allowed &= ~(1 << v)
+    return alpha, frozenset(chosen)
+
+
+def reference_weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
+    """(delta, witness, exact): up to `exact_cap` vertices the candidate
+    subsets are enumerated by increasing size in `combinations` order, so
+    the witness is the lexicographically smallest optimum; beyond it a
+    greedy set cover with `exact` False."""
+    w = weakly_observable_vertices(g)
+    if not w:
+        return 0, frozenset(), True
+    k = g.num_vertices
+    wmask = 0
+    for v in w:
+        wmask |= 1 << (v - 1)
+    cover = [0] * k
+    for u, v in g.edges:
+        cover[u - 1] |= 1 << (v - 1)
+    cover = [c & wmask for c in cover]
+    cand = [v for v in range(k) if cover[v]]
+    union = 0
+    for v in cand:
+        union |= cover[v]
+    if union != wmask:
+        # cannot happen: every observable vertex has an in-neighbor
+        raise RuntimeError("weakly observable vertex without a dominator")
+    if k <= exact_cap:
+        for size in range(1, len(cand) + 1):
+            for combo in combinations(cand, size):
+                m = 0
+                for v in combo:
+                    m |= cover[v]
+                if m == wmask:
+                    return size, frozenset(v + 1 for v in combo), True
+        raise RuntimeError("unreachable: union of candidate covers equals W")
+    remaining = wmask
+    picked = []
+    while remaining:
+        best_v, best_gain = -1, 0
+        for v in cand:
+            gain = bin(cover[v] & remaining).count("1")
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        picked.append(best_v + 1)
+        remaining &= ~cover[best_v]
+    return len(picked), frozenset(picked), False
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from oracles import (
     brute_force_delta,
     is_independent,
     random_graph,
+    reference_independence_number,
+    reference_weak_domination_number,
     weakly_observable_vertices,
 )
 
@@ -282,6 +284,37 @@ def test_monotonicity_under_edge_addition():
         assert independence_number(g_big)[0] <= independence_number(g_small)[0]
         if classify_graph(g_small) is not GraphClass.NOT_OBSERVABLE:
             assert weak_domination_number(g_big)[0] <= weak_domination_number(g_small)[0]
+            checked += 1
+
+
+def test_solvers_equal_the_reference_solvers_on_random_graphs():
+    # whole tuples, witnesses included, against the subset-enumerating solvers
+    rng = np.random.default_rng(8)
+    for _ in range(600):
+        k = int(rng.integers(1, 19))
+        g = random_graph(rng, k, float(rng.uniform(0, 0.9)), float(rng.uniform(0, 1)))
+        assert independence_number(g) == reference_independence_number(g)
+        assert weak_domination_number(g) == reference_weak_domination_number(g)
+
+
+@pytest.mark.parametrize("low,high", [(0.05, 0.15), (0.3, 0.6)])
+def test_alpha_equals_the_reference_solver_up_to_the_cap(low, high):
+    rng = np.random.default_rng(9)
+    for k in range(20, 41, 2):
+        for _ in range(4):
+            g = random_graph(rng, k, float(rng.uniform(low, high)), float(rng.uniform(0, 1)))
+            assert independence_number(g) == reference_independence_number(g)
+
+
+@pytest.mark.parametrize("high,loops", [(0.6, 1.0), (0.2, 0.3)])
+def test_delta_equals_the_reference_solver_at_the_exact_cap(high, loops):
+    # few self-loops and sparse edges give large weak sets and delta up to 9
+    rng = np.random.default_rng(10)
+    checked = 0
+    while checked < 24:
+        g = random_graph(rng, 20, float(rng.uniform(0.05, high)), float(rng.uniform(0, loops)))
+        if weakly_observable_set(g):
+            assert weak_domination_number(g) == reference_weak_domination_number(g)
             checked += 1
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
         learner.update(FeedbackEvent(a, obs, table[t][obs - 1]))
         hedge.step(table[t])
         assert np.allclose(learner.q, hedge.distribution, atol=1e-6)
+
+
+def test_zero_probability_path_raises_without_a_warning(monkeypatch):
+    # the play distribution puts all mass on action 1, yet action 2 is drawn,
+    # whose observed loss of 1 then has observation probability 0
+    monkeypatch.setattr(learners, "exp3g_distribution",
+                        lambda cum, *_: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    monkeypatch.setattr(learners, "sample_index", lambda p, u: np.ones(len(p), dtype=np.intp))
+    env = bernoulli_env([0.5, 1.0, 0.5], 10, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="zero observation probability"):
+            run_game(catalog("bandit", 3), LearnerSpec(algorithm="exp3g", **MANUAL), env, 0)
 
 
 def test_hedge_needs_full_feedback():
