@@ -6,6 +6,13 @@ running being one step over R x K numpy arrays, and `run_game` is its
 one-game case. The Exp3.G arithmetic is the learners module's, applied to
 all rows at once.
 
+Live-prefix rule: a batch's games are sorted by decreasing horizon, so the
+games still running at round t are rows 0..live-1. A segment is a run of
+rounds with the same live rows; the batch's per-round tables (uniforms,
+losses, graph ids, actions) are laid out segment-major, each segment's
+rounds one after another and each round its live rows in order, so a step
+reads and writes basic slices of them and of the R x K state.
+
 Information hiding is structural: a player's update divides only the losses
 under its row's observed mask, the out-neighborhood of the action it played
 in the round's graph, so it cannot use loss values it was never shown.
@@ -223,23 +230,68 @@ def _play(graph: FeedbackGraph | None, spec: LearnerSpec, games):
             rounds += games[i].horizon
 
 
+def _segments(horizons) -> list:
+    """The runs of rounds with the same live rows, in round order, for games
+    sorted by decreasing horizon: (first round, rounds, live rows, offset of
+    the segment's first cell in a segment-major table)."""
+    segments, start, base = [], 0, 0
+    for live in range(len(horizons), 0, -1):
+        end = horizons[live - 1]
+        if end > start:
+            segments.append((start, end - start, live, base))
+            base += (end - start) * live
+            start = end
+    return segments
+
+
+def _cells(segments, r) -> list:
+    """Row r's (rounds, cells) slice pairs: its rounds in one segment and
+    where a segment-major table holds them, in round order."""
+    return [
+        (slice(first, first + rounds), slice(base + r, base + rounds * live, live))
+        for first, rounds, live, base in segments if r < live
+    ]
+
+
+def _fill(table, cells, values):
+    """Copy one row's per-round `values` into a segment-major table."""
+    for rounds, where in cells:
+        table[where] = values[rounds]
+
+
+def _gather(table, cells):
+    """One row's entries of a segment-major table, in round order."""
+    return np.concatenate([table[where] for _, where in cells] + [table[:0]])
+
+
 def _play_batch(graph, spec: LearnerSpec, games):
     """Play games sorted by decreasing horizon in lockstep; yields their
     transcripts in order.
 
     Round t of every game still running is one step over R x K arrays (one
-    row per game), so the games alive are always a prefix of the rows. Each
-    game's losses are copied into one flat buffer, indexed by per-row
-    offsets, and its Environment is dropped; the buffer is float16 while
-    every loss so far is exactly a float16 (0, 1/2 and 1 are). Its player's
-    uniforms are drawn up front as `rng.random(T)`, the same numbers T calls
-    to `rng.random()` give. The player's update reads only the losses under
-    the row's observed mask.
+    row per game). The rows alive are always a prefix, so each segment (a
+    run of rounds with the same live rows) plays on views of the first rows.
+    Uniforms, losses, graph ids and actions live in flat tables laid out
+    segment-major: a segment's cells are its rounds one after another, each
+    round its live rows in order, so round t of a segment is one basic slice
+    and no step gathers or scatters through per-row offsets. Each table is
+    filled once, game by game, through strided slices, and each Environment
+    is dropped once copied; the loss table is float16 while every loss so
+    far is exactly a float16 (0, 1/2 and 1 are). A player's uniforms are
+    drawn up front as `rng.random(T)`, the same numbers T calls to
+    `rng.random()` give.
+
+    The arithmetic is the learners module's, called with buffers allocated
+    once per batch and sliced per segment. The rates are spread to R x K
+    arrays and Exp3.G's exploration terms (1 - gamma and gamma * u)
+    computed once per segment and epoch, or per round where the exploration
+    set follows the round graph; the fixed graph's in-matrix and observed
+    masks are looked up once. The player's update reads only the losses
+    under the row's observed mask.
     """
     horizons = [game.horizon for game in games]
-    ends = np.cumsum(horizons, dtype=np.intp)
-    offsets = ends - horizons
-    total = int(ends[-1])
+    segments = _segments(horizons)
+    total = sum(horizons)
     time_varying = graph is None
     uniforms = np.zeros(total)
     graph_ids = np.zeros(total, dtype=np.intp) if time_varying else None
@@ -269,11 +321,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
             env.losses.astype(np.float16), env.losses
         ):
             losses = losses.astype(float)
-        span = slice(offsets[r], ends[r])
-        losses[span] = env.losses
+        cells = _cells(segments, r)
+        _fill(losses, cells, env.losses)
         if time_varying:
             ids = [graph_table.setdefault(g, len(graph_table)) for g in env.graphs]
-            graph_ids[span] = np.asarray(ids, dtype=np.intp)[env.graph_index]
+            _fill(graph_ids, cells, np.asarray(ids, dtype=np.intp)[env.graph_index])
         learner = _build_learner(
             spec, num_actions, graph, graph if graph is not None else env.graph_at(0),
             env.horizon,
@@ -287,7 +339,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
         else:
             dist.append(np.full(num_actions, 1.0 / num_actions))
         if spec.algorithm != "constant":
-            uniforms[span] = np.random.default_rng(game.seed).random(env.horizon)
+            _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
         setups.append((
             env.losses.sum(axis=0),
             float(env.horizon * env.means.min()) if env.means is not None else None,
@@ -311,6 +363,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     if spec.algorithm == "hedge" and not out_masks.all():
         raise ValueError("Hedge needs full feedback; some action does not observe every loss")
     exp3g = spec.algorithm == "exp3g"
+    hedge = spec.algorithm == "hedge"
     doubling = spec.preset == "doubling"
     dist = np.stack(dist)
     eta = np.array(eta)[:, None]
@@ -327,54 +380,84 @@ def _play_batch(graph, spec: LearnerSpec, games):
         if not time_varying:
             dist[:] = explore[0]
         if doubling:
-            eta, gamma = _doubling_schedule(profiles, graph_ids, offsets, horizons)
+            eta, gamma = _doubling_schedule(profiles, horizons, (
+                _gather(graph_ids, _cells(segments, r)) if time_varying
+                else np.zeros(horizon, dtype=np.intp)
+                for r, horizon in enumerate(horizons)
+            ))
 
-    actions = np.zeros(total, dtype=np.int64)
+    actions = np.zeros(total, dtype=np.intp)
     cumulative = np.zeros_like(dist)
-    live, restart, epoch = len(games), 0, -1
-    # a zero observation probability divides by zero just before the estimate raises
-    with np.errstate(divide="ignore"):
-        for t in range(horizons[0]):
-            if horizons[live - 1] <= t or t == restart:
-                while horizons[live - 1] <= t:
-                    live -= 1
-                if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
-                    epoch += 1
-                    restart = 2 * t + 1 if doubling else -1
-                    cumulative[:live] = 0.0
-                # views of the live rows, renewed only when rows retire or restart
-                cum, starts, dist_t = cumulative[:live], offsets[:live], dist[:live]
-                eta_t, gamma_t = eta[:live, epoch:epoch + 1], gamma[:live, epoch:epoch + 1]
-            idx = starts + t
-            gid = graph_ids[idx] if time_varying else 0
-            if exp3g:
-                p = learners.exp3g_distribution(
-                    cum, eta_t, gamma_t, explore[gid] if retarget else dist_t
-                )
-            elif spec.algorithm == "hedge":
-                p = learners.exponential_weights(cum, eta_t)
-            else:
-                p = dist_t
-            a = learners.sample_index(p, uniforms[idx])
-            actions[idx] = a
-            if exp3g:
-                cum += learners.importance_weighted_estimates(
-                    in_mats[gid], p, out_masks[gid, a], losses[idx]
-                )
-            elif spec.algorithm == "hedge":
-                cum += losses[idx]
+    probs, estimates = np.empty_like(dist), np.empty_like(dist)
+    in_mat, out_mask = in_mats[0], out_masks[0]  # the fixed graph's
+    restart, epoch = 0, -1
+    # a zero observation probability divides by zero (0/0 for a loss of 0) just
+    # before the estimate raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first, rounds, live, base in segments:
+            # the live rows, and the segment's tables as round x row views
+            cum, p_out, est_out, dist_t = (
+                cumulative[:live], probs[:live], estimates[:live], dist[:live]
+            )
+            cells = slice(base, base + rounds * live)
+            seg_uniforms = uniforms[cells].reshape(rounds, live)
+            seg_losses = losses[cells].reshape(rounds, live, -1)
+            seg_actions = actions[cells].reshape(rounds, live)
+            seg_ids = graph_ids[cells].reshape(rounds, live) if time_varying else None
+            for i, t in enumerate(range(first, first + rounds)):
+                if t == restart or i == 0:
+                    if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
+                        epoch += 1
+                        restart = 2 * t + 1 if doubling else -1
+                        cum[:] = 0.0
+                    # the rates as R x K arrays: a product that broadcasts
+                    # a column costs about twice one that does not
+                    eta_t, gamma_t = (
+                        np.repeat(rate[:live, epoch:epoch + 1], dist.shape[1], axis=1)
+                        for rate in (eta, gamma)
+                    )
+                    u = dist_t
+                    terms = learners.exploration_terms(gamma_t, u)
+                if time_varying:
+                    ids = seg_ids[i]
+                if exp3g:
+                    if retarget:  # informed play explores where the round graph says
+                        u = explore.take(ids, axis=0)
+                        terms = learners.exploration_terms(gamma_t, u)
+                    p = learners.exp3g_distribution(
+                        cum, eta_t, gamma_t, u, out=p_out, terms=terms
+                    )
+                elif hedge:
+                    p = learners.exponential_weights(cum, eta_t, out=p_out)
+                else:
+                    p = dist_t
+                a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
+                if exp3g:
+                    if time_varying:
+                        in_mat, seen = in_mats.take(ids, axis=0), out_masks[ids, a]
+                    else:
+                        seen = out_mask.take(a, axis=0)
+                    cum += learners.importance_weighted_estimates(
+                        in_mat, p, seen, seg_losses[i], out=est_out
+                    )
+                elif hedge:
+                    cum += seg_losses[i]
 
     out_counts = out_masks.sum(axis=-1)
     for r, (arm_totals, expected_best, config) in enumerate(setups):
-        span = slice(offsets[r], ends[r])
-        played = actions[span]
-        incurred = losses[span][np.arange(len(played)), played].astype(float)
+        cells = _cells(segments, r)
+        played = _gather(actions, cells)
+        # a segment's loss rows of one game are a strided view; pick the played entries
+        incurred = np.concatenate([
+            losses[where][np.arange(rounds.stop - rounds.start), played[rounds]]
+            for rounds, where in cells
+        ] + [losses[:0, 0]]).astype(float)
         player_loss = float(incurred.sum())
         best_fixed = float(arm_totals.min())
         yield GameTranscript(
             actions=played + 1,
             incurred=incurred,
-            observed_counts=out_counts[graph_ids[span] if time_varying else 0, played],
+            observed_counts=out_counts[_gather(graph_ids, cells) if time_varying else 0, played],
             arm_totals=arm_totals,
             player_loss=player_loss,
             best_fixed_loss=best_fixed,
@@ -384,21 +467,17 @@ def _play_batch(graph, spec: LearnerSpec, games):
         )
 
 
-def _doubling_schedule(profiles, graph_ids, offsets, horizons) -> tuple:
+def _doubling_schedule(profiles, horizons, row_ids) -> tuple:
     """Per row and epoch, the (eta, gamma) of the doubling trick's restarts
-    at rounds 1, 2, 4, ..., from the profiles of the row's round graphs
-    (`graph_ids` is None when every round plays graph 0)."""
+    at rounds 1, 2, 4, ..., from the profiles of the row's round graphs;
+    `row_ids` yields each row's graph ids in round order."""
     alpha = np.array([prof.alpha for prof in profiles], dtype=float)
     weak = np.array([prof.graph_class is GraphClass.WEAKLY_OBSERVABLE for prof in profiles])
     delta = np.where(weak, [prof.delta for prof in profiles], 0).astype(float)
     epochs = int(horizons[0]).bit_length()
     eta = np.ones((len(horizons), epochs))
     gamma = np.zeros((len(horizons), epochs))
-    for r, (start, horizon) in enumerate(zip(offsets, horizons)):
-        ids = (
-            graph_ids[start:start + horizon] if graph_ids is not None
-            else np.zeros(horizon, dtype=np.intp)
-        )
+    for r, (horizon, ids) in enumerate(zip(horizons, row_ids)):
         sums = (np.cumsum(alpha[ids]), np.cumsum(delta[ids]), np.cumsum(weak[ids]))
         for e in range(int(horizon).bit_length()):
             s = 1 << e

@@ -6,6 +6,12 @@ arrays whose entry i-1 belongs to action i. The weight, draw and estimate
 functions work along a trailing action axis, so the same code serves one
 game's K-vector and the harness's R x K rows of games played in lockstep;
 the learner classes are their single-game API.
+
+`exponential_weights`, `exp3g_distribution`, `sample_index` and
+`importance_weighted_estimates` take an optional `out=` array that receives
+the result and is returned. By default each allocates and returns a new
+array, as the single-game classes use them; the lockstep engine passes
+buffers it allocates once per batch. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -29,25 +35,46 @@ BEFORE_ACTION = "before_action"
 AFTER_ACTION = "after_action"
 
 
-def exponential_weights(cumulative: np.ndarray, eta) -> np.ndarray:
+def exponential_weights(cumulative: np.ndarray, eta, out: np.ndarray | None = None) -> np.ndarray:
     """Distribution proportional to exp(-eta * cumulative) along the trailing
-    action axis: one K-vector, or R x K rows with `eta` a scalar or an R x 1
-    column.
+    action axis: one K-vector, or R x K rows with `eta` a scalar, an R x 1
+    column or an R x K array (the same bits, but no column is broadcast).
 
     Computed with a max shift in log space: the cumulative estimates can reach
     |U|/gamma per round, so the naive product underflows long before the
     distribution itself degenerates.
+
+    `out`, a float array of the cumulative's shape, receives the distribution
+    and is returned; by default a new array is. Both give the same bits.
     """
-    z = eta * (np.minimum.reduce(cumulative, axis=-1, keepdims=True) - cumulative)
-    w = np.exp(z)
-    return w / np.add.reduce(w, axis=-1, keepdims=True)
+    low = np.minimum.reduce(cumulative, axis=-1, keepdims=True)
+    w = np.multiply(eta, np.subtract(low, cumulative, out=out), out=out)
+    np.exp(w, out=w)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
-def exp3g_distribution(cumulative: np.ndarray, eta, gamma, u: np.ndarray) -> np.ndarray:
+def exploration_terms(gamma, u: np.ndarray) -> tuple:
+    """The two parts of Exp3.G's mixture that the weights do not change: the
+    factor 1 - gamma and the exploration term gamma * u."""
+    return 1.0 - gamma, gamma * u
+
+
+def exp3g_distribution(
+    cumulative: np.ndarray, eta, gamma, u: np.ndarray,
+    out: np.ndarray | None = None, terms: tuple | None = None,
+) -> np.ndarray:
     """Exp3.G's play distribution: exponential weights mixed with the uniform
     exploration distribution `u` at rate `gamma`, row by row like
-    `exponential_weights`."""
-    return (1.0 - gamma) * exponential_weights(cumulative, eta) + gamma * u
+    `exponential_weights`.
+
+    `out` works as in `exponential_weights`. `terms` is
+    `exploration_terms(gamma, u)` computed already, for a caller that plays
+    many rounds with the same gamma and u; the result is the same bits.
+    """
+    keep, explore = terms if terms is not None else exploration_terms(gamma, u)
+    p = exponential_weights(cumulative, eta, out=out)
+    np.multiply(keep, p, out=p)
+    return np.add(p, explore, out=p)
 
 
 def exploration_vector(num_actions: int, vertices) -> np.ndarray:
@@ -71,7 +98,7 @@ def informed_exploration_set(prof: GraphProfile) -> tuple:
     return tuple(range(1, prof.num_vertices + 1))
 
 
-def sample_index(dist: np.ndarray, u):
+def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
     row; returns 0-based indices (an int for a single distribution).
 
@@ -81,11 +108,14 @@ def sample_index(dist: np.ndarray, u):
     entry out puts a uniform beyond a CDF that rounds below 1 on the last
     action. Fixed vertex order plus one uniform per draw keeps action
     sequences reproducible across runs that share a generator state.
+
+    For R x K rows, `out`, an intp R-vector, receives the indices and is
+    returned; by default a new array is.
     """
     if hasattr(u, "random"):
         u = u.random() if dist.ndim == 1 else u.random(dist.shape[:-1])
     c = np.add.accumulate(dist, axis=-1)[..., :-1]
-    idx = np.add.reduce(c <= np.asarray(u)[..., None], axis=-1, dtype=np.intp)
+    idx = np.add.reduce(c <= np.asarray(u)[..., None], axis=-1, dtype=np.intp, out=out)
     return int(idx) if dist.ndim == 1 else idx
 
 
@@ -105,7 +135,9 @@ class FeedbackEvent:
     graph: FeedbackGraph | None = None
 
 
-def importance_weighted_estimates(g, p: np.ndarray, observed, losses) -> np.ndarray:
+def importance_weighted_estimates(
+    g, p: np.ndarray, observed, losses, out: np.ndarray | None = None
+) -> np.ndarray:
     """Loss estimates: observed losses divided by their observation
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
 
@@ -119,6 +151,13 @@ def importance_weighted_estimates(g, p: np.ndarray, observed, losses) -> np.ndar
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine. P(i)=0 on the observed
     set means the event is inconsistent with p and signals a harness bug.
+
+    `out`, a float array of p's shape, is zero-filled, receives the
+    estimates and is returned; by default a new array is. The default path
+    silences numpy's divide and invalid warnings, so a zero probability
+    raises its RuntimeError alone; a caller passing `out` for many rounds
+    sets that `np.errstate` once around them, since entering it costs more
+    than the rest of the call.
     """
     in_matrix = g.in_matrix if isinstance(g, FeedbackGraph) else g
     observed = np.asarray(observed)
@@ -129,11 +168,19 @@ def importance_weighted_estimates(g, p: np.ndarray, observed, losses) -> np.ndar
         full = np.zeros(p.shape)
         full[idx] = losses
         losses = full
+    if out is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _estimates(in_matrix, p, observed, losses, np.zeros(p.shape))
+    out.fill(0.0)
+    return _estimates(in_matrix, p, observed, losses, out)
+
+
+def _estimates(in_matrix, p, observed, losses, out):
     if in_matrix.ndim == 3:
         prob = np.matmul(in_matrix, p[..., None])[..., 0]
     else:
         prob = p @ in_matrix.T
-    est = np.divide(losses, prob, out=np.zeros(prob.shape), where=observed)
+    est = np.divide(losses, prob, out=out, where=observed)
     if not math.isfinite(np.add.reduce(est, axis=None)):
         bad = (np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist()
         raise RuntimeError(

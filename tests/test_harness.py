@@ -113,13 +113,16 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
         assert np.allclose(learner.q, hedge.distribution, atol=1e-6)
 
 
-def test_zero_probability_path_raises_without_a_warning(monkeypatch):
+@pytest.mark.parametrize("mu", [[0.5, 1.0, 0.5], [0.5, 0.0, 0.5]],
+                         ids=["observed_loss_1", "observed_loss_0"])
+def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
     # the play distribution puts all mass on action 1, yet action 2 is drawn,
-    # whose observed loss of 1 then has observation probability 0
+    # whose observed loss (1, or 0 for a 0/0) then has observation probability 0
     monkeypatch.setattr(learners, "exp3g_distribution",
-                        lambda cum, *_: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
-    monkeypatch.setattr(learners, "sample_index", lambda p, u: np.ones(len(p), dtype=np.intp))
-    env = bernoulli_env([0.5, 1.0, 0.5], 10, seed=0)
+                        lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    monkeypatch.setattr(learners, "sample_index",
+                        lambda p, u, **_: np.ones(len(p), dtype=np.intp))
+    env = bernoulli_env(mu, 10, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="zero observation probability"):
@@ -518,13 +521,26 @@ RUN_GAMES_CASES = {
     # each game brings its own graph sequence
     "uninformed": (None, LearnerSpec(algorithm="exp3g", preset="uninformed", mode="uninformed"),
                    lambda i, horizon: uninformed_separation_env(6, horizon, seed=i)),
+    # segment edges (the horizons below): the games of 1, 3, 7 and 15 rounds
+    # end where the doubling trick restarts (rounds 2, 4, 8, 16), two games
+    # end together and one lasts a single round
+    "doubling": (None, LearnerSpec(preset="doubling", mode="informed"),
+                 lambda i, horizon: uninformed_separation_env(6, horizon, seed=i)),
+    "hedge": (catalog("full", 4), LearnerSpec(algorithm="hedge", eta=0.1),
+              lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.7], horizon, seed=i)),
+    "constant": (catalog("loopy_star", 4), LearnerSpec(algorithm="constant", constant_action=3),
+                 lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.7], horizon, seed=i)),
 }
+SEGMENT_EDGE_CASES = ("doubling", "hedge", "constant")
 
 
 @pytest.mark.parametrize("case", sorted(RUN_GAMES_CASES))
 def test_run_games_equals_run_game_game_by_game(case):
     graph, spec, make_env = RUN_GAMES_CASES[case]
-    envs = [make_env(i, horizon) for i, horizon in enumerate((90, 300, 17, 300, 1))]
+    horizons = (
+        (1, 2, 3, 4, 7, 8, 8, 15, 16) if case in SEGMENT_EDGE_CASES else (90, 300, 17, 300, 1)
+    )
+    envs = [make_env(i, horizon) for i, horizon in enumerate(horizons)]
     seeds = [np.random.SeedSequence(i) for i in range(len(envs))]
     runs = run_games(graph, spec, envs, seeds)
     assert len(runs) == len(envs)

@@ -11,6 +11,9 @@ from graphbandit.learners import (
     Exp3G,
     FeedbackEvent,
     Hedge,
+    exp3g_distribution,
+    exploration_terms,
+    exploration_vector,
     exponential_weights,
     hedge_second_order_bound,
     importance_weighted_estimates,
@@ -96,6 +99,66 @@ def test_exponential_weights_survives_huge_cumulatives():
     q = exponential_weights(cum, 1.0)
     assert q[0] == pytest.approx(1.0)
     assert np.isfinite(q).all() and q.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [2, 5, 10, 40])
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_buffered_row_functions_equal_allocating_calls(rows, k):
+    # cumulative rows reach 1e9, the |U| T / gamma scale at T = 2^18; every
+    # out= call (the engine's) gives the allocating call's bits, and so do
+    # rates spread to R x K arrays, as the engine passes them
+    rng = np.random.default_rng(1000 * rows + k)
+    cum = rng.random((rows, k)) * 10.0 ** rng.integers(0, 10, size=(rows, 1))
+    eta = 10.0 ** rng.uniform(-6, 0, size=(rows, 1))
+    gamma = rng.uniform(0.01, 0.5, size=(rows, 1))
+    u = np.stack([
+        exploration_vector(k, 1 + rng.choice(k, size=rng.integers(1, k + 1), replace=False))
+        for _ in range(rows)
+    ])
+    eta_rows, gamma_rows = np.repeat(eta, k, axis=1), np.repeat(gamma, k, axis=1)
+
+    def junk():
+        return np.full((rows, k), 7.0)
+
+    q = exponential_weights(cum, eta)
+    out = junk()
+    assert exponential_weights(cum, eta_rows, out=out) is out
+    assert np.array_equal(out, q)
+
+    p = exp3g_distribution(cum, eta, gamma, u)
+    out = junk()
+    terms = exploration_terms(gamma_rows, u)
+    assert exp3g_distribution(cum, eta_rows, gamma_rows, u, out=out, terms=terms) is out
+    assert np.array_equal(out, p)
+    assert np.array_equal(exp3g_distribution(cum, eta_rows, gamma_rows, u), p)
+    assert np.isfinite(p).all() and (p >= 0).all()
+    assert np.abs(np.add.reduce(p, axis=1) - 1.0).max() <= 1e-12
+
+    uniforms = rng.random(rows)
+    drawn = sample_index(p, uniforms)
+    out = np.full(rows, -1, dtype=np.intp)
+    assert sample_index(p, uniforms, out=out) is out
+    assert np.array_equal(out, drawn)
+
+    # self-loops, so each drawn action's observed set has positive probability
+    in_matrix = random_graph(rng, k, 0.4, self_loop_prob=1.0).in_matrix
+    observed = in_matrix.T[drawn] > 0
+    losses = (rng.integers(0, 3, size=(rows, k)) / 2).astype(np.float16)
+    est = importance_weighted_estimates(in_matrix, p, observed, losses)
+    out = junk()
+    assert importance_weighted_estimates(in_matrix, p, observed, losses, out=out) is out
+    assert np.array_equal(out, est)
+    assert np.isfinite(est).all() and (est[~observed] == 0).all()
+
+
+@pytest.mark.parametrize("loss", [0.3, 0.0])
+def test_estimates_zero_probability_raises_without_a_warning(loss):
+    # vertex 1 has no in-edges; a loss of 0 there would be 0/0
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="zero observation probability"):
+            importance_weighted_estimates(g, np.array([0.5, 0.5]), np.array([1]), np.array([loss]))
 
 
 # ---------------------------------------------------------------------------
