@@ -14,8 +14,9 @@ and with the tree's own `src/` first on the path:
   strong preset, Bernoulli), informed and uninformed (thm7 K=8, uninformed
   preset) and doubling (thm7 K=8, informed doubling trick) play; the median
   of `--repeats` runs;
-- pilot: wall time of `scripts/run_pilot.py` (32 reps) and whether its CSVs
-  equal the committed `pilot/*.csv` byte for byte;
+- pilot: wall time of `scripts/run_pilot.py` (32 reps), the median of
+  `--repeats` runs, and whether its CSVs equal the committed `pilot/*.csv`
+  byte for byte;
 - tier1: wall time of the Tier-1 suite, its pass/fail counts and the set-up
   time of the criterion-05 fixtures;
 - pool (working tree only): alternating pairs of the 32-rep pilot sweeps
@@ -69,20 +70,17 @@ def _configs(reps, horizons):
     }
 
 
-def worker_per_round(repeats):
-    """Runs inside the measured tree: µs per round by mode and R."""
+def worker_per_round(_):
+    """Runs inside the measured tree: µs per round by mode and R, one run each."""
     from graphbandit import harness
 
     out = {}
     for r in PER_ROUND_RS:
         for mode, config in _configs(r, (PER_ROUND_T,)).items():
             harness.sweep(_configs(1, (64,))[mode])  # warm the profile cache
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                harness.sweep(config)
-                times.append(time.perf_counter() - start)
-            out[f"{mode}_R{r}"] = 1e6 * statistics.median(times) / (r * PER_ROUND_T)
+            start = time.perf_counter()
+            harness.sweep(config)
+            out[f"{mode}_R{r}"] = 1e6 * (time.perf_counter() - start) / (r * PER_ROUND_T)
     return out
 
 
@@ -229,11 +227,24 @@ def main():
         "before": {"rev": rev},
         "after": {"rev": f"{head} + working tree"},
     }
-    for label, tree in (("before", parent), ("after", ROOT)):
-        print(f"{label}: per-round", file=sys.stderr)
-        report[label]["us_per_round"] = _run_worker(tree, "per_round", args.repeats)
-        print(f"{label}: pilot", file=sys.stderr)
-        report[label]["pilot_32_reps"] = measure_pilot(tree, work)
+    # the host's speed drifts for minutes at a time, so the trees take turns,
+    # run by run, and each figure is a median over its tree's runs
+    trees = (("before", parent), ("after", ROOT))
+    runs = {label: {"per_round": [], "pilot": []} for label, _ in trees}
+    for i in range(args.repeats):
+        for label, tree in trees[::-1] if i % 2 else trees:
+            print(f"{label}: per-round and pilot, run {i + 1}", file=sys.stderr)
+            runs[label]["per_round"].append(_run_worker(tree, "per_round", 0))
+            runs[label]["pilot"].append(measure_pilot(tree, work))
+    for label, tree in trees:
+        per_round, pilot = runs[label]["per_round"], runs[label]["pilot"]
+        report[label]["us_per_round"] = {
+            key: statistics.median(run[key] for run in per_round) for key in per_round[0]
+        }
+        report[label]["pilot_32_reps"] = {
+            "wall_s": statistics.median(run["wall_s"] for run in pilot),
+            "csv_equal_committed": all(run["csv_equal_committed"] for run in pilot),
+        }
         print(f"{label}: tier-1", file=sys.stderr)
         report[label]["tier1"] = measure_tier1(tree)
     print("after: pool pairs", file=sys.stderr)
