@@ -4,8 +4,9 @@ The package splits into:
 
 - :mod:`graphbandit.graph` -- the feedback-graph model, observability
   classification, and the independence / weak-domination solvers;
-- :mod:`graphbandit.learners` -- Hedge and the graph-feedback
-  exponential-weights learner with its parameter presets;
+- :mod:`graphbandit.learners` -- exponential weights and Exp3.G's row
+  functions (play distribution, draw, importance-weighted estimates) with
+  its parameter presets, Hedge, and the single-game `Exp3G` reference;
 - :mod:`graphbandit.environments` -- loss-table generators, including the
   adversarial lower-bound constructions;
 - :mod:`graphbandit.harness` -- game loop, regret accounting, seeded sweeps;

@@ -58,9 +58,6 @@ class Environment:
             raise ValueError("environment has no graph sequence")
         return self.graphs[int(self.graph_index[t])]
 
-    def loss_row(self, t: int) -> np.ndarray:
-        return self.losses[t]
-
 
 def table_env(table) -> Environment:
     """Replay a fixed T x K loss table verbatim."""

@@ -44,12 +44,7 @@ from .learners import (
     MODE_FIXED,
     MODE_INFORMED,
     MODES,
-    ConstantAction,
-    DoublingExp3G,
-    Exp3G,
-    Hedge,
     Preset,
-    UniformRandom,
     doubling_rates,
     exploration_vector,
     informed_exploration_set,
@@ -72,7 +67,8 @@ CHI_PAIRS = {"thm4": (0, 1), "thm8": (-1, 1), "thm7": (-1, 1)}
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """How to build the player for a game."""
+    """How to build the player for a game. The values are checked here; the
+    checks that need the action count are the engine's, when a game starts."""
 
     algorithm: str = "exp3g"
     preset: str = "manual"
@@ -91,6 +87,12 @@ class LearnerSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.preset == "doubling" and (self.algorithm, self.mode) != ("exp3g", MODE_INFORMED):
             raise ValueError("the doubling preset drives exp3g in informed mode")
+        if self.algorithm == "hedge" and self.eta is None:
+            raise ValueError("hedge needs an explicit eta")
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError("eta must be positive")
+        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
 
 
 @dataclass
@@ -143,26 +145,22 @@ def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Pres
     return preset_weak(prof, horizon)
 
 
-def _build_learner(spec: LearnerSpec, num_actions, graph, base_graph, horizon):
-    if spec.algorithm == "uniform":
-        return UniformRandom(num_actions)
+def _player_row(spec: LearnerSpec, num_actions, base_graph, horizon) -> tuple:
+    """A game's row in the engine: (eta, gamma, distribution). The
+    distribution is Exp3.G's exploration vector, or what a player that never
+    updates draws from; hedge plays exponential weights at its own eta. The
+    doubling preset's rates are placeholders that `_doubling_schedule`
+    overwrites, and its exploration vector follows the round graph."""
     if spec.algorithm == "constant":
-        return ConstantAction(num_actions, spec.constant_action)
-    if spec.algorithm == "hedge":
-        if spec.eta is None:
-            raise ValueError("hedge needs an explicit eta")
-        return Hedge(num_actions, spec.eta)
-    if spec.preset == "doubling":
-        return DoublingExp3G(num_actions)
-    preset = _resolve_preset(spec, base_graph, num_actions, horizon)
-    return Exp3G(
-        num_actions,
-        preset.eta,
-        preset.gamma,
-        exploration_set=preset.exploration_set,
-        graph=graph if spec.mode == MODE_FIXED else None,
-        mode=spec.mode,
-    )
+        if not 1 <= spec.constant_action <= num_actions:
+            raise ValueError("action out of range")
+        return 1.0, 0.0, np.eye(num_actions)[spec.constant_action - 1]
+    if spec.algorithm == "exp3g" and spec.preset != "doubling":
+        preset = _resolve_preset(spec, base_graph, num_actions, horizon)
+        return preset.eta, preset.gamma, exploration_vector(num_actions, preset.exploration_set)
+    # hedge, uniform and doubling rows start from the uniform distribution
+    eta = spec.eta if spec.algorithm == "hedge" else 1.0
+    return eta, 0.0, np.full(num_actions, 1.0 / num_actions)
 
 
 def run_game(
@@ -297,7 +295,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     graph_ids = np.zeros(total, dtype=np.intp) if time_varying else None
     graph_table = {} if time_varying else {graph: 0}
     losses = None
-    eta, gamma, dist, setups = [], [], [], []
+    players, setups = [], []
     for r, game in enumerate(games):
         env = game.build()
         num_actions = env.num_actions
@@ -326,18 +324,9 @@ def _play_batch(graph, spec: LearnerSpec, games):
         if time_varying:
             ids = [graph_table.setdefault(g, len(graph_table)) for g in env.graphs]
             _fill(graph_ids, cells, np.asarray(ids, dtype=np.intp)[env.graph_index])
-        learner = _build_learner(
-            spec, num_actions, graph, graph if graph is not None else env.graph_at(0),
-            env.horizon,
-        )
-        eta.append(getattr(learner, "eta", 1.0))
-        gamma.append(getattr(learner, "gamma", 0.0))
-        if isinstance(learner, Exp3G):
-            dist.append(exploration_vector(num_actions, learner.exploration_set))
-        elif isinstance(learner, ConstantAction):
-            dist.append(np.eye(num_actions)[learner.action - 1])
-        else:
-            dist.append(np.full(num_actions, 1.0 / num_actions))
+        players.append(_player_row(
+            spec, num_actions, graph if graph is not None else env.graph_at(0), env.horizon
+        ))
         if spec.algorithm != "constant":
             _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
         setups.append((
@@ -365,6 +354,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     exp3g = spec.algorithm == "exp3g"
     hedge = spec.algorithm == "hedge"
     doubling = spec.preset == "doubling"
+    eta, gamma, dist = zip(*players)
     dist = np.stack(dist)
     eta = np.array(eta)[:, None]
     gamma = np.array(gamma)[:, None]
@@ -650,11 +640,6 @@ def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
     return rows
 
 
-def _run_cell(config: SweepConfig, horizon_index: int, rep: int, columns=None) -> dict:
-    """One CSV row: the one-cell case of the sweep."""
-    return _sweep_rows(config, [(horizon_index, rep)], columns)[0]
-
-
 def sweep(config: SweepConfig) -> ExperimentReport:
     """Run reps independent seeded repetitions per horizon, every game of the
     grid in one lockstep run; aggregation is a deterministic reduction
@@ -691,7 +676,7 @@ def sweep(config: SweepConfig) -> ExperimentReport:
 def doubling_wrapper(
     graph: FeedbackGraph | None, spec: LearnerSpec, env: Environment, seed
 ) -> GameTranscript:
-    """Play `spec` with its preset replaced by the doubling trick
-    (`DoublingExp3G`): informed exp3g restarted on epochs of length 1, 2, 4, ...
+    """Play `spec` with its preset replaced by the doubling trick: informed
+    exp3g restarted on epochs of length 1, 2, 4, ... (`_doubling_schedule`).
     """
     return run_game(graph, replace(spec, preset="doubling"), env, seed)

@@ -4,14 +4,13 @@ variant with importance-weighted loss estimates and explicit exploration.
 Actions are the graph's vertices, 1-indexed; probability vectors are numpy
 arrays whose entry i-1 belongs to action i. The weight, draw and estimate
 functions work along a trailing action axis, so the same code serves one
-game's K-vector and the harness's R x K rows of games played in lockstep;
-the learner classes are their single-game API.
+game's K-vector and the harness's R x K rows of games played in lockstep.
 
 `exponential_weights`, `exp3g_distribution`, `sample_index` and
 `importance_weighted_estimates` take an optional `out=` array that receives
 the result and is returned. By default each allocates and returns a new
-array, as the single-game classes use them; the lockstep engine passes
-buffers it allocates once per batch. Both give the same bits.
+array; the lockstep engine passes buffers it allocates once per batch. Both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -218,20 +217,6 @@ class Hedge:
         self.round += 1
         return self.distribution
 
-    def act(self, rng) -> int:
-        return sample_index(self.distribution, rng) + 1
-
-    def update(self, event: FeedbackEvent):
-        """Harness adapter: requires full feedback (all K losses observed)."""
-        if len(event.observed_actions) != self.num_actions:
-            raise ValueError(
-                "Hedge needs full feedback; got "
-                f"{len(event.observed_actions)} of {self.num_actions} losses"
-            )
-        losses = np.empty(self.num_actions)
-        losses[np.asarray(event.observed_actions) - 1] = event.observed_losses
-        self.step(losses)
-
 
 class SecondOrderBound(NamedTuple):
     lhs: float
@@ -303,6 +288,10 @@ def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) 
 class Exp3G:
     """Exponential weights driven by importance-weighted estimates built from
     graph feedback, mixed with uniform exploration over a set U.
+
+    This is the single-game reference, played one round at a time through
+    `act` and `update`; the harness's lockstep engine never calls it, and
+    plays the same arithmetic on R x K rows through the functions above.
 
     Modes: `fixed` plays one graph for the whole game; `informed` receives
     each round's graph before acting (and re-targets exploration at its
@@ -422,79 +411,6 @@ def doubling_rates(
     alpha_bar = max(alpha_sum / rounds, 1.0)
     gamma = min(math.sqrt(1.0 / (alpha_bar * rounds)), 0.5)
     return 2.0 * gamma, gamma
-
-
-class DoublingExp3G:
-    """Informed Exp3G restarted on epochs of length 1, 2, 4, ... (the doubling
-    trick). Each restart tunes gamma and eta from the average independence
-    number of the graphs revealed so far or, when the round's graph is weakly
-    observable, from the average weak domination number over the weakly
-    observable rounds; regret accounting runs straight through the restarts.
-    """
-
-    def __init__(self, num_actions: int):
-        if num_actions < 1:
-            raise ValueError("need at least one action")
-        self.num_actions = num_actions
-        self.round = 0
-        self._alpha_sum = 0.0
-        self._delta_sum = 0.0
-        self._weak_rounds = 0
-        self._learner = None
-
-    def set_round_graph(self, g: FeedbackGraph, when: str):
-        if when != BEFORE_ACTION:
-            raise ValueError("the doubling learner plays the informed model")
-        prof = graph_profile(g)
-        weak = prof.graph_class is GraphClass.WEAKLY_OBSERVABLE
-        self.round += 1
-        self._alpha_sum += prof.alpha
-        if weak:
-            self._delta_sum += prof.delta
-            self._weak_rounds += 1
-        if self.round & (self.round - 1) == 0:  # a power of two starts an epoch
-            eta, gamma = doubling_rates(
-                self.num_actions, self.round, self._alpha_sum, self._delta_sum,
-                self._weak_rounds, weak,
-            )
-            self._learner = Exp3G(self.num_actions, eta, gamma, mode=MODE_INFORMED)
-        self._learner.set_round_graph(g, when, prof)
-
-    def act(self, rng) -> int:
-        return self._learner.act(rng)
-
-    def update(self, event: FeedbackEvent):
-        self._learner.update(event)
-
-
-class UniformRandom:
-    """Plays uniformly at random and ignores all feedback."""
-
-    def __init__(self, num_actions: int):
-        self.num_actions = num_actions
-        self._dist = np.full(num_actions, 1.0 / num_actions)
-
-    def act(self, rng) -> int:
-        return sample_index(self._dist, rng) + 1
-
-    def update(self, event: FeedbackEvent):
-        pass
-
-
-class ConstantAction:
-    """Always plays the same action."""
-
-    def __init__(self, num_actions: int, action: int = 1):
-        if not 1 <= action <= num_actions:
-            raise ValueError("action out of range")
-        self.num_actions = num_actions
-        self.action = action
-
-    def act(self, rng) -> int:
-        return self.action
-
-    def update(self, event: FeedbackEvent):
-        pass
 
 
 # ---------------------------------------------------------------------------

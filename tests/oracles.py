@@ -1,14 +1,18 @@
-"""Independent brute-force references used to check the package's solvers.
+"""Independent references used to check the package.
 
-Everything here enumerates rather than searches, and shares no code with the
-implementations under test.
+The solver references enumerate rather than search, and share no code with
+the implementations under test. The protocol players at the end are the
+single-game form of the engine's learners: one object per game, acting and
+updating one round at a time, which the lockstep engine must reproduce.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph
+from graphbandit import learners
+from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
+from graphbandit.graph import profile as graph_profile
 
 
 def is_independent(g: FeedbackGraph, vertices) -> bool:
@@ -408,3 +412,95 @@ def signature_families(instance) -> tuple:
             groups.setdefault(int(s), []).append(y)
         families.append(frozenset(frozenset(v) for v in groups.values()))
     return tuple(families)
+
+
+# ---------------------------------------------------------------------------
+# single-game protocol players: act(rng) -> action, update(FeedbackEvent)
+
+
+class HedgePlayer(learners.Hedge):
+    """Hedge as a protocol player; it needs full feedback."""
+
+    def act(self, rng) -> int:
+        return learners.sample_index(self.distribution, rng) + 1
+
+    def update(self, event: learners.FeedbackEvent):
+        if len(event.observed_actions) != self.num_actions:
+            raise ValueError(
+                "Hedge needs full feedback; got "
+                f"{len(event.observed_actions)} of {self.num_actions} losses"
+            )
+        losses = np.empty(self.num_actions)
+        losses[np.asarray(event.observed_actions) - 1] = event.observed_losses
+        self.step(losses)
+
+
+class DoublingExp3G:
+    """Informed Exp3G restarted on epochs of length 1, 2, 4, ... (the doubling
+    trick). Each restart tunes gamma and eta from the average independence
+    number of the graphs revealed so far or, when the round's graph is weakly
+    observable, from the average weak domination number over the weakly
+    observable rounds; regret accounting runs straight through the restarts.
+    Each epoch's learner is built through `learners.Exp3G`, so a test that
+    replaces that attribute sees every epoch.
+    """
+
+    def __init__(self, num_actions: int):
+        self.num_actions = num_actions
+        self.round = 0
+        self._alpha_sum = 0.0
+        self._delta_sum = 0.0
+        self._weak_rounds = 0
+        self._learner = None
+
+    def set_round_graph(self, g: FeedbackGraph, when: str):
+        if when != learners.BEFORE_ACTION:
+            raise ValueError("the doubling learner plays the informed model")
+        prof = graph_profile(g)
+        weak = prof.graph_class is GraphClass.WEAKLY_OBSERVABLE
+        self.round += 1
+        self._alpha_sum += prof.alpha
+        if weak:
+            self._delta_sum += prof.delta
+            self._weak_rounds += 1
+        if self.round & (self.round - 1) == 0:  # a power of two starts an epoch
+            eta, gamma = learners.doubling_rates(
+                self.num_actions, self.round, self._alpha_sum, self._delta_sum,
+                self._weak_rounds, weak,
+            )
+            self._learner = learners.Exp3G(
+                self.num_actions, eta, gamma, mode=learners.MODE_INFORMED
+            )
+        self._learner.set_round_graph(g, when, prof)
+
+    def act(self, rng) -> int:
+        return self._learner.act(rng)
+
+    def update(self, event: learners.FeedbackEvent):
+        self._learner.update(event)
+
+
+class UniformRandom:
+    """Plays uniformly at random and ignores all feedback."""
+
+    def __init__(self, num_actions: int):
+        self._dist = np.full(num_actions, 1.0 / num_actions)
+
+    def act(self, rng) -> int:
+        return learners.sample_index(self._dist, rng) + 1
+
+    def update(self, event: learners.FeedbackEvent):
+        pass
+
+
+class ConstantAction:
+    """Always plays the same action."""
+
+    def __init__(self, action: int):
+        self.action = action
+
+    def act(self, rng) -> int:
+        return self.action
+
+    def update(self, event: learners.FeedbackEvent):
+        pass

@@ -28,7 +28,7 @@ from oracles import domination_counts, is_independent, random_weakly_observable_
 def test_table_env_replays_verbatim():
     env = table_env([[0.0, 1.0]])
     assert env.horizon == 1 and env.num_actions == 2
-    assert np.array_equal(env.loss_row(0), [0.0, 1.0])
+    assert np.array_equal(env.losses[0], [0.0, 1.0])
 
 
 def test_table_env_deterministic_replay():

@@ -24,17 +24,11 @@ from graphbandit.harness import (
     run_game,
     run_games,
     sweep,
-    _run_cell,
+    _sweep_rows,
 )
-from graphbandit.learners import (
-    BEFORE_ACTION,
-    ConstantAction,
-    DoublingExp3G,
-    Exp3G,
-    FeedbackEvent,
-    Hedge,
-    UniformRandom,
-)
+from graphbandit.learners import BEFORE_ACTION, Exp3G, FeedbackEvent, Hedge
+
+from oracles import ConstantAction, DoublingExp3G, HedgePlayer, UniformRandom
 
 MANUAL = dict(preset="manual", eta=0.2, gamma=0.1)
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +145,31 @@ def test_mode_and_dimension_validation():
         run_game(catalog("full", 5), LearnerSpec(algorithm="exp3g", **MANUAL, mode="uninformed"), tv_env, 0)
 
 
+BAD_PLAYERS = {
+    "eta_zero": (dict(MANUAL, eta=0.0), "eta must be positive"),
+    "eta_negative": (dict(MANUAL, eta=-0.2), "eta must be positive"),
+    "gamma_negative": (dict(MANUAL, gamma=-0.1), r"gamma must lie in \[0, 1\]"),
+    "gamma_above_one": (dict(MANUAL, gamma=1.5), r"gamma must lie in \[0, 1\]"),
+    "exploration_empty": (dict(MANUAL, exploration_set=()), "exploration set must be nonempty"),
+    "exploration_zero": (dict(MANUAL, exploration_set=(0, 2)), "exploration set out of range"),
+    "exploration_past_k": (dict(MANUAL, exploration_set=(2, 5)), "exploration set out of range"),
+    "constant_zero": (dict(algorithm="constant", constant_action=0), "action out of range"),
+    "constant_past_k": (dict(algorithm="constant", constant_action=5), "action out of range"),
+    "hedge_without_eta": (dict(algorithm="hedge"), "hedge needs an explicit eta"),
+    "hedge_eta_zero": (dict(algorithm="hedge", eta=0.0), "eta must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLAYERS))
+def test_run_game_refuses_bad_player_inputs(case):
+    # the spec is built inside the check: a value may be refused there or
+    # when the game starts, but never played
+    spec_args, match = BAD_PLAYERS[case]
+    env = bernoulli_env([0.5] * 4, 10, seed=0)
+    with pytest.raises(ValueError, match=match):
+        run_game(catalog("full", 4), LearnerSpec(**spec_args), env, 0)
+
+
 def test_constant_graph_sequence_matches_fixed_play():
     g = catalog("clique_minus", 4)
     env = bernoulli_env([0.4, 0.5, 0.9, 0.9], 400, seed=6)
@@ -260,8 +279,11 @@ def test_sweep_rejects_bad_grid():
 
 def test_sweep_rows_independent_of_order():
     config = bandit_sweep_config()
-    forward = [_run_cell(config, hi, rep) for hi in range(2) for rep in range(3)]
-    backward = [_run_cell(config, hi, rep) for hi in reversed(range(2)) for rep in reversed(range(3))]
+    forward = [_sweep_rows(config, [(hi, rep)])[0] for hi in range(2) for rep in range(3)]
+    backward = [
+        _sweep_rows(config, [(hi, rep)])[0]
+        for hi in reversed(range(2)) for rep in reversed(range(3))
+    ]
     key = lambda row: (row["T"], row["rep"])
     assert sorted(forward, key=key) == sorted(backward, key=key)
 
@@ -322,7 +344,6 @@ def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
 
     monkeypatch.setattr(harness, "run_game", counted)
     monkeypatch.setattr(harness, "build_environment", counted_build)
-    monkeypatch.delenv("GRAPHBANDIT_THREADS", raising=False)
     config = SweepConfig(
         graph=catalog("bandit", 41),
         graph_name="bandit",
@@ -339,12 +360,11 @@ def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
     assert builds == []
 
 
-def test_sweep_parallel_matches_serial(monkeypatch):
+def test_sweep_repeats_identically():
     config = bandit_sweep_config()
-    serial = sweep(config)
-    monkeypatch.setenv("GRAPHBANDIT_THREADS", "2")
-    parallel = sweep(config)
-    assert serial.rows == parallel.rows
+    first = sweep(config)
+    second = sweep(config)
+    assert first.rows == second.rows
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +587,9 @@ LEARNER_CASES = {
                    LearnerSpec(**MANUAL_RATES, mode="uninformed")),
     "doubling": (lambda: DoublingExp3G(6), "informed",
                  LearnerSpec(preset="doubling", mode="informed")),
-    "hedge": (lambda: Hedge(5, 0.1), "fixed", LearnerSpec(algorithm="hedge", eta=0.1)),
+    "hedge": (lambda: HedgePlayer(5, 0.1), "fixed", LearnerSpec(algorithm="hedge", eta=0.1)),
     "uniform": (lambda: UniformRandom(5), "fixed", LearnerSpec(algorithm="uniform")),
-    "constant": (lambda: ConstantAction(5, 4), "fixed",
+    "constant": (lambda: ConstantAction(4), "fixed",
                  LearnerSpec(algorithm="constant", constant_action=4)),
 }
 
