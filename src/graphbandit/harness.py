@@ -87,12 +87,22 @@ class LearnerSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.preset == "doubling" and (self.algorithm, self.mode) != ("exp3g", MODE_INFORMED):
             raise ValueError("the doubling preset drives exp3g in informed mode")
-        if self.algorithm == "hedge" and self.eta is None:
-            raise ValueError("hedge needs an explicit eta")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        # only hedge and the manual exp3g preset read eta and gamma
+        if self.algorithm == "hedge":
+            if self.eta is None:
+                raise ValueError("hedge needs an explicit eta")
+            _check_rates(self.eta, 0.0)
+        if (self.algorithm, self.preset) == ("exp3g", "manual"):
+            _check_rates(self.eta, self.gamma)
+
+
+def _check_rates(eta, gamma):
+    """Refuse a learning rate that is not positive or an exploration rate
+    outside [0, 1]; None stands for a rate not yet set."""
+    if eta is not None and not eta > 0:
+        raise ValueError("eta must be positive")
+    if gamma is not None and not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
 
 
 @dataclass
@@ -157,6 +167,10 @@ def _player_row(spec: LearnerSpec, num_actions, base_graph, horizon) -> tuple:
         return 1.0, 0.0, np.eye(num_actions)[spec.constant_action - 1]
     if spec.algorithm == "exp3g" and spec.preset != "doubling":
         preset = _resolve_preset(spec, base_graph, num_actions, horizon)
+        # a preset tunes its rates from K and T: at a short horizon they can
+        # leave the range the update needs (loopless clique: gamma > 1 once
+        # ln K > T/2)
+        _check_rates(preset.eta, preset.gamma)
         return preset.eta, preset.gamma, exploration_vector(num_actions, preset.exploration_set)
     # hedge, uniform and doubling rows start from the uniform distribution
     eta = spec.eta if spec.algorithm == "hedge" else 1.0

@@ -170,6 +170,25 @@ def test_run_game_refuses_bad_player_inputs(case):
         run_game(catalog("full", 4), LearnerSpec(**spec_args), env, 0)
 
 
+def test_run_game_refuses_preset_rates_out_of_range():
+    # loopless-clique tuning at K=2, T=1: gamma = 2*sqrt(ln 2/2) ~ 1.18
+    env = bernoulli_env([0.5, 0.5], 1, seed=0)
+    spec = LearnerSpec(preset="loopless_clique")
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+        run_game(catalog("loopless_clique", 2), spec, env, 0)
+
+
+@pytest.mark.parametrize(
+    "spec_args",
+    [dict(preset="strong", eta=0.0), dict(algorithm="uniform", gamma=2.0)],
+    ids=["strong_ignores_eta", "uniform_ignores_gamma"],
+)
+def test_run_game_accepts_rates_the_player_ignores(spec_args):
+    env = bernoulli_env([0.5] * 4, 10, seed=0)
+    run = run_game(catalog("full", 4), LearnerSpec(**spec_args), env, 0)
+    assert run.horizon == 10
+
+
 def test_constant_graph_sequence_matches_fixed_play():
     g = catalog("clique_minus", 4)
     env = bernoulli_env([0.4, 0.5, 0.9, 0.9], 400, seed=6)
