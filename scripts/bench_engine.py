@@ -2,7 +2,7 @@
 """Before/after numbers for the lockstep game engine, written to BENCH_engine.json.
 
 Usage: python scripts/bench_engine.py [--parent REV] [--out BENCH_engine.json]
-                                      [--work DIR] [--repeats 3] [--pairs 5]
+                                      [--work DIR] [--repeats 3]
 
 The parent revision is extracted with `git archive` into the work directory
 and measured on the same machine, in the same run, as the working tree.
@@ -18,11 +18,7 @@ and with the tree's own `src/` first on the path:
   `--repeats` runs, and whether its CSVs equal the committed `pilot/*.csv`
   byte for byte;
 - tier1: wall time of the Tier-1 suite, its pass/fail counts and the set-up
-  time of the criterion-05 fixtures;
-- pool (working tree only): alternating pairs of the 32-rep pilot sweeps
-  played serially and split over a two-process pool, each worker playing
-  every other repetition of each sweep in lockstep (what a process pool
-  could still gain once games advance together).
+  time of the criterion-05 fixtures.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ SEED = 2025
 PER_ROUND_T = 2048
 PER_ROUND_RS = (1, 8, 32)
 ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-ENV.pop("GRAPHBANDIT_THREADS", None)
 
 
 def _configs(reps, horizons):
@@ -70,7 +65,7 @@ def _configs(reps, horizons):
     }
 
 
-def worker_per_round(_):
+def worker_per_round():
     """Runs inside the measured tree: µs per round by mode and R, one run each."""
     from graphbandit import harness
 
@@ -84,58 +79,9 @@ def worker_per_round(_):
     return out
 
 
-def _half(config, cells, columns):
-    from graphbandit import harness
-
-    return harness._sweep_rows(config, cells, columns)
-
-
-def worker_pool(pairs):
-    """Runs inside the working tree: serial vs two-process 32-rep pilot sweeps."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    sys.path.insert(0, str(ROOT / "scripts"))
-    from graphbandit import harness
-    from run_pilot import strong_config, weak_config
-
-    configs = (strong_config(32), weak_config(32))
-
-    def serial():
-        return [harness.sweep(c).rows for c in configs]
-
-    def pooled():
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            results = []
-            for config in configs:
-                columns = harness._profile_columns(config.graph)
-                cells = [(hi, rep) for hi in range(len(config.horizons))
-                         for rep in range(config.reps)]
-                halves = [pool.submit(_half, config, cells[i::2], columns) for i in (0, 1)]
-                rows = [None] * len(cells)
-                rows[0::2], rows[1::2] = halves[0].result(), halves[1].result()
-                results.append(rows)
-            return results
-
-    runs = []
-    for i in range(pairs):
-        row = {}
-        sides = (("serial_s", serial), ("pool2_s", pooled))
-        for name, fn in sides[::-1] if i % 2 else sides:
-            start = time.perf_counter()
-            rows = fn()
-            row[name] = time.perf_counter() - start
-            row.setdefault("rows", rows)
-            if rows != row["rows"]:
-                raise AssertionError("pooled rows differ from serial rows")
-        del row["rows"]
-        row["speedup"] = row["serial_s"] / row["pool2_s"]
-        runs.append(dict(row, first="pool2" if i % 2 else "serial"))
-    return {"pairs": runs, "median_speedup": statistics.median(r["speedup"] for r in runs)}
-
-
-def _run_worker(tree: Path, name: str, arg: int) -> dict:
+def _run_worker(tree: Path) -> dict:
     env = dict(ENV, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", name, "--arg", str(arg)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker"]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -190,14 +136,11 @@ def main():
     parser.add_argument("--out", default=str(ROOT / "BENCH_engine.json"))
     parser.add_argument("--work", help="where the parent tree and pilot outputs go")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
-    parser.add_argument("--arg", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.worker:
-        fn = {"per_round": worker_per_round, "pool": worker_pool}[args.worker]
-        print(json.dumps(fn(args.arg)))
+        print(json.dumps(worker_per_round()))
         return
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_engine_"))
@@ -219,7 +162,7 @@ def main():
                 "uninformed": "thm7 K=8, uninformed preset, uninformed mode",
                 "doubling": "thm7 K=8, doubling preset, informed mode",
             },
-            "repeats": args.repeats, "pool_pairs": args.pairs,
+            "repeats": args.repeats,
             "pilot": "scripts/run_pilot.py, grid 2^9..2^14, 32 reps, seed 2025",
             "blas_threads": 1,
         },
@@ -234,7 +177,7 @@ def main():
     for i in range(args.repeats):
         for label, tree in trees[::-1] if i % 2 else trees:
             print(f"{label}: per-round and pilot, run {i + 1}", file=sys.stderr)
-            runs[label]["per_round"].append(_run_worker(tree, "per_round", 0))
+            runs[label]["per_round"].append(_run_worker(tree))
             runs[label]["pilot"].append(measure_pilot(tree, work))
     for label, tree in trees:
         per_round, pilot = runs[label]["per_round"], runs[label]["pilot"]
@@ -247,8 +190,6 @@ def main():
         }
         print(f"{label}: tier-1", file=sys.stderr)
         report[label]["tier1"] = measure_tier1(tree)
-    print("after: pool pairs", file=sys.stderr)
-    report["after"]["pool_vs_serial_32_reps"] = _run_worker(ROOT, "pool", args.pairs)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))
 

@@ -239,7 +239,7 @@ def cmd_lowerbound(args) -> int:
         ]
     if args.which in ("thm8", "all"):
         g = catalog("clique_minus", args.k)
-        spec = harness.LearnerSpec(algorithm="exp3g", preset="weak", mode="fixed", gamma=0.0)
+        spec = harness.LearnerSpec(algorithm="exp3g", preset="weak", mode="fixed")
         streams = [harness.cell_streams(args.seed, 0, rep) for rep in range(args.reps)]
         envs = [environments.simple_weak_env(horizon, args.k, chi, env_ss)
                 for env_ss, _ in streams for chi in (-1, 1)]
@@ -253,9 +253,7 @@ def cmd_lowerbound(args) -> int:
             ("thm8_rate_value", horizon ** (2.0 / 3.0) / 8.0),
         ]
     if args.which in ("thm7", "all"):
-        spec = harness.LearnerSpec(
-            algorithm="exp3g", preset="uninformed", mode="uninformed", gamma=0.0
-        )
+        spec = harness.LearnerSpec(algorithm="exp3g", preset="uninformed", mode="uninformed")
         streams = [harness.cell_streams(args.seed, 1, rep) for rep in range(args.reps)]
         envs = [environments.uninformed_separation_env(args.k, horizon, env_ss)
                 for env_ss, _ in streams]

@@ -154,9 +154,6 @@ class FeedbackGraph:
     def __repr__(self):
         return f"FeedbackGraph(K={self._k}, edges={sum(bin(m).count('1') for m in self._out)})"
 
-    def __reduce__(self):
-        return (FeedbackGraph, (self._k, tuple(sorted(self.edges))))
-
 
 def _mask_to_vertices(mask: int) -> frozenset:
     out = []

@@ -75,7 +75,6 @@ class LearnerSpec:
     eta: float | None = None
     gamma: float | None = None
     mode: str = MODE_FIXED
-    exploration_set: tuple | None = None
     constant_action: int = 1
 
     def __post_init__(self):
@@ -137,12 +136,7 @@ def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Pres
     if spec.preset == "manual":
         if spec.eta is None or spec.gamma is None:
             raise ValueError("manual preset needs explicit eta and gamma")
-        exploration = (
-            spec.exploration_set
-            if spec.exploration_set is not None
-            else tuple(range(1, num_actions + 1))
-        )
-        return Preset(tuple(exploration), spec.gamma, spec.eta)
+        return Preset(tuple(range(1, num_actions + 1)), spec.gamma, spec.eta)
     if spec.preset == "loopless_clique":
         return preset_loopless_clique(num_actions, horizon)
     if spec.preset == "uninformed":
@@ -589,21 +583,31 @@ def _profile_columns(graph: FeedbackGraph) -> dict:
     }
 
 
-def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
-    """The CSV rows of the (horizon index, rep) `cells`, in order, from one
-    lockstep run of all their games; `columns` are the graph's profile
-    columns, computed from each cell's first graph when not given."""
+def sweep(config: SweepConfig) -> ExperimentReport:
+    """Run reps independent seeded repetitions per horizon, every game of the
+    grid in one lockstep run; aggregation is a deterministic reduction
+    independent of play order."""
+    if not config.horizons:
+        raise ValueError("horizon grid is empty")
+    if list(config.horizons) != sorted(set(config.horizons)):
+        raise ValueError("horizon grid must be strictly increasing")
+    if config.reps < 1:
+        raise ValueError("reps must be >= 1")
     if config.chi_average:
         chis = CHI_PAIRS.get(config.env.kind)
         if chis is None:
             raise ValueError(f"chi averaging is undefined for env {config.env.kind!r}")
     else:
         chis = (None,)
+    # a fixed graph is profiled once, up front, so one beyond the exact
+    # solvers' reach is refused before any game is played; a graph sequence
+    # is profiled by each cell's first graph
     if config.graph is not None:
         num_actions = config.graph.num_vertices
-        columns = columns or _profile_columns(config.graph)
+        columns = _profile_columns(config.graph)
     else:
         num_actions = config.env.params.get("k")
+        columns = None
     first_graphs = {}
 
     def build(cell, horizon, env_ss, chi):
@@ -615,6 +619,7 @@ def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
             first_graphs.setdefault(cell, env.graph_at(0))
         return env
 
+    cells = [(hi, rep) for hi in range(len(config.horizons)) for rep in range(config.reps)]
     games = []
     for cell in cells:
         horizon = config.horizons[cell[0]]
@@ -632,7 +637,7 @@ def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
     rows = []
     for cell, i in zip(cells, range(0, len(runs), len(chis))):
         k, player, best, regret, expected = zip(*runs[i:i + len(chis)])
-        row = {
+        rows.append({
             "graph": config.graph_name,
             "K": k[0],
             **(columns or _profile_columns(first_graphs[cell])),
@@ -649,26 +654,7 @@ def _sweep_rows(config: SweepConfig, cells, columns=None) -> list:
             "expected_regret": (
                 float(np.mean(expected)) if all(e is not None for e in expected) else None
             ),
-        }
-        rows.append(row)
-    return rows
-
-
-def sweep(config: SweepConfig) -> ExperimentReport:
-    """Run reps independent seeded repetitions per horizon, every game of the
-    grid in one lockstep run; aggregation is a deterministic reduction
-    independent of play order."""
-    if not config.horizons:
-        raise ValueError("horizon grid is empty")
-    if list(config.horizons) != sorted(set(config.horizons)):
-        raise ValueError("horizon grid must be strictly increasing")
-    if config.reps < 1:
-        raise ValueError("reps must be >= 1")
-    # a fixed graph is profiled once, up front, so one beyond the exact
-    # solvers' reach is refused before any game is played
-    columns = _profile_columns(config.graph) if config.graph is not None else None
-    cells = [(hi, rep) for hi in range(len(config.horizons)) for rep in range(config.reps)]
-    rows = _sweep_rows(config, cells, columns)
+        })
     echo = {
         "graph": config.graph_name,
         "learner": config.learner.algorithm,

@@ -1,10 +1,14 @@
-"""Exponential-weights learners: full-information Hedge and the graph-feedback
-variant with importance-weighted loss estimates and explicit exploration.
+"""Exponential-weights learners with graph feedback: Exp3.G's row functions
+(play distribution, draw, importance-weighted estimates), its parameter
+presets, and the single-game `Exp3G` reference. Hedge is exponential weights
+over cumulative losses; `hedge_second_order_bound` evaluates its regret bound.
 
 Actions are the graph's vertices, 1-indexed; probability vectors are numpy
 arrays whose entry i-1 belongs to action i. The weight, draw and estimate
 functions work along a trailing action axis, so the same code serves one
 game's K-vector and the harness's R x K rows of games played in lockstep.
+Each takes its inputs in the one form the engine plays: float uniforms for
+the draw, an in-matrix, a boolean mask and full loss rows for the estimates.
 
 `exponential_weights`, `exp3g_distribution`, `sample_index` and
 `importance_weighted_estimates` take an optional `out=` array that receives
@@ -101,18 +105,16 @@ def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
     row; returns 0-based indices (an int for a single distribution).
 
-    `u` holds the uniforms (a float for a single distribution) or is a
-    generator to draw them from. Counting the CDF entries at or below u is
-    searchsorted(side="right") on a nondecreasing CDF; leaving the last
-    entry out puts a uniform beyond a CDF that rounds below 1 on the last
-    action. Fixed vertex order plus one uniform per draw keeps action
-    sequences reproducible across runs that share a generator state.
+    `u` holds the uniforms (a float for a single distribution). Counting the
+    CDF entries at or below u is searchsorted(side="right") on a
+    nondecreasing CDF; leaving the last entry out puts a uniform beyond a CDF
+    that rounds below 1 on the last action. Fixed vertex order plus one
+    uniform per draw keeps action sequences reproducible across runs that
+    share a generator state.
 
     For R x K rows, `out`, an intp R-vector, receives the indices and is
     returned; by default a new array is.
     """
-    if hasattr(u, "random"):
-        u = u.random() if dist.ndim == 1 else u.random(dist.shape[:-1])
     c = np.add.accumulate(dist, axis=-1)[..., :-1]
     idx = np.add.reduce(c <= np.asarray(u)[..., None], axis=-1, dtype=np.intp, out=out)
     return int(idx) if dist.ndim == 1 else idx
@@ -135,17 +137,17 @@ class FeedbackEvent:
 
 
 def importance_weighted_estimates(
-    g, p: np.ndarray, observed, losses, out: np.ndarray | None = None
+    in_matrix: np.ndarray, p: np.ndarray, observed: np.ndarray, losses,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Loss estimates: observed losses divided by their observation
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
 
-    Works along the trailing action axis like `exponential_weights`. `g` is
-    the round's graph or an in-matrix: one K x K for every row, or R x K x K
-    with one per row. `observed` is a boolean mask over the actions and
-    `losses` the full loss rows, of which only the masked entries are read;
-    for a single distribution it may instead hold the 1-indexed observed
-    vertices, with `losses` aligned to them.
+    Works along the trailing action axis like `exponential_weights`.
+    `in_matrix` is the round's in-matrix: one K x K for every row, or
+    R x K x K with one per row. `observed` is a boolean mask over the actions
+    and `losses` the full loss rows, of which only the masked entries are
+    read.
 
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine. P(i)=0 on the observed
@@ -158,15 +160,6 @@ def importance_weighted_estimates(
     sets that `np.errstate` once around them, since entering it costs more
     than the rest of the call.
     """
-    in_matrix = g.in_matrix if isinstance(g, FeedbackGraph) else g
-    observed = np.asarray(observed)
-    if observed.dtype != bool:
-        idx = observed.astype(np.int64) - 1
-        observed = np.zeros(p.shape, dtype=bool)
-        observed[idx] = True
-        full = np.zeros(p.shape)
-        full[idx] = losses
-        losses = full
     if out is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             return _estimates(in_matrix, p, observed, losses, np.zeros(p.shape))
@@ -189,43 +182,15 @@ def _estimates(in_matrix, p, observed, losses, out):
     return est
 
 
-class Hedge:
-    """Full-information exponential weights over cumulative losses."""
-
-    def __init__(self, num_actions: int, eta: float):
-        if num_actions < 1:
-            raise ValueError("need at least one action")
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        self.num_actions = num_actions
-        self.eta = eta
-        self.cumulative = np.zeros(num_actions)
-        self.round = 1
-
-    @property
-    def distribution(self) -> np.ndarray:
-        return exponential_weights(self.cumulative, self.eta)
-
-    def step(self, losses) -> np.ndarray:
-        """Accumulate one round of losses and return the next distribution."""
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != (self.num_actions,):
-            raise ValueError(f"expected {self.num_actions} losses, got {losses.shape}")
-        if np.any(losses < 0):
-            raise ValueError("losses must be nonnegative")
-        self.cumulative = self.cumulative + losses
-        self.round += 1
-        return self.distribution
-
-
 class SecondOrderBound(NamedTuple):
     lhs: float
     rhs: float
 
 
 def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) -> SecondOrderBound:
-    """Run Hedge on a loss sequence and evaluate both sides of its refined
-    second-order regret bound; the caller asserts lhs <= rhs.
+    """Play Hedge (exponential weights over cumulative losses) on a loss
+    sequence and evaluate both sides of its refined second-order regret
+    bound; the caller asserts lhs <= rhs.
 
     `losses` is a T x K array of nonnegative values. `subsets` gives, per
     round, the set of actions (1-indexed) granted the sharper q(1-q) variance
@@ -259,16 +224,17 @@ def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) 
                 )
             masks[t, i - 1] = True
 
-    learner = Hedge(num_actions, eta)
+    # round t plays exponential weights over the losses of rounds before t
+    cumulative = np.zeros(losses.shape)
+    np.cumsum(losses[:-1], axis=0, out=cumulative[1:])
+    q = exponential_weights(cumulative, eta)
+    sq = q * losses * losses
+    sq = np.where(masks, sq * (1.0 - q), sq)
     player = 0.0
     variance = 0.0
     for t in range(horizon):
-        q = learner.distribution
-        row = losses[t]
-        player += float(q @ row)
-        sq = q * row * row
-        variance += float(np.where(masks[t], sq * (1.0 - q), sq).sum())
-        learner.step(row)
+        player += float(q[t] @ losses[t])
+        variance += float(sq[t].sum())
 
     totals = losses.sum(axis=0)
     if comparator is None:
@@ -371,7 +337,7 @@ class Exp3G:
         same distribution."""
         if self.mode == MODE_INFORMED and self._round_graph is None:
             raise RuntimeError("informed mode needs set_round_graph before acting")
-        return sample_index(self.p, rng) + 1
+        return sample_index(self.p, rng.random()) + 1
 
     def update(self, event: FeedbackEvent):
         g = event.graph if event.graph is not None else self._round_graph
@@ -389,7 +355,11 @@ class Exp3G:
         losses = np.asarray(event.observed_losses, dtype=float)
         if len(losses) and (losses.min() < -1e-12 or losses.max() > 1 + 1e-12):
             raise ValueError("observed losses must lie in [0, 1]")
-        est = importance_weighted_estimates(g, self.p, got, losses)
+        observed = np.zeros(self.num_actions, dtype=bool)
+        observed[got - 1] = True
+        full = np.zeros(self.num_actions)
+        full[got - 1] = losses
+        est = importance_weighted_estimates(g.in_matrix, self.p, observed, full)
         self.cumulative = self.cumulative + est
         self.round += 1
         self._p = None

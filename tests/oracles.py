@@ -418,11 +418,42 @@ def signature_families(instance) -> tuple:
 # single-game protocol players: act(rng) -> action, update(FeedbackEvent)
 
 
-class HedgePlayer(learners.Hedge):
+class Hedge:
+    """Full-information exponential weights over cumulative losses, one round
+    at a time: the per-round reference for `hedge_second_order_bound` and for
+    the engine's hedge rows."""
+
+    def __init__(self, num_actions: int, eta: float):
+        if num_actions < 1:
+            raise ValueError("need at least one action")
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        self.num_actions = num_actions
+        self.eta = eta
+        self.cumulative = np.zeros(num_actions)
+        self.round = 1
+
+    @property
+    def distribution(self) -> np.ndarray:
+        return learners.exponential_weights(self.cumulative, self.eta)
+
+    def step(self, losses) -> np.ndarray:
+        """Accumulate one round of losses and return the next distribution."""
+        losses = np.asarray(losses, dtype=float)
+        if losses.shape != (self.num_actions,):
+            raise ValueError(f"expected {self.num_actions} losses, got {losses.shape}")
+        if np.any(losses < 0):
+            raise ValueError("losses must be nonnegative")
+        self.cumulative = self.cumulative + losses
+        self.round += 1
+        return self.distribution
+
+
+class HedgePlayer(Hedge):
     """Hedge as a protocol player; it needs full feedback."""
 
     def act(self, rng) -> int:
-        return learners.sample_index(self.distribution, rng) + 1
+        return learners.sample_index(self.distribution, rng.random()) + 1
 
     def update(self, event: learners.FeedbackEvent):
         if len(event.observed_actions) != self.num_actions:
@@ -487,7 +518,7 @@ class UniformRandom:
         self._dist = np.full(num_actions, 1.0 / num_actions)
 
     def act(self, rng) -> int:
-        return learners.sample_index(self._dist, rng) + 1
+        return learners.sample_index(self._dist, rng.random()) + 1
 
     def update(self, event: learners.FeedbackEvent):
         pass

@@ -39,7 +39,7 @@ from graphbandit.harness import (
     run_games,
     sweep,
 )
-from graphbandit.learners import Hedge, hedge_second_order_bound, importance_weighted_estimates
+from graphbandit.learners import hedge_second_order_bound, importance_weighted_estimates
 from graphbandit.partial_monitoring import (
     check_global_observability,
     check_local_observability,
@@ -48,6 +48,7 @@ from graphbandit.partial_monitoring import (
 )
 
 from oracles import (
+    Hedge,
     brute_force_alpha,
     brute_force_delta_fast,
     domination_counts,
@@ -155,9 +156,9 @@ def test_criterion_03_estimator_unbiasedness():
         row = rng.uniform(0.0, 1.0, size=k)
         expectation = np.zeros(k)
         for j in range(1, k + 1):
-            obs = g.out_index[j - 1]
+            observed = g.in_matrix[:, j - 1] > 0  # the out-neighborhood of j
             expectation += p[j - 1] * importance_weighted_estimates(
-                g, p, obs, row[obs - 1]
+                g.in_matrix, p, observed, row
             )
         observable = (g.in_matrix @ p) > 0
         gap = np.abs(expectation - row)[observable]

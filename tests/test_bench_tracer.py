@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -21,3 +23,17 @@ def test_tracer_wraps_and_restores_every_target():
     restored = [getattr(owner, attr) for _, owner, attr in tracer.TARGETS]
     assert [w.__wrapped__ for w in wrapped] == originals
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_bench_workloads_import_and_match_benchmark(monkeypatch):
+    # the workloads import the package, tests/oracles.py and bench/ modules;
+    # a change that breaks those imports fails here rather than in every
+    # bench run
+    bench = TRACER.parent
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    declared = json.loads((bench.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(module.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])

@@ -24,11 +24,10 @@ from graphbandit.harness import (
     run_game,
     run_games,
     sweep,
-    _sweep_rows,
 )
-from graphbandit.learners import BEFORE_ACTION, Exp3G, FeedbackEvent, Hedge
+from graphbandit.learners import BEFORE_ACTION, Exp3G, FeedbackEvent
 
-from oracles import ConstantAction, DoublingExp3G, HedgePlayer, UniformRandom
+from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom
 
 MANUAL = dict(preset="manual", eta=0.2, gamma=0.1)
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,8 +99,6 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
     for t in range(horizon):
         a = learner.act(rng)
         obs = g.out_index[a - 1]
-        from graphbandit.learners import FeedbackEvent
-
         learner.update(FeedbackEvent(a, obs, table[t][obs - 1]))
         hedge.step(table[t])
         assert np.allclose(learner.q, hedge.distribution, atol=1e-6)
@@ -150,9 +147,6 @@ BAD_PLAYERS = {
     "eta_negative": (dict(MANUAL, eta=-0.2), "eta must be positive"),
     "gamma_negative": (dict(MANUAL, gamma=-0.1), r"gamma must lie in \[0, 1\]"),
     "gamma_above_one": (dict(MANUAL, gamma=1.5), r"gamma must lie in \[0, 1\]"),
-    "exploration_empty": (dict(MANUAL, exploration_set=()), "exploration set must be nonempty"),
-    "exploration_zero": (dict(MANUAL, exploration_set=(0, 2)), "exploration set out of range"),
-    "exploration_past_k": (dict(MANUAL, exploration_set=(2, 5)), "exploration set out of range"),
     "constant_zero": (dict(algorithm="constant", constant_action=0), "action out of range"),
     "constant_past_k": (dict(algorithm="constant", constant_action=5), "action out of range"),
     "hedge_without_eta": (dict(algorithm="hedge"), "hedge needs an explicit eta"),
@@ -297,14 +291,11 @@ def test_sweep_rejects_bad_grid():
 
 
 def test_sweep_rows_independent_of_order():
-    config = bandit_sweep_config()
-    forward = [_sweep_rows(config, [(hi, rep)])[0] for hi in range(2) for rep in range(3)]
-    backward = [
-        _sweep_rows(config, [(hi, rep)])[0]
-        for hi in reversed(range(2)) for rep in reversed(range(3))
-    ]
-    key = lambda row: (row["T"], row["rep"])
-    assert sorted(forward, key=key) == sorted(backward, key=key)
+    # a cell's row depends on its (horizon index, rep) alone, not on the
+    # other games the sweep plays in lockstep beside it
+    rows = sweep(bandit_sweep_config()).rows
+    assert sweep(bandit_sweep_config(reps=1)).rows == [r for r in rows if r["rep"] == 0]
+    assert sweep(bandit_sweep_config(horizons=(64,))).rows == [r for r in rows if r["T"] == 64]
 
 
 def test_sweep_csv_schema(tmp_path):

@@ -10,7 +10,6 @@ from graphbandit.learners import (
     BEFORE_ACTION,
     Exp3G,
     FeedbackEvent,
-    Hedge,
     exp3g_distribution,
     exploration_terms,
     exploration_vector,
@@ -33,26 +32,23 @@ def full_feedback_event(g, action, row):
 
 
 # ---------------------------------------------------------------------------
-# Hedge
+# Hedge: exponential weights over cumulative losses
 
 
 def test_hedge_first_step_example():
-    h = Hedge(2, eta=1.0)
-    q = h.step([0.0, math.log(2.0)])
+    q = exponential_weights(np.array([0.0, math.log(2.0)]), eta=1.0)
     assert np.allclose(q, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_hedge_equal_losses_stay_uniform():
-    h = Hedge(5, eta=0.7)
-    for c in (0.3, 1.0, 0.0, 2.5):
-        q = h.step(np.full(5, c))
+    losses = np.repeat([[0.3], [1.0], [0.0], [2.5]], 5, axis=1)
+    for q in exponential_weights(np.cumsum(losses, axis=0), 0.7):
         assert np.allclose(q, 0.2, atol=1e-12)
 
 
 def test_hedge_rejects_negative_losses():
-    h = Hedge(3, eta=1.0)
-    with pytest.raises(ValueError):
-        h.step([0.1, -0.2, 0.3])
+    with pytest.raises(ValueError, match="nonnegative"):
+        hedge_second_order_bound([[0.1, -0.2, 0.3]], eta=1.0)
 
 
 def test_hedge_matches_direct_recomputation():
@@ -60,13 +56,12 @@ def test_hedge_matches_direct_recomputation():
     for _ in range(30):
         k = int(rng.integers(2, 8))
         eta = float(rng.uniform(0.05, 2.0))
-        h = Hedge(k, eta)
         losses = rng.uniform(0, 3.0, size=(20, k))
+        dists = exponential_weights(np.cumsum(losses, axis=0), eta)
         for t in range(20):
-            q = h.step(losses[t])
             direct = np.exp(-eta * losses[: t + 1].sum(axis=0))
             direct /= direct.sum()
-            assert np.allclose(q, direct, atol=1e-10)
+            assert np.allclose(dists[t], direct, atol=1e-10)
 
 
 def test_hedge_matches_high_precision_reference():
@@ -75,11 +70,9 @@ def test_hedge_matches_high_precision_reference():
         k = int(rng.integers(2, 6))
         eta = float(rng.uniform(0.1, 1.5))
         losses = rng.uniform(0, 5.0, size=(15, k))
-        h = Hedge(k, eta)
-        for t in range(15):
-            h.step(losses[t])
+        q = exponential_weights(np.cumsum(losses, axis=0), eta)[-1]
         expected = hedge_distribution_highprec(losses, eta, 15)
-        assert np.allclose(h.distribution, expected, atol=1e-12)
+        assert np.allclose(q, expected, atol=1e-12)
 
 
 def test_exponential_weights_shift_invariance():
@@ -158,7 +151,9 @@ def test_estimates_zero_probability_raises_without_a_warning(loss):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="zero observation probability"):
-            importance_weighted_estimates(g, np.array([0.5, 0.5]), np.array([1]), np.array([loss]))
+            importance_weighted_estimates(
+                g.in_matrix, np.array([0.5, 0.5]), np.array([True, False]), np.array([loss, 0.0])
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +179,24 @@ def test_second_order_bound_random_instances():
         ]
         lhs, rhs = hedge_second_order_bound(losses, eta, subsets)
         assert lhs <= rhs + 1e-9
+
+
+def test_second_order_bound_is_pinned():
+    # criterion 02's second instance (K=9, T=45, losses up to 2/eta); the
+    # values were recorded from a round-by-round Hedge loop
+    rng = np.random.default_rng(202)
+    for _ in range(2):
+        k = int(rng.integers(2, 11))
+        horizon = int(rng.integers(1, 51))
+        eta = float(rng.uniform(0.05, 1.5))
+        scale = float(rng.choice([0.5, 1.0, 2.0]))
+        losses = rng.uniform(0.0, scale / eta, size=(horizon, k))
+        subsets = [
+            tuple(i + 1 for i in range(k) if losses[t, i] <= 1.0 / eta and rng.random() < 0.7)
+            for t in range(horizon)
+        ]
+    assert (k, horizon) == (9, 45)
+    assert hedge_second_order_bound(losses, eta, subsets) == (7.567938131766105, 75.18119151996784)
 
 
 def test_second_order_refined_below_standard():
@@ -221,14 +234,15 @@ def test_estimates_full_feedback_are_exact():
     g = catalog("full", 4)
     p = np.array([0.1, 0.2, 0.3, 0.4])
     row = np.array([0.5, 0.1, 0.9, 0.0])
-    est = importance_weighted_estimates(g, p, np.arange(1, 5), row)
+    est = importance_weighted_estimates(g.in_matrix, p, np.ones(4, dtype=bool), row)
     assert np.allclose(est, row, atol=1e-15)
 
 
 def test_estimates_bandit_pair_example():
     g = catalog("bandit", 2)
+    # only the observed entry of the loss row is read
     est = importance_weighted_estimates(
-        g, np.array([0.5, 0.5]), np.array([1]), np.array([0.5])
+        g.in_matrix, np.array([0.5, 0.5]), np.array([True, False]), np.array([0.5, 0.7])
     )
     assert np.allclose(est, [1.0, 0.0])
 
@@ -242,8 +256,8 @@ def test_estimates_unbiased_by_enumeration():
         row = rng.uniform(0, 1, size=k)
         expectation = np.zeros(k)
         for j in range(1, k + 1):
-            obs = g.out_index[j - 1]
-            expectation += p[j - 1] * importance_weighted_estimates(g, p, obs, row[obs - 1])
+            observed = g.in_matrix[:, j - 1] > 0  # the out-neighborhood of j
+            expectation += p[j - 1] * importance_weighted_estimates(g.in_matrix, p, observed, row)
         prob = g.in_matrix @ p
         for i in range(k):
             if prob[i] > 0:
@@ -254,7 +268,7 @@ def test_estimates_zero_probability_on_observed_set_raises():
     g = FeedbackGraph(2, [(1, 2), (2, 2)])  # vertex 1 has no in-edges
     with pytest.raises(RuntimeError):
         importance_weighted_estimates(
-            g, np.array([0.5, 0.5]), np.array([1]), np.array([0.3])
+            g.in_matrix, np.array([0.5, 0.5]), np.array([True, False]), np.array([0.3, 0.0])
         )
 
 
@@ -493,17 +507,9 @@ def test_preset_uninformed_values():
 
 def test_sample_index_is_inverse_cdf():
     dist = np.array([0.25, 0.25, 0.5])
-
-    class FakeRng:
-        def __init__(self, value):
-            self.value = value
-
-        def random(self):
-            return self.value
-
-    assert sample_index(dist, FakeRng(0.0)) == 0
-    assert sample_index(dist, FakeRng(0.2499)) == 0
-    assert sample_index(dist, FakeRng(0.25)) == 1
-    assert sample_index(dist, FakeRng(0.4999)) == 1
-    assert sample_index(dist, FakeRng(0.5)) == 2
-    assert sample_index(dist, FakeRng(0.999999)) == 2
+    assert sample_index(dist, 0.0) == 0
+    assert sample_index(dist, 0.2499) == 0
+    assert sample_index(dist, 0.25) == 1
+    assert sample_index(dist, 0.4999) == 1
+    assert sample_index(dist, 0.5) == 2
+    assert sample_index(dist, 0.999999) == 2
