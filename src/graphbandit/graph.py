@@ -43,27 +43,24 @@ class GraphClass(Enum):
 
 class FeedbackGraph:
     """Immutable directed graph over actions 1..K with self-loops allowed,
-    kept as per-vertex bitmasks; the edge set is built on first read."""
+    kept as per-vertex bitmasks; the edge set is rebuilt from them on each
+    read."""
 
-    __slots__ = ("_k", "_edges", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
+    __slots__ = ("_k", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         if num_vertices < 1:
             raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
         k = int(num_vertices)
-        edge_set = set()
+        in_masks = [0] * k
+        out_masks = [0] * k
         for u, v in edges:
             u, v = int(u), int(v)
             if not (1 <= u <= k and 1 <= v <= k):
                 raise ValueError(f"edge ({u}, {v}) out of range for K={k}")
-            edge_set.add((u, v))
-        self._k = k
-        self._edges = None
-        in_masks = [0] * k
-        out_masks = [0] * k
-        for u, v in edge_set:
             out_masks[u - 1] |= 1 << (v - 1)
             in_masks[v - 1] |= 1 << (u - 1)
+        self._k = k
         self._in = tuple(in_masks)
         self._out = tuple(out_masks)
         self._in_matrix = None
@@ -77,14 +74,12 @@ class FeedbackGraph:
 
     @property
     def edges(self) -> frozenset:
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v) for u in range(1, self._k + 1) for v in _mask_to_vertices(self._out[u - 1])
-            )
-        return self._edges
+        return frozenset(
+            (u, v) for u in range(1, self._k + 1) for v in _mask_to_vertices(self._out[u - 1])
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
+        return 1 <= u <= self._k and 1 <= v <= self._k and bool(self._out[u - 1] >> (v - 1) & 1)
 
     def _check_vertex(self, i: int):
         if not 1 <= i <= self._k:
@@ -116,8 +111,8 @@ class FeedbackGraph:
         """
         if self._in_matrix is None:
             m = np.zeros((self._k, self._k))
-            for u, v in self.edges:
-                m[v - 1, u - 1] = 1.0
+            for i, in_mask in enumerate(self._in):
+                m[i, [u - 1 for u in _mask_to_vertices(in_mask)]] = 1.0
             m.setflags(write=False)
             self._in_matrix = m
         return self._in_matrix
@@ -224,7 +219,16 @@ def _clique_cover_bound(adj, cand: int) -> int:
 
 
 def _mis_size(adj, cand: int) -> int:
-    """Maximum independent set size within the vertex bitmask `cand`."""
+    """Maximum independent set size within the vertex bitmask `cand`.
+
+    Colour-ordered branching (Tomita and Seki's maximum-clique search, run
+    on the complement): each node partitions its candidates greedily into
+    cliques, numbered 1, 2, ... in the order they are built, and branches on
+    the vertices from the last clique down. While a vertex of clique c is
+    considered, the candidates left lie in cliques 1..c, and an independent
+    set meets each clique at most once, so the node stops as soon as
+    size + c cannot beat the best set found.
+    """
     best = 0
 
     def visit(sub: int, size: int):
@@ -244,24 +248,26 @@ def _mis_size(adj, cand: int) -> int:
                     scan &= sub
                     size += 1
                     taken = True
-        if sub == 0:
-            if size > best:
-                best = size
-            return
-        if size + _clique_cover_bound(adj, sub) <= best:
-            return
-        # pivot on a maximum-degree vertex
-        pivot, pivot_deg = -1, -1
-        scan = sub
-        while scan:
-            b = scan & -scan
-            v = b.bit_length() - 1
-            d = bin(adj[v] & sub).count("1")
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-            scan ^= b
-        visit(sub & ~adj[pivot] & ~(1 << pivot), size + 1)
-        visit(sub & ~(1 << pivot), size)
+        if size > best:
+            best = size
+        # greedy clique partition of `sub`, each vertex with its clique number
+        order = []
+        rest = sub
+        c = 0
+        while rest:
+            c += 1
+            grow = rest
+            while grow:
+                b = grow & -grow
+                rest ^= b
+                v = b.bit_length() - 1
+                order.append((b, v, c))
+                grow &= adj[v]
+        for b, v, c in reversed(order):
+            if size + c <= best:
+                return
+            visit(sub & ~adj[v] & ~b, size + 1)
+            sub ^= b
 
     visit(cand, 0)
     return best

@@ -99,9 +99,10 @@ def brute_force_delta_fast(g: FeedbackGraph) -> int:
 def weakly_observable_vertices(g: FeedbackGraph):
     """Recomputed from first principles: observable but neither self-aware
     nor watched by everyone else."""
+    edges = g.edges
     out = []
     for i in range(1, g.num_vertices + 1):
-        incoming = {u for u, v in g.edges if v == i}
+        incoming = {u for u, v in edges if v == i}
         if not incoming:
             continue
         if i in incoming:
@@ -114,9 +115,10 @@ def weakly_observable_vertices(g: FeedbackGraph):
 
 
 def dominates(g: FeedbackGraph, dominators, targets) -> bool:
+    edges = g.edges
     covered = set()
     for d in dominators:
-        covered |= {v for u, v in g.edges if u == d}
+        covered |= {v for u, v in edges if u == d}
     return set(targets) <= covered
 
 
@@ -148,9 +150,10 @@ def all_minimum_dominating_sets(g: FeedbackGraph):
 def domination_counts(g: FeedbackGraph, members):
     """Per vertex 1..K, how many of `members` its out-neighborhood covers."""
     members = set(members)
+    edges = g.edges
     counts = []
     for v in range(1, g.num_vertices + 1):
-        outs = {y for x, y in g.edges if x == v}
+        outs = {y for x, y in edges if x == v}
         counts.append(len(outs & members))
     return counts
 
@@ -357,8 +360,9 @@ def reference_encode(g: FeedbackGraph):
     loss = ((columns[None, :] >> shifts[:, None]) & 1).astype(np.int64)
     symbols = np.zeros((k, m), dtype=np.int64)
     signals = []
+    edges = g.edges
     for i in range(k):
-        out_idx = np.array(sorted(v - 1 for u, v in g.edges if u == i + 1), dtype=np.int64)
+        out_idx = np.array(sorted(v - 1 for u, v in edges if u == i + 1), dtype=np.int64)
         seen = {}
         for y in range(m):
             signature = loss[out_idx, y].tobytes()

@@ -8,6 +8,7 @@ from graphbandit.graph import (
     GraphClass,
     GraphFormatError,
     VertexClass,
+    _clique_cover_bound,
     catalog,
     classify_graph,
     classify_vertex,
@@ -61,6 +62,22 @@ def test_neighborhoods_are_consistent():
 def test_duplicate_edges_collapse():
     g = FeedbackGraph(2, [(1, 2), (1, 2), (2, 2)])
     assert len(g.edges) == 2
+
+
+def test_has_edge_and_in_matrix_agree_with_the_edge_set():
+    # vertices just outside 1..K are not edges either
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        k = int(rng.integers(1, 9))
+        g = random_graph(rng, k, float(rng.uniform(0, 1)))
+        edges = g.edges
+        for u in range(-1, k + 3):
+            for v in range(-1, k + 3):
+                assert g.has_edge(u, v) == ((u, v) in edges)
+        want = np.zeros((k, k))
+        for u, v in edges:
+            want[v - 1, u - 1] = 1.0
+        assert np.array_equal(g.in_matrix, want)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +199,42 @@ def test_alpha_cap():
     with pytest.raises(ValueError):
         independence_number(catalog("bandit", 41))
     assert independence_number(catalog("bandit", 40))[0] == 40
+
+
+def _odd_cycle(m):
+    n = 2 * m + 1
+    return FeedbackGraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 19])
+def test_alpha_of_odd_cycles(m):
+    # every vertex has two neighbours and the greedy clique cover has m + 1
+    # cliques, so the search has to branch to prove alpha = m
+    g = _odd_cycle(m)
+    assert _clique_cover_bound(g.symmetric_masks, (1 << g.num_vertices) - 1) == m + 1
+    assert independence_number(g) == (m, frozenset(range(1, 2 * m, 2)))
+
+
+@pytest.mark.parametrize("sizes", [(16,), (8, 8), (4,) * 4, (2,) * 8, (1,) * 16, (3, 1, 5, 2, 7)])
+def test_alpha_of_disjoint_self_looped_cliques(sizes):
+    edges, firsts, start = [], [], 1
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(u, v) for u in block for v in block]
+        firsts.append(start)
+        start += size
+    g = FeedbackGraph(start - 1, edges)
+    assert independence_number(g) == (len(sizes), frozenset(firsts))
+
+
+@pytest.mark.parametrize("g,alpha,witness", [
+    (FeedbackGraph(1, []), 1, {1}),
+    (FeedbackGraph(1, [(1, 1)]), 1, {1}),
+    (FeedbackGraph(40, []), 40, set(range(1, 41))),
+    (catalog("loopless_clique", 40), 1, {1}),
+])
+def test_alpha_at_the_extremes(g, alpha, witness):
+    assert independence_number(g) == (alpha, frozenset(witness))
 
 
 def test_alpha_matches_brute_force():
