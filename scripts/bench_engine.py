@@ -79,9 +79,11 @@ def worker_per_round():
     return out
 
 
-def _run_worker(tree: Path) -> dict:
+def run_worker(script: str, tree: Path, *argv) -> dict:
+    """Run `script --worker ARGV...` in a fresh interpreter on `tree`'s `src/`
+    and return the JSON object it prints last."""
     env = dict(ENV, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker"]
+    cmd = [sys.executable, str(Path(script).resolve()), "--worker", *map(str, argv)]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -117,6 +119,22 @@ def measure_tier1(tree: Path) -> dict:
     return {"wall_s": wall, "counts": counts, "criterion_05_setup_s": fixtures}
 
 
+def extract_parent(parent_rev: str, work: Path) -> tuple:
+    """Extract `parent_rev` with `git archive` into `work`/parent and return
+    (its full revision, that tree, the full revision of HEAD)."""
+    parent = work / "parent"
+    parent.mkdir(parents=True, exist_ok=True)
+
+    def rev_parse(rev):
+        return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    rev = rev_parse(parent_rev)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+    return rev, parent, rev_parse("HEAD")
+
+
 def host() -> dict:
     cpu = ""
     cpuinfo = Path("/proc/cpuinfo")
@@ -144,14 +162,7 @@ def main():
         return
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_engine_"))
-    parent = work / "parent"
-    parent.mkdir(parents=True, exist_ok=True)
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    rev, parent, head = extract_parent(args.parent, work)
 
     report = {
         "config": {
@@ -177,7 +188,7 @@ def main():
     for i in range(args.repeats):
         for label, tree in trees[::-1] if i % 2 else trees:
             print(f"{label}: per-round and pilot, run {i + 1}", file=sys.stderr)
-            runs[label]["per_round"].append(_run_worker(tree))
+            runs[label]["per_round"].append(run_worker(__file__, tree))
             runs[label]["pilot"].append(measure_pilot(tree, work))
     for label, tree in trees:
         per_round, pilot = runs[label]["per_round"], runs[label]["pilot"]

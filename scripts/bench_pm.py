@@ -36,7 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_engine import ENV, host
+from bench_engine import extract_parent, host, run_worker
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1409
@@ -91,13 +91,6 @@ def worker_per_k(repeats):
         for k in KS
     }
     return {"per_K": per_k, "verdicts": verdicts}
-
-
-def _run_worker(tree: Path, name: str, arg: int) -> dict:
-    env = dict(ENV, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", name, "--arg", str(arg)]
-    done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _bench_run(tree: Path, seed: int, trace: int) -> str:
@@ -174,14 +167,7 @@ def main():
         return
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_pm_"))
-    parent = work / "parent"
-    parent.mkdir(parents=True, exist_ok=True)
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    rev, parent, head = extract_parent(args.parent, work)
     trees = {"before": parent, "after": ROOT}
 
     report = {
@@ -198,7 +184,7 @@ def main():
     }
     for label, tree in trees.items():
         print(f"{label}: per-K operations", file=sys.stderr)
-        report[label].update(_run_worker(tree, "per_k", args.repeats))
+        report[label].update(run_worker(__file__, tree, "per_k", "--arg", args.repeats))
     if report["before"].pop("verdicts") != report["after"].pop("verdicts"):
         raise AssertionError("the trees give different verdicts or symbol counts")
     report["verdicts_equal"] = True

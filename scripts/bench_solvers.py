@@ -29,13 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_engine import ENV, host
+from bench_engine import extract_parent, host, run_worker
 from bench_pm import analysis_pairs, analysis_trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,13 +74,6 @@ def worker_per_k(repeats):
     return {"per_K": per_k, "results": results}
 
 
-def _run_worker(tree: Path, name: str, arg: int) -> dict:
-    env = dict(ENV, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", name, "--arg", str(arg)]
-    done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -100,14 +92,7 @@ def main():
         return
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_solvers_"))
-    parent = work / "parent"
-    parent.mkdir(parents=True, exist_ok=True)
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
-    subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+    rev, parent, head = extract_parent(args.parent, work)
     trees = {"before": parent, "after": ROOT}
 
     report = {
@@ -124,7 +109,7 @@ def main():
     }
     for label, tree in trees.items():
         print(f"{label}: per-K solver calls", file=sys.stderr)
-        report[label].update(_run_worker(tree, "per_k", args.repeats))
+        report[label].update(run_worker(__file__, tree, "per_k", "--arg", args.repeats))
     if report["before"].pop("results") != report["after"].pop("results"):
         raise AssertionError("the trees give different solver results")
     report["results_equal"] = True

@@ -139,20 +139,28 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _single_run(args, chi=None):
-    env_spec = _env_spec(args)
-    graph = _resolve_graph(args, required=env_spec.kind != "thm7")
-    if env_spec.kind == "thm7" and graph is not None:
+def _game_graph(args, env_spec) -> FeedbackGraph | None:
+    """The fixed graph of `run` and `sweep`, or None for thm7, whose own
+    graph sequence needs --k to size it and a mode that follows it."""
+    if env_spec.kind != "thm7":
+        return _resolve_graph(args)
+    if _resolve_graph(args, required=False) is not None:
         raise ValueError("the thm7 environment provides its own graph sequence")
-    if env_spec.kind == "thm7" and args.mode == "fixed":
+    if args.mode == "fixed":
         raise ValueError("the thm7 environment needs --mode informed or uninformed")
-    num_actions = graph.num_vertices if graph is not None else args.k
-    if num_actions is None:
-        raise ValueError("need --k to size the environment")
+    if args.k is None:
+        raise ValueError("need --k to size the thm7 environment")
+    return None
+
+
+def _single_run(args):
+    env_spec = _env_spec(args)
+    graph = _game_graph(args, env_spec)
+    num_actions = args.k if graph is None else graph.num_vertices
     spec = _learner_spec(args)
     env_ss, player_ss = harness.cell_streams(args.seed, 0, 0)
     env = environments.build_environment(
-        env_spec, args.T, env_ss, num_actions=num_actions, graph=graph, chi=chi
+        env_spec, args.T, env_ss, num_actions=num_actions, graph=graph
     )
     transcript = harness.run_game(
         None if env.time_varying else graph, spec, env, player_ss
@@ -189,12 +197,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     env_spec = _env_spec(args)
-    graph = _resolve_graph(args, required=env_spec.kind != "thm7")
+    graph = _game_graph(args, env_spec)
     if env_spec.kind == "thm7":
-        if graph is not None:
-            raise ValueError("the thm7 environment provides its own graph sequence")
-        if args.k is None:
-            raise ValueError("need --k to size the thm7 environment")
         env_spec = environments.EnvSpec("thm7", {**env_spec.params, "k": args.k})
         graph_name = "thm7-sequence"
     else:
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=10_000, help="horizon for the rate prediction")
     p.set_defaults(func=cmd_profile)
 
-    def add_game_flags(p, horizon_help):
+    def add_game_flags(p):
         _add_graph_source(p, positional=False)
         p.add_argument("--learner", choices=("hedge", "exp3g"), default="exp3g")
         p.add_argument("--preset", choices=tuple(PRESET_FLAGS), default="strong")
@@ -319,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("run", help="play one seeded game and print its regret")
-    add_game_flags(p, "rounds")
+    add_game_flags(p)
     p.add_argument("--T", type=int, default=1000, help="number of rounds")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="seeded repetitions over a horizon grid, to CSV")
-    add_game_flags(p, "horizon grid")
+    add_game_flags(p)
     p.add_argument("--T", required=True, help="comma-separated horizon grid, increasing")
     p.add_argument("--reps", type=int, default=8)
     p.add_argument("--out", default="results.csv", help="results CSV path")

@@ -14,14 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import FeedbackGraph, weak_domination_number, weakly_observable_set
+from .graph import _mask_to_vertices
 
 ENV_KINDS = ("table", "bernoulli", "thm4", "thm5", "thm8", "thm7")
 
 
-def _seed_seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _gap(eps: float) -> float:
+    """A planted instance's gap: capped at 1/4 so every mean stays inside
+    [1/4, 3/4] or at 1, and refused unless positive."""
+    eps = min(float(eps), 0.25)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
+def _draw(rng: np.random.Generator, horizon: int, means) -> np.ndarray:
+    """A horizon x K table of independent Bernoulli losses with per-arm means."""
+    return (rng.random((horizon, len(means))) < means[None, :]).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +82,7 @@ def bernoulli_env(mu, horizon: int, seed) -> Environment:
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0) or np.any(mu > 1):
         raise ValueError("means must lie in [0, 1]")
-    rng = np.random.default_rng(_seed_seq(seed))
-    table = (rng.random((horizon, len(mu))) < mu[None, :]).astype(float)
+    table = _draw(np.random.default_rng(seed), horizon, mu)
     return Environment(
         "bernoulli", len(mu), horizon, table, means=mu.copy(), params={"mu": tuple(mu)}
     )
@@ -114,16 +122,11 @@ def simple_weak_env(
         raise ValueError("construction needs K >= 3")
     if chi not in (-1, 1):
         raise ValueError("chi must be -1 or +1")
-    if eps is None:
-        eps = 0.5 * horizon ** (-1.0 / 3.0)
-    eps = min(float(eps), 0.25)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _gap(0.5 * horizon ** (-1.0 / 3.0) if eps is None else eps)
     means = np.ones(num_actions)
     means[0] = 0.5 - eps * chi
     means[1] = 0.5
-    rng = np.random.default_rng(_seed_seq(seed))
-    table = (rng.random((horizon, num_actions)) < means[None, :]).astype(float)
+    table = _draw(np.random.default_rng(seed), horizon, means)
     return Environment(
         "thm8", num_actions, horizon, table, means=means,
         params={"chi": chi, "eps": eps},
@@ -142,8 +145,9 @@ def weak_lower_env(
     (|U| / (32 T ln K))^(1/3), capped at 1/4. Falls back to the two-arm
     construction when U has fewer than two vertices.
     """
-    ss = _seed_seq(seed)
-    set_ss, draw_ss = ss.spawn(2)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    set_ss, draw_ss = seed.spawn(2)
     result = domination_capped_independent_set(g, seed=set_ss)
     support = sorted(result.vertices)
     if len(support) < 2:
@@ -157,15 +161,13 @@ def weak_lower_env(
         raise ValueError(f"chi must be one of the support vertices {support}")
     m = len(support)
     k = g.num_vertices
-    if eps is None:
-        eps = m ** (1.0 / 3.0) * (32.0 * horizon * math.log(k)) ** (-1.0 / 3.0)
-    eps = min(float(eps), 0.25)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _gap(
+        m ** (1.0 / 3.0) * (32.0 * horizon * math.log(k)) ** (-1.0 / 3.0) if eps is None else eps
+    )
     means = np.ones(k)
     means[np.asarray(support) - 1] = 0.5
     means[chi - 1] = 0.5 - eps
-    table = (rng.random((horizon, k)) < means[None, :]).astype(float)
+    table = _draw(rng, horizon, means)
     return Environment(
         "thm5", k, horizon, table, means=means,
         params={"chi": chi, "eps": eps, "support": tuple(support)},
@@ -186,21 +188,17 @@ def uninformed_separation_env(
     """
     if num_actions < 4:
         raise ValueError("construction needs K >= 4")
-    rng = np.random.default_rng(_seed_seq(seed))
+    rng = np.random.default_rng(seed)
     if chi is None:
         chi = 1 if rng.random() < 0.5 else -1
     if chi not in (-1, 1):
         raise ValueError("chi must be -1 or +1")
-    if eps is None:
-        eps = 0.25 * (num_actions / horizon) ** (1.0 / 3.0)
-    eps = min(float(eps), 0.25)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = _gap(0.25 * (num_actions / horizon) ** (1.0 / 3.0) if eps is None else eps)
     revealers = rng.integers(3, num_actions + 1, size=horizon)
     means = np.ones(num_actions)
     means[0] = 0.5 - eps * chi
     means[1] = 0.5
-    table = (rng.random((horizon, num_actions)) < means[None, :]).astype(float)
+    table = _draw(rng, horizon, means)
     graphs = tuple(
         _one_revealer_graph(num_actions, j) for j in range(3, num_actions + 1)
     )
@@ -252,7 +250,8 @@ def domination_capped_independent_set(
     probability per attempt; after `max_attempts` failures a greedy pass
     returns a set that honors the domination cap but is flagged as missing
     the size bound. For small k the target degenerates to 1 and the greedy
-    pass is used directly.
+    pass is used directly. Sets are vertex bitmasks (bit v-1 for vertex v)
+    and every count is a popcount against the graph's out- and in-masks.
     """
     w = weakly_observable_set(g)
     if not w:
@@ -262,96 +261,63 @@ def domination_capped_independent_set(
     cap = max(1, math.ceil(log_n))
     k = weak_domination_number(g)[0]
     target = max(1, math.floor(k / (50.0 * log_n))) if log_n > 0 else 1
+    out = [g.out_mask(v) for v in range(1, n + 1)]
+    inc = [g.in_mask(v) for v in range(1, n + 1)]
+    adj = g.symmetric_masks
 
-    if k >= 50.0 * log_n:
-        rng = np.random.default_rng(_seed_seq(seed))
+    def dominated(members: int) -> list:
+        # per vertex, how many of `members` its out-neighborhood covers
+        return [(mask & members).bit_count() for mask in out]
+
+    def greedy(order, capped: bool) -> int:
+        # independent members in scan order; when capped, a vertex is also
+        # passed over if one of its dominators already covers `cap` members
+        chosen = 0
+        for v in order:
+            if adj[v - 1] & chosen or capped and any(
+                (out[d - 1] & chosen).bit_count() >= cap for d in _mask_to_vertices(inc[v - 1])
+            ):
+                continue
+            chosen |= 1 << (v - 1)
+        return chosen
+
+    probabilistic = k >= 50.0 * log_n
+    if probabilistic:
+        rng = np.random.default_rng(seed)
         beta = 2.0 * log_n / k
-        r = _beta_shrink(g, w, beta)
+        # shrink W until no vertex dominates more than a beta fraction of it
+        r = sum(1 << (v - 1) for v in w)
+        while r:
+            bound = beta * r.bit_count()
+            hit = next((mask & r for mask in out if (mask & r).bit_count() > bound), 0)
+            if not hit:
+                break
+            r &= ~hit
         m = math.floor(1.0 / (10.0 * beta))
-        r_list = sorted(r)
+        r_list = sorted(_mask_to_vertices(r))
         for _ in range(max_attempts):
             if m < 1 or not r_list:
                 break
             sample = sorted(set(rng.choice(r_list, size=m, replace=True).tolist()))
             if len(sample) * 10 < m:
                 continue
-            if any(_dominated_count(g, v, sample) > log_n for v in range(1, n + 1)):
+            members = sum(1 << (v - 1) for v in sample)
+            counts = dominated(members)
+            if max(counts) > log_n or 2 * sum(counts[v - 1] for v in sample) > len(sample):
                 continue
-            induced = sum(_dominated_count(g, v, sample) for v in sample)
-            if induced * 2 > len(sample):
-                continue
-            independent = _greedy_independent(g, sample)
-            if len(independent) >= target and _cap_ok(g, independent, cap):
-                return CappedIndependentSet(
-                    frozenset(independent), cap, True, False
-                )
-        fallback = _greedy_capped(g, sorted(w), cap)
-        return CappedIndependentSet(
-            frozenset(fallback), cap, len(fallback) >= target, True
-        )
-
-    chosen = _greedy_capped(g, sorted(w), cap)
-    return CappedIndependentSet(frozenset(chosen), cap, len(chosen) >= target, False)
-
-
-def _beta_shrink(g: FeedbackGraph, w, beta: float):
-    """Shrink W until no vertex dominates more than a beta fraction of it."""
-    r = set(w)
-    while r:
-        offender = None
-        for v in range(1, g.num_vertices + 1):
-            hit = g.out_neighbors(v) & r
-            if len(hit) > beta * len(r):
-                offender = hit
-                break
-        if offender is None:
-            return r
-        r -= offender
-    return r
-
-
-def _dominated_count(g: FeedbackGraph, v: int, members) -> int:
-    out = g.out_neighbors(v)
-    return sum(1 for u in members if u in out)
-
-
-def _cap_ok(g: FeedbackGraph, members, cap: int) -> bool:
-    return all(
-        _dominated_count(g, v, members) <= cap for v in range(1, g.num_vertices + 1)
+            # ascending degree inside the sample, then vertex
+            sample.sort(key=lambda v: (
+                (out[v - 1] & members).bit_count() + (inc[v - 1] & members).bit_count(), v
+            ))
+            chosen = greedy(sample, capped=False)
+            if chosen.bit_count() >= target and max(dominated(chosen)) <= cap:
+                return CappedIndependentSet(_mask_to_vertices(chosen), cap, True, False)
+    # in the probabilistic regime this pass is reached only when no sample
+    # succeeded, so it is the fallback
+    chosen = greedy(sorted(w), capped=True)
+    return CappedIndependentSet(
+        _mask_to_vertices(chosen), cap, chosen.bit_count() >= target, probabilistic
     )
-
-
-def _greedy_independent(g: FeedbackGraph, vertices):
-    """Greedy independent subset: scan by ascending degree inside the sample."""
-    pool = list(vertices)
-
-    def degree(v):
-        out = _dominated_count(g, v, pool)
-        inc = sum(1 for u in pool if v in g.out_neighbors(u))
-        return out + inc
-
-    pool.sort(key=lambda v: (degree(v), v))
-    chosen = []
-    for v in pool:
-        if all(not g.has_edge(v, u) and not g.has_edge(u, v) for u in chosen):
-            chosen.append(v)
-    return chosen
-
-
-def _greedy_capped(g: FeedbackGraph, candidates, cap: int):
-    """Greedy pass keeping independence and the per-vertex domination cap."""
-    chosen = []
-    counts = [0] * (g.num_vertices + 1)
-    for v in candidates:
-        if any(g.has_edge(v, u) or g.has_edge(u, v) for u in chosen):
-            continue
-        dominators = [d for d in range(1, g.num_vertices + 1) if v in g.out_neighbors(d)]
-        if any(counts[d] + 1 > cap for d in dominators):
-            continue
-        chosen.append(v)
-        for d in dominators:
-            counts[d] += 1
-    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +333,7 @@ def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: in
     [0, 1] and are a pure function of (num_actions, horizon, count, seed).
     """
     k, t = num_actions, horizon
-    rng = np.random.default_rng(_seed_seq(seed))
+    rng = np.random.default_rng(seed)
     rounds = np.arange(t)
     named = []
     named.append(("const_half", np.full((t, k), 0.5)))
@@ -387,9 +353,7 @@ def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: in
     wave = 0.5 * (1.0 + np.sin(2.0 * np.pi * rounds[:, None] / 64.0 + phases[None, :]))
     named.append(("sine_drift", wave))
     while len(named) < count:
-        means = rng.uniform(0.0, 1.0, size=k)
-        table = (rng.random((t, k)) < means[None, :]).astype(float)
-        named.append((f"bernoulli_{len(named)}", table))
+        named.append((f"bernoulli_{len(named)}", _draw(rng, t, rng.uniform(0.0, 1.0, size=k))))
     return named[:count]
 
 
@@ -436,6 +400,8 @@ def build_environment(
         params["chi"] = chi
     if num_actions is None and graph is not None:
         num_actions = graph.num_vertices
+    if num_actions is None and spec.kind in ("thm4", "thm8", "thm7"):
+        raise ValueError(f"{spec.kind} environment needs the action count")
     if spec.kind == "table":
         table = params.get("table")
         if table is None:
@@ -453,12 +419,8 @@ def build_environment(
             raise ValueError("bernoulli environment needs `mu`")
         return bernoulli_env(mu, horizon, seed)
     if spec.kind == "thm4":
-        if num_actions is None:
-            raise ValueError("thm4 environment needs the action count")
         return hidden_arm_env(int(params.get("chi", 1)), horizon, num_actions)
     if spec.kind == "thm8":
-        if num_actions is None:
-            raise ValueError("thm8 environment needs the action count")
         return simple_weak_env(
             horizon, num_actions, int(params.get("chi", 1)), seed,
             eps=params.get("eps"),
@@ -470,8 +432,6 @@ def build_environment(
             graph, horizon, seed, chi=params.get("chi"), eps=params.get("eps")
         )
     if spec.kind == "thm7":
-        if num_actions is None:
-            raise ValueError("thm7 environment needs the action count")
         return uninformed_separation_env(
             num_actions, horizon, seed, chi=params.get("chi"), eps=params.get("eps")
         )

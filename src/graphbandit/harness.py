@@ -561,7 +561,7 @@ class ExperimentReport:
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row)
@@ -631,12 +631,11 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     # keep only what a row needs of each transcript
     runs = [None] * len(games)
     for i, run in _play(config.graph, config.learner, games):
-        runs[i] = (run.config["K"], run.player_loss, run.best_fixed_loss, run.regret,
-                   run.expected_regret)
+        runs[i] = (run.config["K"], run.player_loss, run.best_fixed_loss, run.regret)
 
     rows = []
     for cell, i in zip(cells, range(0, len(runs), len(chis))):
-        k, player, best, regret, expected = zip(*runs[i:i + len(chis)])
+        k, player, best, regret = zip(*runs[i:i + len(chis)])
         rows.append({
             "graph": config.graph_name,
             "K": k[0],
@@ -651,9 +650,6 @@ def sweep(config: SweepConfig) -> ExperimentReport:
             "player_loss": float(np.mean(player)),
             "best_fixed_loss": float(np.mean(best)),
             "regret": float(np.mean(regret)),
-            "expected_regret": (
-                float(np.mean(expected)) if all(e is not None for e in expected) else None
-            ),
         })
     echo = {
         "graph": config.graph_name,

@@ -6,13 +6,16 @@ single-game form of the engine's learners: one object per game, acting and
 updating one round at a time, which the lockstep engine must reproduce.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from graphbandit import learners
+from graphbandit.environments import CappedIndependentSet
 from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
 from graphbandit.graph import profile as graph_profile
+from graphbandit.graph import weak_domination_number, weakly_observable_set
 
 
 def is_independent(g: FeedbackGraph, vertices) -> bool:
@@ -343,6 +346,119 @@ def reference_weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EX
         picked.append(best_v + 1)
         remaining &= ~cover[best_v]
     return len(picked), frozenset(picked), False
+
+
+# ---------------------------------------------------------------------------
+# the domination-capped independent set as first written, on neighbor sets
+
+
+def reference_capped_independent_set(
+    g: FeedbackGraph, seed=0, max_attempts: int = 64
+) -> CappedIndependentSet:
+    """The construction of `environments.domination_capped_independent_set`
+    with every count taken over `out_neighbors` frozensets: the same random
+    draws, the same scan orders, the same result."""
+    w = weakly_observable_set(g)
+    if not w:
+        raise ValueError("graph has no weakly observable vertices")
+    n = g.num_vertices
+    log_n = math.log(n)
+    cap = max(1, math.ceil(log_n))
+    k = weak_domination_number(g)[0]
+    target = max(1, math.floor(k / (50.0 * log_n))) if log_n > 0 else 1
+
+    if k >= 50.0 * log_n:
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        rng = np.random.default_rng(seed)
+        beta = 2.0 * log_n / k
+        r = _reference_beta_shrink(g, w, beta)
+        m = math.floor(1.0 / (10.0 * beta))
+        r_list = sorted(r)
+        for _ in range(max_attempts):
+            if m < 1 or not r_list:
+                break
+            sample = sorted(set(rng.choice(r_list, size=m, replace=True).tolist()))
+            if len(sample) * 10 < m:
+                continue
+            if any(_reference_dominated_count(g, v, sample) > log_n for v in range(1, n + 1)):
+                continue
+            induced = sum(_reference_dominated_count(g, v, sample) for v in sample)
+            if induced * 2 > len(sample):
+                continue
+            independent = _reference_greedy_independent(g, sample)
+            if len(independent) >= target and _reference_cap_ok(g, independent, cap):
+                return CappedIndependentSet(
+                    frozenset(independent), cap, True, False
+                )
+        fallback = _reference_greedy_capped(g, sorted(w), cap)
+        return CappedIndependentSet(
+            frozenset(fallback), cap, len(fallback) >= target, True
+        )
+
+    chosen = _reference_greedy_capped(g, sorted(w), cap)
+    return CappedIndependentSet(frozenset(chosen), cap, len(chosen) >= target, False)
+
+
+def _reference_beta_shrink(g: FeedbackGraph, w, beta: float):
+    """Shrink W until no vertex dominates more than a beta fraction of it."""
+    r = set(w)
+    while r:
+        offender = None
+        for v in range(1, g.num_vertices + 1):
+            hit = g.out_neighbors(v) & r
+            if len(hit) > beta * len(r):
+                offender = hit
+                break
+        if offender is None:
+            return r
+        r -= offender
+    return r
+
+
+def _reference_dominated_count(g: FeedbackGraph, v: int, members) -> int:
+    out = g.out_neighbors(v)
+    return sum(1 for u in members if u in out)
+
+
+def _reference_cap_ok(g: FeedbackGraph, members, cap: int) -> bool:
+    return all(
+        _reference_dominated_count(g, v, members) <= cap
+        for v in range(1, g.num_vertices + 1)
+    )
+
+
+def _reference_greedy_independent(g: FeedbackGraph, vertices):
+    """Greedy independent subset: scan by ascending degree inside the sample."""
+    pool = list(vertices)
+
+    def degree(v):
+        out = _reference_dominated_count(g, v, pool)
+        inc = sum(1 for u in pool if v in g.out_neighbors(u))
+        return out + inc
+
+    pool.sort(key=lambda v: (degree(v), v))
+    chosen = []
+    for v in pool:
+        if all(not g.has_edge(v, u) and not g.has_edge(u, v) for u in chosen):
+            chosen.append(v)
+    return chosen
+
+
+def _reference_greedy_capped(g: FeedbackGraph, candidates, cap: int):
+    """Greedy pass keeping independence and the per-vertex domination cap."""
+    chosen = []
+    counts = [0] * (g.num_vertices + 1)
+    for v in candidates:
+        if any(g.has_edge(v, u) or g.has_edge(u, v) for u in chosen):
+            continue
+        dominators = [d for d in range(1, g.num_vertices + 1) if v in g.out_neighbors(d)]
+        if any(counts[d] + 1 > cap for d in dominators):
+            continue
+        chosen.append(v)
+        for d in dominators:
+            counts[d] += 1
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,17 @@ def test_missing_learning_rates_exit_2(capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_thm7_fixed_mode_refused_at_the_boundary(capsys, tmp_path, command):
+    code, out, err = run_cli(
+        capsys, command, "--env", "thm7", "--k", "5", "--T", "64",
+        *(("--out", str(tmp_path / "rows.csv")) if command == "sweep" else ()),
+    )
+    assert code == 2
+    assert out == ""
+    assert "the thm7 environment needs --mode informed or uninformed" in err
+
+
 def test_sweep_rejects_decreasing_grid(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--catalog", "bandit", "--k", "2", "--env", "bernoulli",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,7 +19,12 @@ from graphbandit.environments import (
 )
 from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 
-from oracles import domination_counts, is_independent, random_weakly_observable_graph
+from oracles import (
+    domination_counts,
+    is_independent,
+    random_weakly_observable_graph,
+    reference_capped_independent_set,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +170,46 @@ def test_weak_lower_empirical_means():
         assert abs(env.losses[:, i].mean() - mu) <= 3 * sigma + 1e-9
 
 
+def _chorded_cycle(n, chords, rng):
+    # every vertex dominates its successor; `chords` random extra edges
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(int(u), int(v)) for u, v in rng.integers(1, n + 1, size=(chords, 2))]
+    return FeedbackGraph(n, edges)
+
+
+# per (graph, horizon, seed) case, the SHA-256 of the environment's kind,
+# losses, means and params, recorded before the capped set moved onto
+# bitmasks; no workload plays thm5, so these pin its tables. The last case
+# has one weakly observable vertex and falls back to the thm8 instance.
+WEAK_LOWER_DIGESTS = {
+    "revealing_action": "2c4bd1670a6825c7057a80a4e263dd85ec0ed1655f9390a4cf50d1cecc54186a",
+    "random": "2f509d11fa7434f82a845287bf028ab2edfcd8bba7913bc5cb02c4c7b59134b6",
+    "cycle": "9336ef2965be383c7ceb47d2d297b029a885e8144b70d32f0f4cc6e848bb14c6",
+    "fallback": "df2f486d0324d165ad2e2b9e88bdd13ca735c7302c2f5d8f62a039cddecb1f6b",
+}
+
+
+def _weak_lower_cases():
+    rng = np.random.default_rng(1205)
+    return {
+        "revealing_action": (catalog("revealing_action", 8), 1000, 5),
+        "random": (random_weakly_observable_graph(rng, max_vertices=14), 512, 6),
+        "cycle": (_chorded_cycle(300, 0, rng), 256, 7),
+        "fallback": (catalog("clique_minus", 5), 512, 8),
+    }
+
+
+def test_weak_lower_env_matches_recorded_digests():
+    for name, (g, horizon, seed) in _weak_lower_cases().items():
+        env = weak_lower_env(g, horizon, seed=seed)
+        digest = hashlib.sha256()
+        digest.update(env.kind.encode())
+        digest.update(env.losses.tobytes())
+        digest.update(env.means.tobytes())
+        digest.update(repr(sorted(env.params.items())).encode())
+        assert digest.hexdigest() == WEAK_LOWER_DIGESTS[name], name
+
+
 def test_weak_lower_falls_back_to_simple_weak():
     # a single weakly observable vertex cannot host a planted subset
     g = catalog("clique_minus", 5)
@@ -271,6 +317,22 @@ def test_capped_set_probabilistic_regime():
     assert result.meets_size_bound
     assert is_independent(g, sorted(result.vertices))
     assert max(domination_counts(g, sorted(result.vertices))) <= result.cap
+
+
+def test_capped_set_equals_reference():
+    # small random graphs take the greedy path; the long cycles, with and
+    # without chords, are in the probabilistic regime (delta >= 50 ln K) or
+    # close to it, and max_attempts=0 forces the fallback there
+    rng = np.random.default_rng(1206)
+    graphs = [random_weakly_observable_graph(rng, max_vertices=14) for _ in range(60)]
+    graphs += [_chorded_cycle(n, chords, rng)
+               for n, chords in ((300, 0), (300, 30), (550, 55), (800, 0))]
+    for g in graphs:
+        seed = int(rng.integers(1 << 30))
+        for max_attempts in (64, 0):
+            got = domination_capped_independent_set(g, seed=seed, max_attempts=max_attempts)
+            want = reference_capped_independent_set(g, seed=seed, max_attempts=max_attempts)
+            assert got == want, (g, max_attempts)
 
 
 def test_capped_set_needs_weak_vertices():

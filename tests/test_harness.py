@@ -307,6 +307,14 @@ def test_sweep_csv_schema(tmp_path):
     assert len(lines) == 1 + len(report.rows)
 
 
+def test_sweep_rows_carry_exactly_the_csv_columns(tmp_path):
+    report = sweep(bandit_sweep_config())
+    assert all(tuple(row) == CSV_COLUMNS for row in report.rows)
+    report.rows[0]["stray"] = 0.0
+    with pytest.raises(ValueError):
+        report.write_csv(tmp_path / "rows.csv")
+
+
 def test_sweep_chi_average_thm4_is_quarter_t():
     g = FeedbackGraph(3, [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
     config = SweepConfig(
