@@ -10,13 +10,14 @@ and measured on the same machine, in the same run, as the working tree.
 Every measurement runs in a fresh interpreter with BLAS pinned to one thread
 and with the tree's own `src/` first on the path:
 
-- per_K: milliseconds of `graph.independence_number` and of an exact
+- per_K: milliseconds of `graph.independence_number` and of
   `graph.weak_domination_number` on the profile graphs of the benchmark's
   analysis corpus (`bench/workloads.py`, 48 graphs per K = 12..40, half
-  sparse and half dense; delta only up to its exact cap, K <= 20): per graph
-  the median of `--repeats` calls on a fresh copy of the graph, per K the
+  sparse and half dense): `delta` up to its exact cap (K <= 20), and
+  `delta_greedy` above it (K = 24..40, the greedy cover); per graph the
+  median of `--repeats` calls on a fresh copy of the graph, per K the
   median and the sum over its graphs. Both trees must return the same
-  tuples, witnesses included;
+  tuples, witnesses and the `exact` flag included;
 - analysis_pairs: `bench/run.py --workload analysis --seconds 20 --trace 0`
   at each of `--seeds`, the parent and the working tree alternating which
   runs first (as in `scripts/bench_pm.py`);
@@ -38,7 +39,6 @@ from bench_engine import extract_parent, host, run_worker
 from bench_pm import analysis_pairs, analysis_trace
 
 ROOT = Path(__file__).resolve().parent.parent
-OPS = ("alpha", "delta")
 
 
 def worker_per_k(repeats):
@@ -51,9 +51,8 @@ def worker_per_k(repeats):
     times, results = {}, []
     for g in AnalysisWorkload.corpus()["profile"]:
         k = g.num_vertices
-        ops = {"alpha": graph.independence_number}
-        if k <= graph.DELTA_EXACT_CAP:
-            ops["delta"] = graph.weak_domination_number
+        delta = "delta" if k <= graph.DELTA_EXACT_CAP else "delta_greedy"
+        ops = {"alpha": graph.independence_number, delta: graph.weak_domination_number}
         for op, solve in ops.items():
             samples = []
             for _ in range(repeats):
@@ -99,6 +98,7 @@ def main():
         "config": {
             "graphs": "bench/workloads.py AnalysisWorkload.corpus()['profile'] (seed 1409)",
             "delta_K": "K <= DELTA_EXACT_CAP (20), the exact path",
+            "delta_greedy_K": "K > DELTA_EXACT_CAP, the greedy cover",
             "repeats": args.repeats, "blas_threads": 1,
             "analysis_runs": "bench/run.py --workload analysis --seconds 20 --trace 0",
             "analysis_seeds": args.seeds,

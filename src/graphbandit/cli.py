@@ -227,6 +227,8 @@ def cmd_sweep(args) -> int:
 def cmd_lowerbound(args) -> int:
     pairs = []
     horizon = args.T
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if args.which in ("thm4", "all"):
         g = FeedbackGraph(3, [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
         spec = harness.LearnerSpec(algorithm="exp3g", preset="manual", eta=0.2, gamma=0.1)

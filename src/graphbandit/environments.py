@@ -395,6 +395,8 @@ def build_environment(
 ) -> Environment:
     """Instantiate an EnvSpec. `chi` overrides the spec's own chi parameter,
     which is how matched-seed chi pairs are produced."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     params = dict(spec.params)
     if chi is not None:
         params["chi"] = chi

@@ -201,21 +201,26 @@ def classify_graph(g: FeedbackGraph) -> GraphClass:
 # independence number (exact branch and bound on the symmetrized graph)
 
 
-def _clique_cover_bound(adj, cand: int) -> int:
-    """Greedy clique partition of `cand`; its size bounds the independence
-    number from above (an independent set meets each clique at most once)."""
-    bound = 0
+def _clique_heads(adj, cand: int) -> int:
+    """Greedy clique partition of `cand` grown from the highest vertex down:
+    take the highest vertex left as a clique's head, then add the highest
+    vertex adjacent to every member so far, until none is. Returns the mask
+    of the heads. A vertex's clique depends only on the vertices above it,
+    so the cliques that meet the candidates >= b are exactly those whose
+    head is >= b, and an independent set inside them has at most
+    `(heads >> b).bit_count()` members."""
+    heads = 0
     rest = cand
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= ~(1 << v)
-        grow = rest & adj[v]
+        h = rest.bit_length() - 1
+        heads |= 1 << h
+        rest ^= 1 << h
+        grow = rest & adj[h]
         while grow:
-            u = (grow & -grow).bit_length() - 1
-            rest &= ~(1 << u)
+            u = grow.bit_length() - 1
+            rest ^= 1 << u
             grow &= adj[u]
-        bound += 1
-    return bound
+    return heads
 
 
 def _mis_size(adj, cand: int) -> int:
@@ -279,10 +284,14 @@ def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
     Returns (alpha, witness) where the witness is the lexicographically
     smallest maximum independent set: once alpha is known, a depth-first
     search takes vertices in index order, trying each one in before leaving
-    it out, and prunes every branch whose clique-cover bound falls short of
-    alpha, so the first set of size alpha it reaches is the smallest one.
-    Graphs beyond `exact_cap` vertices are rejected rather than solved
-    approximately.
+    it out, and prunes every branch that cannot reach alpha, so the first
+    set of size alpha it reaches is the smallest one. Each node partitions
+    its candidates into cliques once, from the highest vertex down
+    (`_clique_heads`); after the vertices below b are left out, the
+    candidates are those >= b, and the heads >= b count the cliques that
+    can still contribute a member, so every leave-out step is bounded by a
+    popcount. Graphs beyond `exact_cap` vertices are rejected rather than
+    solved approximately.
     """
     k = g.num_vertices
     if k > exact_cap:
@@ -290,18 +299,22 @@ def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
     adj = g.symmetric_masks
     alpha = _mis_size(adj, (1 << k) - 1)
 
-    def first(cand: int, size: int):
-        if size == alpha:
+    def first(cand: int, need: int):
+        if not need:
             return 0
-        if size + _clique_cover_bound(adj, cand) < alpha:
-            return None
-        b = cand & -cand
-        rest = first(cand & ~adj[b.bit_length() - 1] & ~b, size + 1)
-        if rest is not None:
-            return rest | b
-        return first(cand ^ b, size)
+        heads = _clique_heads(adj, cand)
+        while cand:
+            b = cand & -cand
+            v = b.bit_length() - 1
+            if (heads >> v).bit_count() < need:
+                return None
+            cand ^= b
+            rest = first(cand & ~adj[v], need - 1)
+            if rest is not None:
+                return rest | b
+        return None
 
-    return alpha, _mask_to_vertices(first((1 << k) - 1, 0))
+    return alpha, _mask_to_vertices(first((1 << k) - 1, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +332,15 @@ def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
     lexicographically smallest optimum. It branches only up to the last
     dominator of the lowest uncovered weak vertex, and prunes when more
     uncovered weak vertices have pairwise disjoint dominator sets than picks
-    are left. Beyond the cap a greedy set cover runs and `exact` is False.
+    are left. Beyond the cap a greedy set cover runs and `exact` is False:
+    each pick is the first vertex, in index order, whose out-mask covers the
+    most weak vertices still uncovered (a popcount).
     """
-    w = weakly_observable_set(g)
-    if not w:
+    wmask = sum(1 << i for i, t in enumerate(_vertex_tags(g)) if t is VertexClass.WEAK)
+    if not wmask:
         return 0, frozenset(), True
     k = g.num_vertices
-    wmask = sum(1 << (v - 1) for v in w)
-    cover = [g.out_mask(v + 1) & wmask for v in range(k)]
+    cover = [out & wmask for out in g._out]
     cand = [v for v in range(k) if cover[v]]
     union = 0
     for v in cand:
@@ -375,7 +389,7 @@ def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
     while remaining:
         best_v, best_gain = -1, 0
         for v in cand:
-            gain = bin(cover[v] & remaining).count("1")
+            gain = (cover[v] & remaining).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         picked.append(best_v + 1)

@@ -591,6 +591,8 @@ def sweep(config: SweepConfig) -> ExperimentReport:
         raise ValueError("horizon grid is empty")
     if list(config.horizons) != sorted(set(config.horizons)):
         raise ValueError("horizon grid must be strictly increasing")
+    if config.horizons[0] < 1:
+        raise ValueError(f"horizon must be >= 1, got {config.horizons[0]}")
     if config.reps < 1:
         raise ValueError("reps must be >= 1")
     if config.chi_average:

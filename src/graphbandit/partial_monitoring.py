@@ -14,15 +14,17 @@ regret bounds, and algorithms", Math. of OR 2014). Loss row L_i is the
 coordinate y_i of the cube {0,1}^K and the rows of S_a span the functions of
 the losses a sees, so L_i - L_j is in the span iff L_i and L_j each are, and
 L_i is iff some a in A has i among its out-neighbours. Both checks decide
-this exactly, from integer certificates checked against H and L alone:
+this exactly, from integer certificates checked against H and L alone. Both
+are read from two counts per symbol class s of a source a: hits, the
+columns of the class where L_i is 1, and size, all its columns.
 
 - membership: the claim-C1 combination v of S_a's rows (v[s] = 1 for the
-  symbols s of a that occur where L_i is 1) reproduces L_i, checked as
-  v[H[a]] == L[i];
-- non-membership: z = 2 L_i - 1 sums to 0 over every symbol class of every
-  a in A, checked as np.bincount(H[a], weights=z) == 0, so z is orthogonal
-  to their span, while <L_i - L_j, z> = 2^(K-1) != 0 rules the difference
-  out.
+  symbols s of a that occur where L_i is 1) reproduces L_i iff every class
+  lies wholly inside or wholly outside L_i's support, that is hits is 0 or
+  size for every class;
+- non-membership: z = 2 L_i - 1 sums to 2 hits - size over a class, so it
+  is orthogonal to S_a's span iff 2 hits == size for every class of every
+  a in A, while <L_i - L_j, z> = 2^(K-1) != 0 rules the difference out.
 
 The K x K table of both certificates, per (source, vertex), is computed
 once per instance. A vertex for which neither certificate verifies means H
@@ -91,22 +93,25 @@ class PMInstance:
     def certificates(self) -> Certificates:
         """Both certificates for every (source, vertex) pair, from one
         bincount of L over the K x K x 2^K (source, vertex, column) cells
-        and one of the symbol class sizes."""
+        and one of the symbol class sizes.
+
+        With hits[a, i, s] the number of columns of a's symbol class s
+        where L_i is 1 and size[a, s] the class's size: v . S_a reproduces
+        L_i iff hits is 0 or size[a, s] for every s, and 2 L_i - 1 is
+        orthogonal to S_a iff 2 hits == size[a, s] for every s. Both are
+        exact integer identities for any H and any 0/1 loss matrix, so the
+        combination v is never formed."""
         loss, symbols = self.loss_matrix, self.symbol_matrix
         k, m = loss.shape
         n = int(symbols.max()) + 1
         # bins[a, i, y]: the flat index of (a, i, H[a, y]) in a K x K x n table
         bins = np.arange(k * k).reshape(k, k, 1) * n + symbols[:, None, :]
         hits = np.bincount(bins.ravel(), weights=np.broadcast_to(loss, (k, k, m)).ravel(),
-                           minlength=k * k * n)
-        sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(), minlength=k * n)
-        # v[a, i, s] = 1 for the symbols s of a that occur where L_i is 1,
-        # and v[bins] is the combination v . S_a evaluated at every column
-        v = (hits > 0).astype(loss.dtype)
-        member = (v[bins] == loss).all(axis=2)
-        # np.bincount(H[a], weights=2 L_i - 1), by linearity
-        z_sums = 2 * hits.reshape(k, k, n) - sizes.reshape(k, 1, n)
-        orthogonal = (z_sums == 0).all(axis=2)
+                           minlength=k * k * n).reshape(k, k, n)
+        sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(),
+                            minlength=k * n).reshape(k, 1, n)
+        member = ((hits == 0) | (hits == sizes)).all(axis=2)
+        orthogonal = (2 * hits == sizes).all(axis=2)
         return Certificates(member, orthogonal)
 
 

@@ -16,6 +16,7 @@ from graphbandit.environments import CappedIndependentSet
 from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
 from graphbandit.graph import profile as graph_profile
 from graphbandit.graph import weak_domination_number, weakly_observable_set
+from graphbandit.partial_monitoring import Certificates
 
 
 def is_independent(g: FeedbackGraph, vertices) -> bool:
@@ -491,6 +492,30 @@ def reference_encode(g: FeedbackGraph):
         s_i[symbols[i], columns] = 1
         signals.append(s_i)
     return loss, symbols, tuple(signals)
+
+
+def reference_certificates(instance) -> Certificates:
+    """The certificate table as first written: both certificates for every
+    (source, vertex) pair, from one bincount of L over the K x K x 2^K
+    (source, vertex, column) cells and one of the symbol class sizes; the
+    membership certificate is the combination v . S_a evaluated at every
+    column and compared with L_i."""
+    loss, symbols = instance.loss_matrix, instance.symbol_matrix
+    k, m = loss.shape
+    n = int(symbols.max()) + 1
+    # bins[a, i, y]: the flat index of (a, i, H[a, y]) in a K x K x n table
+    bins = np.arange(k * k).reshape(k, k, 1) * n + symbols[:, None, :]
+    hits = np.bincount(bins.ravel(), weights=np.broadcast_to(loss, (k, k, m)).ravel(),
+                       minlength=k * k * n)
+    sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(), minlength=k * n)
+    # v[a, i, s] = 1 for the symbols s of a that occur where L_i is 1,
+    # and v[bins] is the combination v . S_a evaluated at every column
+    v = (hits > 0).astype(loss.dtype)
+    member = (v[bins] == loss).all(axis=2)
+    # np.bincount(H[a], weights=2 L_i - 1), by linearity
+    z_sums = 2 * hits.reshape(k, k, n) - sizes.reshape(k, 1, n)
+    orthogonal = (z_sums == 0).all(axis=2)
+    return Certificates(member, orthogonal)
 
 
 def _reference_in_row_space(stacked, target, tol) -> bool:

@@ -158,6 +158,21 @@ def test_thm7_fixed_mode_refused_at_the_boundary(capsys, tmp_path, command):
     assert "the thm7 environment needs --mode informed or uninformed" in err
 
 
+@pytest.mark.parametrize("command,grid", [("run", "0"), ("sweep", "0,64"), ("lowerbound", "0")])
+def test_zero_horizon_refused_at_the_boundary(capsys, tmp_path, command, grid):
+    flags = {
+        "run": ("--catalog", "clique_minus", "--k", "5", "--env", "thm8"),
+        "sweep": ("--catalog", "clique_minus", "--k", "5", "--env", "thm8", "--preset", "weak",
+                  "--reps", "2", "--out", str(tmp_path / "rows.csv")),
+        "lowerbound": ("--which", "all", "--k", "5"),
+    }[command]
+    code, out, err = run_cli(capsys, command, *flags, "--T", grid)
+    assert code == 2
+    assert out == ""
+    assert "horizon must be >= 1, got 0" in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_sweep_rejects_decreasing_grid(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--catalog", "bandit", "--k", "2", "--env", "bernoulli",

@@ -270,6 +270,22 @@ def test_environments_are_oblivious():
     assert a.params["chi"] == b.params["chi"]
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("bernoulli", {"mu": (0.3, 0.5, 0.5)}),
+    ("thm4", {}),
+    ("thm8", {}),
+    ("thm8", {"eps": 0.1}),
+    ("thm5", {}),
+    ("thm7", {}),
+])
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_build_environment_refuses_a_horizon_below_one(kind, params, horizon):
+    # refused before any default gap formula (eps ~ T^(-1/3)) divides by zero
+    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+        build_environment(EnvSpec(kind, params), horizon, 0, num_actions=3,
+                          graph=catalog("revealing_action", 3))
+
+
 def test_losses_are_binary_or_half():
     envs = [
         hidden_arm_env(1, 50, 4),

@@ -8,7 +8,7 @@ from graphbandit.graph import (
     GraphClass,
     GraphFormatError,
     VertexClass,
-    _clique_cover_bound,
+    _clique_heads,
     catalog,
     classify_graph,
     classify_vertex,
@@ -211,7 +211,7 @@ def test_alpha_of_odd_cycles(m):
     # every vertex has two neighbours and the greedy clique cover has m + 1
     # cliques, so the search has to branch to prove alpha = m
     g = _odd_cycle(m)
-    assert _clique_cover_bound(g.symmetric_masks, (1 << g.num_vertices) - 1) == m + 1
+    assert _clique_heads(g.symmetric_masks, (1 << g.num_vertices) - 1).bit_count() == m + 1
     assert independence_number(g) == (m, frozenset(range(1, 2 * m, 2)))
 
 
@@ -315,6 +315,26 @@ def test_delta_greedy_fallback_bounds():
         assert exact_delta <= greedy_delta <= exact_delta * (1 + math.log(len(w)))
         for v in w:
             assert any(v in g.out_neighbors(d) for d in greedy_witness)
+
+
+def test_delta_greedy_cover_equals_the_reference_greedy_cover():
+    # whole tuples past the exact cap: the tie-break (the first max-gain
+    # candidate in vertex order) is pinned, not just the size bounds
+    rng = np.random.default_rng(11)
+    greedy = 0
+    for k in range(21, 61):
+        for loops in (0.2, 0.8):
+            g = random_graph(rng, k, float(rng.uniform(0.03, 0.3)), loops)
+            result = weak_domination_number(g)
+            assert result == reference_weak_domination_number(g)
+            greedy += not result[2]
+    assert greedy >= 60
+    for _ in range(200):
+        g = random_graph(rng, int(rng.integers(1, 13)), float(rng.uniform(0.05, 0.6)),
+                         float(rng.uniform(0, 1)))
+        result = weak_domination_number(g, exact_cap=0)
+        assert result == reference_weak_domination_number(g, exact_cap=0)
+        assert result[2] is not bool(weakly_observable_set(g))
 
 
 def test_monotonicity_under_edge_addition():

@@ -378,6 +378,28 @@ def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
     assert builds == []
 
 
+def test_sweep_refuses_a_non_positive_horizon_before_any_game(monkeypatch):
+    builds = []
+    build = harness.build_environment
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_environment", counted_build)
+    config = SweepConfig(
+        graph=catalog("clique_minus", 5),
+        graph_name="clique_minus",
+        learner=LearnerSpec(algorithm="exp3g", preset="weak"),
+        env=EnvSpec("thm8", {}),
+        horizons=(0, 64),
+        reps=2,
+    )
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        sweep(config)
+    assert builds == []
+
+
 def test_sweep_repeats_identically():
     config = bandit_sweep_config()
     first = sweep(config)

@@ -16,6 +16,7 @@ from graphbandit.partial_monitoring import (
 
 from oracles import (
     random_graph,
+    reference_certificates,
     reference_encode,
     reference_global_observability,
     reference_local_observability,
@@ -224,6 +225,10 @@ def _seeded_graphs():
     ]
 
 
+def _k8_graph():
+    return [random_graph(np.random.default_rng(8), 8, 0.4, 1.0)]
+
+
 def _k9_graph():
     # every vertex sees itself, so the graph is strongly observable and both
     # checks run through all 36 pairs; sparse enough that the local solves
@@ -231,8 +236,18 @@ def _k9_graph():
     return [random_graph(np.random.default_rng(9), 9, 0.4, 1.0)]
 
 
-@pytest.mark.parametrize("graphs", [_criterion_08_graphs, _seeded_graphs, _k9_graph],
-                         ids=["criterion_08", "seeded_k1_to_7", "k9"])
+def _assert_certificates_equal(inst):
+    # hits in {0, size} and 2 hits == size decide what the evaluated
+    # combination v . S_a and the z-sums decide
+    member, orthogonal = inst.certificates
+    expected = reference_certificates(inst)
+    assert member.dtype == orthogonal.dtype == bool
+    assert np.array_equal(member, expected.member)
+    assert np.array_equal(orthogonal, expected.orthogonal)
+
+
+@pytest.mark.parametrize("graphs", [_criterion_08_graphs, _seeded_graphs, _k8_graph, _k9_graph],
+                         ids=["criterion_08", "seeded_k1_to_7", "k8", "k9"])
 def test_encoding_and_verdicts_match_reference(graphs):
     verdicts = []
     for g in graphs():
@@ -240,6 +255,7 @@ def test_encoding_and_verdicts_match_reference(graphs):
         loss, symbols, signals = reference_encode(g)
         assert np.array_equal(inst.loss_matrix, loss)
         assert np.array_equal(inst.symbol_matrix, symbols)
+        _assert_certificates_equal(inst)
         assert len(inst.signal_matrices) == len(signals)
         for new, old in zip(inst.signal_matrices, signals):
             assert np.array_equal(new, old)
@@ -270,6 +286,26 @@ def test_certificate_table_is_the_adjacency_matrix():
                               for a in range(1, k + 1)])
         assert np.array_equal(member, adjacency)
         assert np.array_equal(orthogonal, ~adjacency)
+
+
+def test_certificate_counts_equal_the_reference_table_on_corrupted_symbols():
+    # the identities hold for any H, not only for the encoding of a graph:
+    # merge classes, split them, and overwrite cells with fresh symbols
+    rng = np.random.default_rng(1313)
+    for g in _seeded_graphs()[::3]:
+        inst = encode(g)
+        k, m = inst.symbol_matrix.shape
+        for _ in range(4):
+            corrupted = inst.symbol_matrix.copy()
+            cells = rng.integers(0, k * m, size=int(rng.integers(1, k * m + 1)))
+            corrupted.flat[cells] = rng.integers(0, int(corrupted.max()) + 3, size=len(cells))
+            _assert_certificates_equal(
+                PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted))
+    g = catalog("bandit", 2)
+    inst = encode(g)
+    corrupted = inst.symbol_matrix.copy()
+    corrupted[0, 0] = corrupted[0, 3]  # the corruption of test_claim_fails_on_corrupted_symbols
+    _assert_certificates_equal(PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted))
 
 
 def _first_pair_with_an_unseen_vertex(g, sources):
