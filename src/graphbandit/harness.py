@@ -288,12 +288,22 @@ def _play_batch(graph, spec: LearnerSpec, games):
     `rng.random()` give.
 
     The arithmetic is the learners module's, called with buffers allocated
-    once per batch and sliced per segment. The rates are spread to R x K
-    arrays and Exp3.G's exploration terms (1 - gamma and gamma * u)
-    computed once per segment and epoch, or per round where the exploration
-    set follows the round graph; the fixed graph's in-matrix and observed
-    masks are looked up once. The player's update reads only the losses
-    under the row's observed mask.
+    once per batch and sliced per segment; a segment with one live row
+    passes 1 x K views, on which the row functions reduce to scalars. The
+    rates are spread to R x K arrays and Exp3.G's exploration terms
+    (1 - gamma and gamma * u) computed once per segment and epoch. Where the
+    exploration set follows the round graph (informed play on a sequence),
+    gamma * u comes from a table of every live row and distinct graph built
+    at the same time, one take per round. A segment's uniforms are viewed
+    as one R x 1 column per round, and observed masks are read from one
+    (graph, action) table. The player's update reads only the losses under
+    the row's observed mask.
+
+    The loop runs under `np.errstate(divide="raise", invalid="raise")`, so a
+    zero observation probability on an observed vertex raises the
+    estimate's RuntimeError from its masked divide, before any transcript is
+    yielded, with no per-round check; numpy's error state is restored on
+    the way out.
     """
     horizons = [game.horizon for game in games]
     segments = _segments(horizons)
@@ -384,24 +394,31 @@ def _play_batch(graph, spec: LearnerSpec, games):
                 for r, horizon in enumerate(horizons)
             ))
 
+    num_graphs, num_actions = len(graphs), dist.shape[1]
     actions = np.zeros(total, dtype=np.intp)
     cumulative = np.zeros_like(dist)
     probs, estimates = np.empty_like(dist), np.empty_like(dist)
-    in_mat, out_mask = in_mats[0], out_masks[0]  # the fixed graph's
+    out_rows = out_masks.reshape(-1, num_actions)  # [g * K + a] is out_masks[g, a]
+    in_mat = in_mats[0]  # the fixed graph's
     restart, epoch = 0, -1
-    # a zero observation probability divides by zero (0/0 for a loss of 0) just
-    # before the estimate raises
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero observation probability on an observed vertex sets the divide
+    # flag (invalid for a loss of 0) in the estimate's masked divide, which
+    # the estimate turns into its RuntimeError
+    with np.errstate(divide="raise", invalid="raise"):
         for first, rounds, live, base in segments:
             # the live rows, and the segment's tables as round x row views
             cum, p_out, est_out, dist_t = (
                 cumulative[:live], probs[:live], estimates[:live], dist[:live]
             )
             cells = slice(base, base + rounds * live)
-            seg_uniforms = uniforms[cells].reshape(rounds, live)
+            seg_uniforms = uniforms[cells].reshape(rounds, live, 1)
             seg_losses = losses[cells].reshape(rounds, live, -1)
             seg_actions = actions[cells].reshape(rounds, live)
-            seg_ids = graph_ids[cells].reshape(rounds, live) if time_varying else None
+            if time_varying:
+                seg_ids = graph_ids[cells].reshape(rounds, live)
+                seg_rows = seg_ids * num_actions  # + the action: a row of out_rows
+            if retarget:  # live row r's term on graph g is row r * G + g of the table
+                seg_keys = seg_ids + num_graphs * np.arange(live)
             for i, t in enumerate(range(first, first + rounds)):
                 if t == restart or i == 0:
                     if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
@@ -411,19 +428,19 @@ def _play_batch(graph, spec: LearnerSpec, games):
                     # the rates as R x K arrays: a product that broadcasts
                     # a column costs about twice one that does not
                     eta_t, gamma_t = (
-                        np.repeat(rate[:live, epoch:epoch + 1], dist.shape[1], axis=1)
+                        np.repeat(rate[:live, epoch:epoch + 1], num_actions, axis=1)
                         for rate in (eta, gamma)
                     )
-                    u = dist_t
-                    terms = learners.exploration_terms(gamma_t, u)
-                if time_varying:
-                    ids = seg_ids[i]
-                if exp3g:
+                    terms = learners.exploration_terms(gamma_t, dist_t)
                     if retarget:  # informed play explores where the round graph says
-                        u = explore.take(ids, axis=0)
-                        terms = learners.exploration_terms(gamma_t, u)
+                        table = learners.exploration_terms(
+                            gamma[:live, epoch, None, None], explore
+                        )[1].reshape(-1, num_actions)
+                if exp3g:
+                    if retarget:
+                        terms = terms[0], table.take(seg_keys[i], axis=0)
                     p = learners.exp3g_distribution(
-                        cum, eta_t, gamma_t, u, out=p_out, terms=terms
+                        cum, eta_t, gamma_t, dist_t, out=p_out, terms=terms
                     )
                 elif hedge:
                     p = learners.exponential_weights(cum, eta_t, out=p_out)
@@ -431,10 +448,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
                     p = dist_t
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if exp3g:
+                    rows = a
                     if time_varying:
-                        in_mat, seen = in_mats.take(ids, axis=0), out_masks[ids, a]
-                    else:
-                        seen = out_mask.take(a, axis=0)
+                        in_mat = in_mats.take(seg_ids[i], axis=0)
+                        rows = np.add(seg_rows[i], a)
+                    seen = out_rows.take(rows, axis=0)
                     cum += learners.importance_weighted_estimates(
                         in_mat, p, seen, seg_losses[i], out=est_out
                     )

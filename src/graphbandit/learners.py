@@ -7,14 +7,21 @@ Actions are the graph's vertices, 1-indexed; probability vectors are numpy
 arrays whose entry i-1 belongs to action i. The weight, draw and estimate
 functions work along a trailing action axis, so the same code serves one
 game's K-vector and the harness's R x K rows of games played in lockstep.
-Each takes its inputs in the one form the engine plays: float uniforms for
-the draw, an in-matrix, a boolean mask and full loss rows for the estimates.
+Each takes its inputs in the form the engine plays: float uniforms for the
+draw (an R-vector, or the R x 1 column the engine views per round), an
+in-matrix, a boolean mask and full loss rows for the estimates.
 
 `exponential_weights`, `exp3g_distribution`, `sample_index` and
 `importance_weighted_estimates` take an optional `out=` array that receives
 the result and is returned. By default each allocates and returns a new
 array; the lockstep engine passes buffers it allocates once per batch. Both
-give the same bits.
+give the same bits. One row (a K-vector, or 1 x K) reduces to scalars and
+draws by searchsorted, and gives the same bits as its row of an R x K call.
+
+A zero observation probability on an observed vertex is caught from
+numpy's divide flags, not by a pass over the estimates: the estimate's
+masked divide raises under `np.errstate(divide="raise", invalid="raise")`,
+which its default path enters and the engine enters once around its rounds.
 """
 
 from __future__ import annotations
@@ -45,15 +52,21 @@ def exponential_weights(cumulative: np.ndarray, eta, out: np.ndarray | None = No
 
     Computed with a max shift in log space: the cumulative estimates can reach
     |U|/gamma per round, so the naive product underflows long before the
-    distribution itself degenerates.
+    distribution itself degenerates. One row (a K-vector or 1 x K) reduces
+    to scalars, so its shift and normalisation broadcast no column; the
+    minimum and the pairwise sum are the same bits either way.
 
     `out`, a float array of the cumulative's shape, receives the distribution
     and is returned; by default a new array is. Both give the same bits.
     """
-    low = np.minimum.reduce(cumulative, axis=-1, keepdims=True)
+    if cumulative.size == cumulative.shape[-1]:  # one row
+        # the minimum is exact in any order, and Python's is the cheapest
+        low, axis, keep = min(cumulative.ravel().tolist()), None, False
+    else:
+        low, axis, keep = np.minimum.reduce(cumulative, axis=-1, keepdims=True), -1, True
     w = np.multiply(eta, np.subtract(low, cumulative, out=out), out=out)
     np.exp(w, out=w)
-    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
+    return np.divide(w, np.add.reduce(w, axis=axis, keepdims=keep), out=w)
 
 
 def exploration_terms(gamma, u: np.ndarray) -> tuple:
@@ -105,19 +118,29 @@ def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
     row; returns 0-based indices (an int for a single distribution).
 
-    `u` holds the uniforms (a float for a single distribution). Counting the
-    CDF entries at or below u is searchsorted(side="right") on a
-    nondecreasing CDF; leaving the last entry out puts a uniform beyond a CDF
-    that rounds below 1 on the last action. Fixed vertex order plus one
-    uniform per draw keeps action sequences reproducible across runs that
-    share a generator state.
+    `u` holds the uniforms: a float for a single distribution, else an
+    R-vector or an R x 1 column. A draw counts the CDF entries at or below
+    its uniform, which on a nondecreasing CDF is searchsorted(side="right");
+    one row takes the search, several rows the count. Leaving the last CDF
+    entry out puts a uniform beyond a CDF that rounds below 1 on the last
+    action. Fixed vertex order plus one uniform per draw keeps action
+    sequences reproducible across runs that share a generator state.
 
     For R x K rows, `out`, an intp R-vector, receives the indices and is
     returned; by default a new array is.
     """
-    c = np.add.accumulate(dist, axis=-1)[..., :-1]
-    idx = np.add.reduce(c <= np.asarray(u)[..., None], axis=-1, dtype=np.intp, out=out)
-    return int(idx) if dist.ndim == 1 else idx
+    if dist.ndim == 1:
+        return int(np.add.accumulate(dist)[:-1].searchsorted(u, side="right"))
+    if out is None:
+        out = np.empty(len(dist), dtype=np.intp)
+    u = np.asarray(u)
+    if len(dist) == 1:
+        out[:] = np.add.accumulate(dist[0])[:-1].searchsorted(u[0], side="right")
+        return out
+    if u.ndim == 1:
+        u = u[:, None]
+    c = np.add.accumulate(dist, axis=-1)[:, :-1]
+    return np.add.reduce(c <= u, axis=-1, dtype=np.intp, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,18 +173,21 @@ def importance_weighted_estimates(
     read.
 
     When the indicator is zero the estimate is zero with no division
-    performed, so P(i)=0 off the observed set is fine. P(i)=0 on the observed
-    set means the event is inconsistent with p and signals a harness bug.
+    performed, so P(i)=0 off the observed set is fine: the masked divide
+    never touches those entries and sets no floating-point flag. P(i)=0 on
+    the observed set means the event is inconsistent with p and signals a
+    harness bug; it raises a RuntimeError naming the vertices.
 
     `out`, a float array of p's shape, is zero-filled, receives the
-    estimates and is returned; by default a new array is. The default path
-    silences numpy's divide and invalid warnings, so a zero probability
-    raises its RuntimeError alone; a caller passing `out` for many rounds
-    sets that `np.errstate` once around them, since entering it costs more
-    than the rest of the call.
+    estimates and is returned; by default a new array is. The zero
+    probability is caught from numpy's divide flags, with no pass over the
+    result: the default path runs under `np.errstate(divide="raise",
+    invalid="raise")`, and a caller passing `out` for many rounds enters
+    that state once around them, since entering it costs more than the rest
+    of the call.
     """
     if out is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="raise", invalid="raise"):
             return _estimates(in_matrix, p, observed, losses, np.zeros(p.shape))
     out.fill(0.0)
     return _estimates(in_matrix, p, observed, losses, out)
@@ -172,14 +198,14 @@ def _estimates(in_matrix, p, observed, losses, out):
         prob = np.matmul(in_matrix, p[..., None])[..., 0]
     else:
         prob = p @ in_matrix.T
-    est = np.divide(losses, prob, out=out, where=observed)
-    if not math.isfinite(np.add.reduce(est, axis=None)):
+    try:
+        return np.divide(losses, prob, out=out, where=observed)
+    except FloatingPointError:  # x/0 is a divide flag, 0/0 an invalid one
         bad = (np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist()
         raise RuntimeError(
             f"observed actions {bad} have zero observation probability; "
             "the feedback event is inconsistent with the play distribution"
-        )
-    return est
+        ) from None
 
 
 class SecondOrderBound(NamedTuple):

@@ -37,3 +37,27 @@ def test_bench_workloads_import_and_match_benchmark(monkeypatch):
     spec.loader.exec_module(module)
     declared = json.loads((bench.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert sorted(module.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])
+
+
+def test_traced_games_call_each_row_function_once_per_round():
+    # the bench's learners.*_pct shares time these three calls; an engine
+    # that inlined their arithmetic would zero them and still pass its runs
+    from graphbandit import harness
+    from graphbandit.environments import EnvSpec, uninformed_separation_env
+    from graphbandit.graph import catalog
+
+    tracer = load_tracer()
+    names = ("learners.exponential_weights", "learners.sample_index",
+             "learners.importance_weighted_estimates")
+    spec = harness.LearnerSpec(algorithm="exp3g", preset="manual", mode="informed")
+    with tracer.Tracer().patched() as traced:  # one row: informed doubling on thm7
+        harness.doubling_wrapper(None, spec, uninformed_separation_env(6, 50, seed=1), 2)
+    assert [traced.totals[name][0] for name in names] == [50] * 3
+    config = harness.SweepConfig(
+        graph=catalog("loopy_star", 5), graph_name="loopy_star",
+        learner=harness.LearnerSpec(algorithm="exp3g", preset="strong"),
+        env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 4}), horizons=(32, 64), reps=1,
+    )
+    with tracer.Tracer().patched() as traced:  # two rows, then one: 64 lockstep rounds
+        harness.sweep(config)
+    assert [traced.totals[name][0] for name in names] == [64] * 3

@@ -120,6 +120,53 @@ def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
             run_game(catalog("bandit", 3), LearnerSpec(algorithm="exp3g", **MANUAL), env, 0)
 
 
+def _point_mass_player(monkeypatch, draw):
+    # the play distribution puts all mass on action 1; `draw(rows)` gives the
+    # rows' drawn actions, 0-based
+    monkeypatch.setattr(learners, "exp3g_distribution",
+                        lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    monkeypatch.setattr(learners, "sample_index", lambda p, u, **_: draw(len(p)))
+
+
+def test_zero_probability_raises_before_any_transcript(monkeypatch):
+    spec = LearnerSpec(algorithm="exp3g", **MANUAL)
+    env = bernoulli_env([0.5, 1.0, 0.5], 10, seed=0)
+    before = np.geterr()
+    # one row, which draws action 2
+    _point_mass_player(monkeypatch, lambda rows: np.ones(rows, dtype=np.intp))
+    message = r"observed actions \[2\] have zero observation probability"
+    with pytest.raises(RuntimeError, match=message):
+        run_game(catalog("bandit", 3), spec, env, 0)
+    assert np.geterr() == before
+    # two rows in one batch, of which only the second draws action 2
+    _point_mass_player(monkeypatch, lambda rows: np.arange(rows, dtype=np.intp) % 2)
+    transcripts = harness._play(
+        catalog("bandit", 3), spec, [harness._Game(10, lambda: env, seed) for seed in (0, 1)]
+    )
+    with pytest.raises(RuntimeError, match=message):
+        next(transcripts)
+    assert np.geterr() == before
+    assert run_game(catalog("bandit", 3), spec, env, 0).horizon == 10  # row 0's draws
+    assert np.geterr() == before
+
+
+def test_zero_probability_off_the_observed_set_costs_no_fallback(monkeypatch):
+    # lowerbound's thm4 graph: vertex 1 has no in-edges, so P(1) = 0 every
+    # round, but no action observes it; the error path (which locates the
+    # vertices with np.argwhere) is never entered
+    g = FeedbackGraph(3, [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    spec = LearnerSpec(algorithm="exp3g", **MANUAL)
+    argwhere, calls = np.argwhere, []
+    monkeypatch.setattr(np, "argwhere", lambda *a, **k: calls.append(a) or argwhere(*a, **k))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [run_game(g, spec, hidden_arm_env(chi, 400, 3), 7) for chi in (0, 1)]
+    assert calls == []
+    assert np.geterr() == before
+    assert expected_regret_thm4(*runs) == 100.0
+
+
 def test_hedge_needs_full_feedback():
     g = catalog("loopless_clique", 3)
     env = bernoulli_env([0.3, 0.5, 0.5], 10, seed=0)

@@ -156,6 +156,104 @@ def test_estimates_zero_probability_raises_without_a_warning(loss):
             )
 
 
+def test_estimates_zero_probability_off_the_observed_set_is_no_error():
+    # vertex 1 has no in-edges but is not observed: the masked divide never
+    # touches it, so no flag is set even when numpy raises on every flag
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])
+    p = np.array([[0.5, 0.5]])
+    observed = np.array([[False, True]])
+    losses = np.array([[0.3, 0.5]])
+    expected = [0.0, 0.5 / (p @ g.in_matrix.T)[0, 1]]
+    assert importance_weighted_estimates(g.in_matrix, p, observed, losses).tolist() == [expected]
+    out = np.full((1, 2), 7.0)
+    with np.errstate(all="raise"):
+        importance_weighted_estimates(g.in_matrix, p, observed, losses, out=out)
+    assert out.tolist() == [expected]
+
+
+@pytest.mark.parametrize("loss", [0.3, 0.0])
+def test_buffered_estimates_raise_from_the_divide_flags(loss):
+    # the engine's form: buffers, under the errstate it enters once per batch
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])
+    before = np.geterr()
+    with np.errstate(divide="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero"):
+            importance_weighted_estimates(
+                g.in_matrix, np.array([[0.5, 0.5]]), np.array([[True, False]]),
+                np.array([[loss, 0.0]]), out=np.empty((1, 2)),
+            )
+    assert np.geterr() == before
+
+
+def _hex(values) -> list:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("k", [2, 5, 7, 8, 9, 10, 16, 40])
+def test_one_row_calls_equal_their_row_of_the_batch(k):
+    # one row reduces to scalars and draws by searchsorted; R rows reduce
+    # along the action axis and draw by counting. K on both sides of numpy's
+    # 8-way pairwise-sum unroll; cumulative rows up to 1e9 as in the engine
+    rows = 6
+    rng = np.random.default_rng(k)
+    cum = rng.random((rows, k)) * 10.0 ** rng.integers(0, 10, size=(rows, 1))
+    eta = np.repeat(10.0 ** rng.uniform(-6, 0, size=(rows, 1)), k, axis=1)
+    gamma = np.repeat(rng.uniform(0.01, 0.5, size=(rows, 1)), k, axis=1)
+    u = np.stack([
+        exploration_vector(k, 1 + rng.choice(k, size=rng.integers(1, k + 1), replace=False))
+        for _ in range(rows)
+    ])
+    uniforms = rng.random(rows)
+    in_matrix = random_graph(rng, k, 0.4, self_loop_prob=1.0).in_matrix
+    in_matrices = np.stack([
+        random_graph(rng, k, 0.4, self_loop_prob=1.0).in_matrix for _ in range(rows)
+    ])
+    losses = (rng.integers(0, 3, size=(rows, k)) / 2).astype(np.float16)
+
+    q = exponential_weights(cum, eta)
+    p = exp3g_distribution(cum, eta, gamma, u)
+    drawn = sample_index(p, uniforms)
+    observed = in_matrix.T[drawn] > 0
+    observed_seq = np.transpose(in_matrices, (0, 2, 1))[np.arange(rows), drawn] > 0
+    est = importance_weighted_estimates(in_matrix, p, observed, losses)
+    est_seq = importance_weighted_estimates(in_matrices, p, observed_seq, losses)
+    for r in range(rows):
+        one = slice(r, r + 1)
+        assert _hex(exponential_weights(cum[one], eta[one])) == _hex(q[r])
+        assert _hex(exponential_weights(cum[r], eta[r])) == _hex(q[r])
+        out = np.empty((1, k))
+        assert exponential_weights(cum[one], eta[one], out=out) is out
+        assert _hex(out) == _hex(q[r])
+        terms = exploration_terms(gamma[one], u[one])
+        assert _hex(exp3g_distribution(cum[one], eta[one], gamma[one], u[one], out=out,
+                                       terms=terms)) == _hex(p[r])
+        idx = np.full(1, -1, dtype=np.intp)
+        assert sample_index(p[one], uniforms[one], out=idx) is idx
+        assert idx.tolist() == [drawn[r]]
+        assert sample_index(p[one], uniforms[one, None]).tolist() == [drawn[r]]
+        assert sample_index(p[r], float(uniforms[r])) == drawn[r]
+        # a lone row's fixed-graph product equals its sequence form; R rows
+        # take one matrix product, whose last bits BLAS may round otherwise
+        assert _hex(importance_weighted_estimates(
+            in_matrix, p[one], observed[one], losses[one])) == _hex(
+            importance_weighted_estimates(in_matrix[None], p[one], observed[one], losses[one]))
+        assert np.allclose(importance_weighted_estimates(
+            in_matrix, p[one], observed[one], losses[one]), est[r], rtol=1e-14, atol=0)
+        assert _hex(importance_weighted_estimates(
+            in_matrices[one], p[one], observed_seq[one], losses[one],
+            out=np.empty((1, k)))) == _hex(est_seq[r])
+
+    # a CDF that rounds below 1, and a uniform above its last compared entry
+    # and above its total: both forms put the draw on the last action
+    dist = np.full((2, k), 1.0 / k) * (1.0 - 2.0**-40)
+    cdf = np.cumsum(dist[0])
+    top = np.nextafter(1.0, 0.0)
+    assert cdf[-1] < top and cdf[-2] < top
+    assert sample_index(dist, np.full(2, top)).tolist() == [k - 1, k - 1]
+    assert sample_index(dist[:1], np.full(1, top)).tolist() == [k - 1]
+    assert sample_index(dist[0], top) == k - 1
+
+
 # ---------------------------------------------------------------------------
 # second-order bound
 
