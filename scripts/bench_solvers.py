@@ -13,11 +13,21 @@ and with the tree's own `src/` first on the path:
 - per_K: milliseconds of `graph.independence_number` and of
   `graph.weak_domination_number` on the profile graphs of the benchmark's
   analysis corpus (`bench/workloads.py`, 48 graphs per K = 12..40, half
-  sparse and half dense): `delta` up to its exact cap (K <= 20), and
-  `delta_greedy` above it (K = 24..40, the greedy cover); per graph the
-  median of `--repeats` calls on a fresh copy of the graph, per K the
-  median and the sum over its graphs. Both trees must return the same
-  tuples, witnesses and the `exact` flag included;
+  sparse and half dense), each under the RENAMING_SEEDS renamings of the
+  benchmark's own `prepare` (its `_relabel`): `delta` up to its exact cap
+  (K <= 20), and `delta_greedy` above it (K = 24..40, the greedy cover).
+  `alpha` is split in two: `alpha_size`, the time spent inside the size
+  search (`graph._mis_size`, plus `graph._degree_ordered` where the tree
+  has it), and `alpha_witness`, the rest of the call, which is the
+  lexicographic witness search. Per (graph, renaming) the median of
+  `--repeats` calls on a fresh copy of the graph whose symmetric masks are
+  built before the clock starts; per K the median over all of them
+  (`_ms_median`), the sum over its graphs under each renaming
+  (`_ms_sum_by_renaming`) and their mean (`_ms_sum`), and the median over
+  its graphs of the slowest renaming's time over the fastest's
+  (`_name_spread`), which shows how much the cost depends on vertex names.
+  Both trees must return the same tuples, witnesses and the `exact` flag
+  included;
 - analysis_pairs: `bench/run.py --workload analysis --seconds 20 --trace 0`
   at each of `--seeds`, the parent and the working tree alternating which
   runs first (as in `scripts/bench_pm.py`);
@@ -41,6 +51,30 @@ from bench_pm import analysis_pairs, analysis_trace
 ROOT = Path(__file__).resolve().parent.parent
 
 
+RENAMING_SEEDS = (1601, 1602, 1603)
+SIZE_SEARCH = ("_degree_ordered", "_mis_size")
+
+
+def _time_size_search(graph) -> list:
+    """Wrap the tree's size-search functions so that each call adds its
+    time to the one-entry list returned."""
+    spent = [0.0]
+
+    def timed(solve):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return solve(*args)
+            finally:
+                spent[0] += time.perf_counter() - start
+        return call
+
+    for name in SIZE_SEARCH:
+        if hasattr(graph, name):
+            setattr(graph, name, timed(getattr(graph, name)))
+    return spent
+
+
 def worker_per_k(repeats):
     """Runs inside the measured tree: ms per solver call by K, and results."""
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
@@ -48,28 +82,42 @@ def worker_per_k(repeats):
 
     from graphbandit import graph
 
-    times, results = {}, []
-    for g in AnalysisWorkload.corpus()["profile"]:
-        k = g.num_vertices
-        delta = "delta" if k <= graph.DELTA_EXACT_CAP else "delta_greedy"
-        ops = {"alpha": graph.independence_number, delta: graph.weak_domination_number}
-        for op, solve in ops.items():
-            samples = []
-            for _ in range(repeats):
-                fresh = graph.FeedbackGraph(k, g.edges)  # nothing cached on the graph
-                start = time.perf_counter()
-                out = solve(fresh)
-                samples.append(time.perf_counter() - start)
-            times.setdefault(k, {}).setdefault(op, []).append(1e3 * statistics.median(samples))
-            results.append([op, k, out[0], sorted(out[1]), *out[2:]])
-    per_k = {
-        str(k): {
-            **{f"{op}_ms_median": statistics.median(v) for op, v in by_op.items()},
-            **{f"{op}_ms_sum": sum(v) for op, v in by_op.items()},
-            "graphs": len(by_op["alpha"]),
-        }
-        for k, by_op in sorted(times.items())
-    }
+    size_spent = _time_size_search(graph)
+    times, results = {}, []  # times[k][op][renaming]: ms per graph
+    for r, seed in enumerate(RENAMING_SEEDS):
+        for renamed in AnalysisWorkload().prepare(seed)["profile"]:
+            g = renamed.graph
+            k = g.num_vertices
+            delta = "delta" if k <= graph.DELTA_EXACT_CAP else "delta_greedy"
+            samples = {"alpha": [], "alpha_size": [], "alpha_witness": [], delta: []}
+            for op, solve in (("alpha", graph.independence_number),
+                              (delta, graph.weak_domination_number)):
+                for _ in range(repeats):
+                    fresh = graph.FeedbackGraph(k, g.edges)  # nothing cached on the graph
+                    fresh.symmetric_masks  # built before the clock starts
+                    size_spent[0] = 0.0
+                    start = time.perf_counter()
+                    out = solve(fresh)
+                    samples[op].append(time.perf_counter() - start)
+                    if op == "alpha":
+                        samples["alpha_size"].append(size_spent[0])
+                        samples["alpha_witness"].append(samples[op][-1] - size_spent[0])
+                results.append([op, seed, k, out[0], sorted(out[1]), *out[2:]])
+            for op, v in samples.items():
+                by_renaming = times.setdefault(k, {}).setdefault(op, [[] for _ in RENAMING_SEEDS])
+                by_renaming[r].append(1e3 * statistics.median(v))
+    per_k = {}
+    for k, by_op in sorted(times.items()):
+        row = {}
+        for op, by_renaming in by_op.items():
+            sums = [sum(v) for v in by_renaming]
+            row[f"{op}_ms_median"] = statistics.median(t for v in by_renaming for t in v)
+            row[f"{op}_ms_sum"] = statistics.mean(sums)
+            row[f"{op}_ms_sum_by_renaming"] = sums
+            row[f"{op}_name_spread"] = statistics.median(
+                max(ts) / min(ts) for ts in zip(*by_renaming))
+        row["graphs"] = len(by_op["alpha"][0])
+        per_k[str(k)] = row
     return {"per_K": per_k, "results": results}
 
 
@@ -97,6 +145,8 @@ def main():
     report = {
         "config": {
             "graphs": "bench/workloads.py AnalysisWorkload.corpus()['profile'] (seed 1409)",
+            "renamings": "AnalysisWorkload().prepare(seed)['profile'] for each of RENAMING_SEEDS",
+            "renaming_seeds": RENAMING_SEEDS,
             "delta_K": "K <= DELTA_EXACT_CAP (20), the exact path",
             "delta_greedy_K": "K > DELTA_EXACT_CAP, the greedy cover",
             "repeats": args.repeats, "blas_threads": 1,

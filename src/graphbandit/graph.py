@@ -8,6 +8,7 @@ mean the player observes his own loss.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -49,13 +50,25 @@ class FeedbackGraph:
     __slots__ = ("_k", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
-        if num_vertices < 1:
-            raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
-        k = int(num_vertices)
+        # integers only (numpy's included): a float, a string or a bool is
+        # refused, never truncated or read as 0 or 1
+        try:
+            if type(num_vertices) is bool:
+                raise TypeError
+            k = operator.index(num_vertices)
+        except TypeError:
+            raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}") from None
+        if k < 1:
+            raise ValueError(f"num_vertices must be >= 1, got {k}")
         in_masks = [0] * k
         out_masks = [0] * k
         for u, v in edges:
-            u, v = int(u), int(v)
+            try:
+                if type(u) is bool or type(v) is bool:
+                    raise TypeError
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})") from None
             if not (1 <= u <= k and 1 <= v <= k):
                 raise ValueError(f"edge ({u}, {v}) out of range for K={k}")
             out_masks[u - 1] |= 1 << (v - 1)
@@ -278,26 +291,48 @@ def _mis_size(adj, cand: int) -> int:
     return best
 
 
+def _degree_ordered(adj) -> list:
+    """The same undirected graph with its vertices renamed in ascending
+    order of degree, ties broken by index: new vertex j is the j-th old
+    vertex in that order. The degrees are the Python ints' popcounts
+    (`np.bitwise_count` needs numpy 2). Each row is unpacked to bits
+    through a uint8 view of its uint64 mask, its columns are permuted, and
+    it is packed back, so every mask must fit in 64 bits."""
+    k = len(adj)
+    masks = np.array(adj, dtype="<u8")
+    order = np.fromiter(map(int.bit_count, adj), np.intp, k).argsort(kind="stable")
+    bits = np.unpackbits(masks.take(order).view(np.uint8), bitorder="little").reshape(k, 64)
+    bits[:, :k] = bits.take(order, axis=1)
+    return np.packbits(bits, bitorder="little").view("<u8").tolist()
+
+
 def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
     """Largest set of vertices with no directed edge between distinct members.
 
     Returns (alpha, witness) where the witness is the lexicographically
-    smallest maximum independent set: once alpha is known, a depth-first
-    search takes vertices in index order, trying each one in before leaving
-    it out, and prunes every branch that cannot reach alpha, so the first
-    set of size alpha it reaches is the smallest one. Each node partitions
-    its candidates into cliques once, from the highest vertex down
-    (`_clique_heads`); after the vertices below b are left out, the
-    candidates are those >= b, and the heads >= b count the cliques that
-    can still contribute a member, so every leave-out step is bounded by a
-    popcount. Graphs beyond `exact_cap` vertices are rejected rather than
-    solved approximately.
+    smallest maximum independent set. Alpha comes from `_mis_size` on a
+    copy of the graph whose vertices are renamed by ascending degree
+    (`_degree_ordered`): the search returns only a size, so the names do
+    not matter to it, and low-degree vertices first keep its clique
+    partitions tight. The witness search runs on the caller's names: once
+    alpha is known, a depth-first search takes vertices in index order,
+    trying each one in before leaving it out, and prunes every branch that
+    cannot reach alpha, so the first set of size alpha it reaches is the
+    smallest one. Each node partitions its candidates into cliques once,
+    from the highest vertex down (`_clique_heads`); after the vertices
+    below b are left out, the candidates are those >= b, and the heads
+    >= b count the cliques that can still contribute a member, so every
+    leave-out step is bounded by a popcount. Graphs beyond `exact_cap`
+    vertices, or beyond the 64 that a uint64 mask holds, are rejected
+    rather than solved approximately.
     """
     k = g.num_vertices
     if k > exact_cap:
         raise ValueError(f"K={k} exceeds the exact independence-solver cap {exact_cap}")
+    if k > 64:
+        raise ValueError(f"K={k} exceeds 64, the most vertices the size search packs")
     adj = g.symmetric_masks
-    alpha = _mis_size(adj, (1 << k) - 1)
+    alpha = _mis_size(_degree_ordered(adj), (1 << k) - 1)
 
     def first(cand: int, need: int):
         if not need:

@@ -120,11 +120,14 @@ def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
 
     `u` holds the uniforms: a float for a single distribution, else an
     R-vector or an R x 1 column. A draw counts the CDF entries at or below
-    its uniform, which on a nondecreasing CDF is searchsorted(side="right");
-    one row takes the search, several rows the count. Leaving the last CDF
-    entry out puts a uniform beyond a CDF that rounds below 1 on the last
-    action. Fixed vertex order plus one uniform per draw keeps action
-    sequences reproducible across runs that share a generator state.
+    its uniform, which on a nondecreasing CDF is searchsorted(side="right")
+    and is the index of the first entry above it. One row takes the search
+    over the CDF without its last entry; several rows set the last column
+    to +inf and take the first entry above, an argmax over a boolean
+    array, which needs no cast to count. Either way a uniform beyond a CDF
+    that rounds below 1 lands on the last action. Fixed vertex order plus
+    one uniform per draw keeps action sequences reproducible across runs
+    that share a generator state.
 
     For R x K rows, `out`, an intp R-vector, receives the indices and is
     returned; by default a new array is.
@@ -139,8 +142,9 @@ def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
         return out
     if u.ndim == 1:
         u = u[:, None]
-    c = np.add.accumulate(dist, axis=-1)[:, :-1]
-    return np.add.reduce(c <= u, axis=-1, dtype=np.intp, out=out)
+    c = np.add.accumulate(dist, axis=-1)
+    c[:, -1] = np.inf
+    return np.greater(c, u).argmax(-1, out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -150,34 +150,53 @@ def claim_c1_check(instance: PMInstance, i: int, j: int) -> bool:
     return bool(instance.certificates.member[i - 1, j - 1])
 
 
-def _first_failing_pair(seen: np.ndarray, blind: np.ndarray) -> Witness | None:
-    """From K x K tables whose entry [v, w] says whether the sources of the
-    pair {v, w} see vertex v (its membership certificate verifies against
-    one of them) or none does (its non-membership certificate verifies
-    against all of them): the first pair in lexicographic order with an
-    unseen vertex. Raises if neither holds for a vertex of some pair."""
-    pairs = ~np.eye(len(seen), dtype=bool)
-    stuck = np.argwhere(~(seen | blind) & pairs)
-    if len(stuck):
-        v, w = stuck[0] + 1
-        raise ValueError(
-            f"neither certificate verifies for vertex {v} of pair ({min(v, w)}, {max(v, w)}): "
-            "H does not encode a feedback graph"
-        )
-    failing = np.argwhere(np.triu(~(seen & seen.T), 1))
-    if not len(failing):
-        return None
-    i, j = failing[0]
-    return Witness(int(i) + 1, int(j) + 1, int(i if not seen[i, j] else j) + 1)
+_BITS = 1 << np.arange(63, dtype=np.int64)  # bit a of a source mask
+
+
+def _vertex_masks(table: np.ndarray) -> list:
+    """Per vertex i, the bitmask of the sources a (bit a) whose entry
+    [a, i] of a K x K certificate table holds."""
+    return (table.T @ _BITS[:len(table)]).tolist()
+
+
+def _first_failing_pair(seen: list, blind: list) -> Witness | None:
+    """From per-vertex bitmasks whose bit w of entry v says whether the
+    sources of the pair {v, w} see vertex v (its membership certificate
+    verifies against one of them) or none does (its non-membership
+    certificate verifies against all of them): the first pair in
+    lexicographic order with an unseen vertex, whose `unseen` is i when i
+    is unseen. A vertex v's first such pair is the one with its lowest
+    missing partner w, so the answer is the least of K candidates. Raises,
+    naming the first (v, w) in row-major order, if neither holds for a
+    vertex of some pair."""
+    full = (1 << len(seen)) - 1
+    candidates = []
+    for v, (s, b) in enumerate(zip(seen, blind)):
+        partners = full ^ 1 << v
+        stuck = partners & ~(s | b)
+        if stuck:
+            w = (stuck & -stuck).bit_length()
+            raise ValueError(
+                f"neither certificate verifies for vertex {v + 1} of pair "
+                f"({min(v + 1, w)}, {max(v + 1, w)}): H does not encode a feedback graph"
+            )
+        missing = partners & ~s
+        if missing:
+            w = (missing & -missing).bit_length()
+            candidates.append((min(v + 1, w), max(v + 1, w), v + 1))
+    return Witness(*min(candidates)) if candidates else None
 
 
 def global_witness(instance: PMInstance) -> Witness | None:
     """A pair whose loss difference is outside the combined row space of all
     signal matrices, or None if the game is globally observable."""
     member, orthogonal = instance.certificates
+    full = (1 << len(member)) - 1
+    # every pair has all K sources: a vertex is seen by the pair if any
+    # source sees it, and blind if none does
     return _first_failing_pair(
-        np.broadcast_to(member.any(axis=0)[:, None], member.shape),
-        np.broadcast_to(orthogonal.all(axis=0)[:, None], member.shape),
+        [full if m else 0 for m in _vertex_masks(member)],
+        [full if o == full else 0 for o in _vertex_masks(orthogonal)],
     )
 
 
@@ -185,10 +204,12 @@ def local_witness(instance: PMInstance) -> Witness | None:
     """A pair whose loss difference is outside the row space of the pair's
     own two signal matrices, or None if the game is locally observable."""
     member, orthogonal = instance.certificates
-    # vertex v of the pair {v, w} has the sources v and w
+    full = (1 << len(member)) - 1
+    # vertex v of the pair {v, w} has the sources v and w: seen if v sees
+    # itself or w sees it, blind if neither does
     return _first_failing_pair(
-        member.diagonal()[:, None] | member.T,
-        orthogonal.diagonal()[:, None] & orthogonal.T,
+        [full if m >> v & 1 else m for v, m in enumerate(_vertex_masks(member))],
+        [o if o >> v & 1 else 0 for v, o in enumerate(_vertex_masks(orthogonal))],
     )
 
 

@@ -16,7 +16,7 @@ from graphbandit.environments import CappedIndependentSet
 from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
 from graphbandit.graph import profile as graph_profile
 from graphbandit.graph import weak_domination_number, weakly_observable_set
-from graphbandit.partial_monitoring import Certificates
+from graphbandit.partial_monitoring import Certificates, Witness
 
 
 def is_independent(g: FeedbackGraph, vertices) -> bool:
@@ -516,6 +516,50 @@ def reference_certificates(instance) -> Certificates:
     z_sums = 2 * hits.reshape(k, k, n) - sizes.reshape(k, 1, n)
     orthogonal = (z_sums == 0).all(axis=2)
     return Certificates(member, orthogonal)
+
+
+def _reference_first_failing_pair(seen: np.ndarray, blind: np.ndarray) -> Witness | None:
+    """From K x K tables whose entry [v, w] says whether the sources of the
+    pair {v, w} see vertex v (its membership certificate verifies against
+    one of them) or none does (its non-membership certificate verifies
+    against all of them): the first pair in lexicographic order with an
+    unseen vertex. Raises if neither holds for a vertex of some pair."""
+    pairs = ~np.eye(len(seen), dtype=bool)
+    stuck = np.argwhere(~(seen | blind) & pairs)
+    if len(stuck):
+        v, w = stuck[0] + 1
+        raise ValueError(
+            f"neither certificate verifies for vertex {v} of pair ({min(v, w)}, {max(v, w)}): "
+            "H does not encode a feedback graph"
+        )
+    failing = np.argwhere(np.triu(~(seen & seen.T), 1))
+    if not len(failing):
+        return None
+    i, j = failing[0]
+    return Witness(int(i) + 1, int(j) + 1, int(i if not seen[i, j] else j) + 1)
+
+
+def reference_global_witness(instance) -> Witness | None:
+    """The global verdict on K x K boolean tables: a pair whose loss
+    difference is outside the combined row space of all signal matrices,
+    or None if the game is globally observable."""
+    member, orthogonal = instance.certificates
+    return _reference_first_failing_pair(
+        np.broadcast_to(member.any(axis=0)[:, None], member.shape),
+        np.broadcast_to(orthogonal.all(axis=0)[:, None], member.shape),
+    )
+
+
+def reference_local_witness(instance) -> Witness | None:
+    """The local verdict on K x K boolean tables: a pair whose loss
+    difference is outside the row space of the pair's own two signal
+    matrices, or None if the game is locally observable."""
+    member, orthogonal = instance.certificates
+    # vertex v of the pair {v, w} has the sources v and w
+    return _reference_first_failing_pair(
+        member.diagonal()[:, None] | member.T,
+        orthogonal.diagonal()[:, None] & orthogonal.T,
+    )
 
 
 def _reference_in_row_space(stacked, target, tol) -> bool:

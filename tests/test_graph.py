@@ -9,6 +9,8 @@ from graphbandit.graph import (
     GraphFormatError,
     VertexClass,
     _clique_heads,
+    _degree_ordered,
+    _mis_size,
     catalog,
     classify_graph,
     classify_vertex,
@@ -47,6 +49,30 @@ def test_edge_validation():
         FeedbackGraph(3, [(1, 4)])
     with pytest.raises(ValueError):
         FeedbackGraph(0, [])
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, "3", None, True])
+def test_vertex_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=f"num_vertices must be an integer, got {bad!r}"):
+        FeedbackGraph(bad, [])
+
+
+@pytest.mark.parametrize("edge", [
+    (1.7, 2.9), (1, 2.0), ("1", 2), (1, np.float64(2.0)), (True, 3), (2, True),
+])
+def test_edge_endpoints_must_be_integers(edge):
+    # a float is refused, not truncated to the vertex below it, and a bool
+    # is not read as vertex 1
+    with pytest.raises(ValueError, match="edge endpoints must be integers") as err:
+        FeedbackGraph(3, [(2, 3), edge])
+    assert repr(edge[0]) in str(err.value) and repr(edge[1]) in str(err.value)
+
+
+def test_numpy_integers_are_integers():
+    g = FeedbackGraph(np.int64(3), [(np.int32(1), np.uint8(2)), (np.int64(3), 3)])
+    assert g.num_vertices == 3 and type(g.num_vertices) is int
+    assert g.edges == frozenset({(1, 2), (3, 3)})
+    assert g == FeedbackGraph(3, [(1, 2), (3, 3)])
 
 
 def test_neighborhoods_are_consistent():
@@ -235,6 +261,62 @@ def test_alpha_of_disjoint_self_looped_cliques(sizes):
 ])
 def test_alpha_at_the_extremes(g, alpha, witness):
     assert independence_number(g) == (alpha, frozenset(witness))
+
+
+def _renamed(rng, g):
+    """g with its vertices renamed by a seeded permutation."""
+    perm = rng.permutation(g.num_vertices) + 1
+    return FeedbackGraph(g.num_vertices, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("g", [
+    FeedbackGraph(1, []),
+    FeedbackGraph(40, []),
+    catalog("loopless_clique", 40),
+    catalog("full", 40),
+    *(_odd_cycle(m) for m in (1, 2, 5, 13, 19)),
+], ids=["K1", "edgeless40", "complete40", "full40", *(f"C{2 * m + 1}" for m in (1, 2, 5, 13, 19))])
+def test_size_search_on_the_degree_ordered_copy(g):
+    adj = g.symmetric_masks
+    ordered = _degree_ordered(adj)
+    full = (1 << g.num_vertices) - 1
+    assert _mis_size(ordered, full) == _mis_size(adj, full)
+    assert sorted(m.bit_count() for m in ordered) == [m.bit_count() for m in ordered]
+
+
+def test_degree_ordered_copy_is_a_renaming_by_ascending_degree():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 7, 12, 33, 40, 64):
+        g = random_graph(rng, k, float(rng.uniform(0.05, 0.6)))
+        adj = g.symmetric_masks
+        order = sorted(range(k), key=lambda v: (adj[v].bit_count(), v))
+        new = {v: j for j, v in enumerate(order)}
+        expected = [sum(1 << new[u] for u in range(k) if adj[v] >> u & 1) for v in order]
+        assert _degree_ordered(adj) == expected
+
+
+def test_alpha_refuses_more_than_64_vertices():
+    # a perfect matching on 64 vertices uses every bit of the packed rows
+    g = FeedbackGraph(64, [(2 * i + 1, 2 * i + 2) for i in range(32)])
+    assert independence_number(g, exact_cap=64) == (32, frozenset(range(1, 64, 2)))
+    with pytest.raises(ValueError, match="exceeds 64"):
+        independence_number(FeedbackGraph(65, []), exact_cap=100)
+
+
+@pytest.mark.parametrize("low,high", [(0.05, 0.15), (0.3, 0.6)], ids=["sparse", "dense"])
+def test_alpha_equals_the_reference_solver_under_renamings(low, high):
+    # the size search sees the vertices by degree whatever their names; the
+    # witness is the smallest one in the caller's names
+    rng = np.random.default_rng(13)
+    for k in range(12, 41, 4):
+        g = random_graph(rng, k, float(rng.uniform(low, high)), float(rng.uniform(0, 1)))
+        alphas = set()
+        for _ in range(3):
+            renamed = _renamed(rng, g)
+            result = independence_number(renamed)
+            assert result == reference_independence_number(renamed)
+            alphas.add(result[0])
+        assert len(alphas) == 1
 
 
 def test_alpha_matches_brute_force():

@@ -254,6 +254,38 @@ def test_one_row_calls_equal_their_row_of_the_batch(k):
     assert sample_index(dist[0], top) == k - 1
 
 
+def _counted_draws(dist, u):
+    """The multi-row draw as first written: per row, the number of CDF
+    entries, the last one left out, at or below its uniform."""
+    cdf = np.add.accumulate(dist, axis=-1)[:, :-1]
+    return np.add.reduce(cdf <= u[:, None], axis=-1, dtype=np.intp)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 40])
+def test_multi_row_draw_equals_the_count(k):
+    # the first CDF entry above the uniform, the last one set to +inf, is
+    # the count of those at or below it on any nondecreasing CDF
+    rng = np.random.default_rng(700 + k)
+    for rows in range(2, 65):
+        dist = rng.random((rows, k)) ** 4
+        dist[rng.random((rows, k)) < 0.2] = 0.0  # repeated CDF entries
+        dist[np.add.reduce(dist, axis=1) == 0, 0] = 1.0
+        dist /= np.add.reduce(dist, axis=1, keepdims=True)
+        dist[0] = np.full(k, 1.0 / k) * (1.0 - 2.0**-40)  # a CDF that rounds below 1
+        cdf = np.add.accumulate(dist, axis=-1)
+        u = rng.random(rows)
+        ties = rng.random(rows) < 0.5  # uniforms exactly on a CDF entry
+        u[ties] = cdf[ties, rng.integers(0, k, size=int(ties.sum()))]
+        u[0] = np.nextafter(1.0, 0.0)
+        u[1] = 0.0
+        expected = _counted_draws(dist, u)
+        assert sample_index(dist, u).tolist() == expected.tolist()
+        out = np.full(rows, -1, dtype=np.intp)
+        assert sample_index(dist, u[:, None], out=out) is out
+        assert out.tolist() == expected.tolist()
+        assert expected[0] == k - 1
+
+
 # ---------------------------------------------------------------------------
 # second-order bound
 

@@ -19,7 +19,9 @@ from oracles import (
     reference_certificates,
     reference_encode,
     reference_global_observability,
+    reference_global_witness,
     reference_local_observability,
+    reference_local_witness,
     signature_families,
 )
 
@@ -352,3 +354,52 @@ def test_checks_raise_when_neither_certificate_verifies():
         check_global_observability(bad)
     with pytest.raises(ValueError, match="neither certificate verifies for vertex 1"):
         check_local_observability(bad)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask verdicts against the K x K table verdicts they replaced
+
+
+def _verdict(witness, inst):
+    """A check's witness, or the text of the error it raises."""
+    try:
+        return witness(inst)
+    except ValueError as err:
+        return str(err)
+
+
+def test_bitmask_verdicts_equal_the_table_verdicts():
+    rng = np.random.default_rng(1515)
+    witnesses = set()
+    for n in range(200):
+        g = random_graph(rng, 1 + n % 7, float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.0, 1.0)))
+        inst = encode(g)
+        assert global_witness(inst) == reference_global_witness(inst)
+        assert local_witness(inst) == reference_local_witness(inst)
+        witnesses.add(global_witness(inst))
+        witnesses.add(local_witness(inst))
+    # None, witnesses whose unseen vertex is i and ones whose unseen is j
+    assert None in witnesses
+    assert {w.unseen == w.i for w in witnesses if w is not None} == {True, False}
+
+
+def test_bitmask_verdicts_equal_the_table_verdicts_on_corrupted_symbols():
+    # overwrite cells of H until some vertices get neither certificate: the
+    # first stuck (v, w) in row-major order and the error text must agree
+    rng = np.random.default_rng(1516)
+    stuck_counts = []
+    for n in range(200):
+        g = random_graph(rng, 2 + n % 6, float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.0, 1.0)))
+        inst = encode(g)
+        k, m = inst.symbol_matrix.shape
+        corrupted = inst.symbol_matrix.copy()
+        cells = rng.integers(0, k * m, size=int(rng.integers(1, k * m // 2 + 2)))
+        corrupted.flat[cells] = rng.integers(0, int(corrupted.max()) + 3, size=len(cells))
+        bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
+        for check, reference in ((global_witness, reference_global_witness),
+                                 (local_witness, reference_local_witness)):
+            assert _verdict(check, bad) == _verdict(reference, bad)
+        member, orthogonal = bad.certificates
+        stuck_counts.append(int((~member.any(axis=0) & ~orthogonal.all(axis=0)).sum()))
+    assert max(stuck_counts) >= 3
+    assert sum(c >= 2 for c in stuck_counts) >= 20
