@@ -162,9 +162,7 @@ def _single_run(args):
     env = environments.build_environment(
         env_spec, args.T, env_ss, num_actions=num_actions, graph=graph
     )
-    transcript = harness.run_game(
-        None if env.time_varying else graph, spec, env, player_ss
-    )
+    transcript = harness.run_game(graph, spec, env, player_ss)
     transcript.config["seed"] = args.seed
     return transcript, env, graph
 

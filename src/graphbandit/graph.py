@@ -42,6 +42,20 @@ class GraphClass(Enum):
     NOT_OBSERVABLE = "not_observable"
 
 
+def _vertex_count(num_vertices) -> int:
+    """An integer (numpy's included) >= 1 as a Python int; a float, a string
+    or a bool raises ValueError, never truncated or read as 1."""
+    try:
+        if type(num_vertices) is bool:
+            raise TypeError
+        k = operator.index(num_vertices)
+    except TypeError:
+        raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}") from None
+    if k < 1:
+        raise ValueError(f"num_vertices must be >= 1, got {k}")
+    return k
+
+
 class FeedbackGraph:
     """Immutable directed graph over actions 1..K with self-loops allowed,
     kept as per-vertex bitmasks; the edge set is rebuilt from them on each
@@ -50,16 +64,7 @@ class FeedbackGraph:
     __slots__ = ("_k", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
-        # integers only (numpy's included): a float, a string or a bool is
-        # refused, never truncated or read as 0 or 1
-        try:
-            if type(num_vertices) is bool:
-                raise TypeError
-            k = operator.index(num_vertices)
-        except TypeError:
-            raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}") from None
-        if k < 1:
-            raise ValueError(f"num_vertices must be >= 1, got {k}")
+        k = _vertex_count(num_vertices)
         in_masks = [0] * k
         out_masks = [0] * k
         for u, v in edges:
@@ -517,9 +522,7 @@ def catalog(name: str, num_vertices: int) -> FeedbackGraph:
     clique_minus     -- full clique minus vertex 1's self-loop and the edge (2,1)
     loopy_star       -- revealing action plus all self-loops
     """
-    k = int(num_vertices)
-    if k < 1:
-        raise ValueError("num_vertices must be >= 1")
+    k = _vertex_count(num_vertices)
     if name == "full":
         edges = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
     elif name == "bandit":

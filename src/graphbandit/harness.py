@@ -4,21 +4,23 @@ One lockstep engine plays every game: the games of a sweep (each horizon,
 repetition and chi branch) advance together, round t of every game still
 running being one step over R x K numpy arrays, and `run_game` is its
 one-game case. The Exp3.G arithmetic is the learners module's, applied to
-all rows at once.
+all rows at once; no row's bits depend on the rows beside it, so each
+equals its game played alone.
 
 Live-prefix rule: a batch's games are sorted by decreasing horizon, so the
 games still running at round t are rows 0..live-1. A segment is a run of
 rounds with the same live rows; the batch's per-round tables (uniforms,
 losses, graph ids, actions) are laid out segment-major, each segment's
 rounds one after another and each round its live rows in order, so a step
-reads and writes basic slices of them and of the R x K state.
+reads and writes basic slices of them and of the R x K state. The graph
+ids index one table of the batch's graphs, a fixed graph its only entry.
 
 Information hiding is structural: a player's update divides only the losses
 under its row's observed mask, the out-neighborhood of the action it played
 in the round's graph, so it cannot use loss values it was never shown.
 
 Seed contract: generators are numpy PCG64 via `np.random.default_rng`. A sweep
-derives one independent root per (horizon, repetition) cell as
+derives one independent root per (horizon, repetition) cell from a seed >= 0 as
 `SeedSequence(entropy=seed, spawn_key=(horizon_index, rep))`, then spawns two
 children in order: the environment stream and the player stream. Each player
 stream's uniforms are drawn up front as `rng.random(T)`, the same numbers as
@@ -291,13 +293,15 @@ def _play_batch(graph, spec: LearnerSpec, games):
     once per batch and sliced per segment; a segment with one live row
     passes 1 x K views, on which the row functions reduce to scalars. The
     rates are spread to R x K arrays and Exp3.G's exploration terms
-    (1 - gamma and gamma * u) computed once per segment and epoch. Where the
-    exploration set follows the round graph (informed play on a sequence),
-    gamma * u comes from a table of every live row and distinct graph built
-    at the same time, one take per round. A segment's uniforms are viewed
-    as one R x 1 column per round, and observed masks are read from one
-    (graph, action) table. The player's update reads only the losses under
-    the row's observed mask.
+    (1 - gamma and gamma * u) computed once per segment and epoch. A
+    segment's uniforms are viewed as one R x 1 column per round.
+
+    Observed masks are rows of one (graph, action) table. On one graph (a
+    fixed graph's cells keep id 0) a mask is its action's row and the
+    estimate broadcasts the in-matrix over the rows: no round reads graph
+    ids. On several, each round takes by graph id its rows' in-matrices,
+    masks and, for informed play, gamma * u from a table of every live row
+    and graph. The update reads only the losses under the row's mask.
 
     The loop runs under `np.errstate(divide="raise", invalid="raise")`, so a
     zero observation probability on an observed vertex raises the
@@ -308,10 +312,9 @@ def _play_batch(graph, spec: LearnerSpec, games):
     horizons = [game.horizon for game in games]
     segments = _segments(horizons)
     total = sum(horizons)
-    time_varying = graph is None
     uniforms = np.zeros(total)
-    graph_ids = np.zeros(total, dtype=np.intp) if time_varying else None
-    graph_table = {} if time_varying else {graph: 0}
+    graph_ids = np.zeros(total, dtype=np.intp)
+    graph_table = {} if graph is None else {graph: 0}
     losses = None
     players, setups = [], []
     for r, game in enumerate(games):
@@ -339,7 +342,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
             losses = losses.astype(float)
         cells = _cells(segments, r)
         _fill(losses, cells, env.losses)
-        if time_varying:
+        if env.time_varying:
             ids = [graph_table.setdefault(g, len(graph_table)) for g in env.graphs]
             _fill(graph_ids, cells, np.asarray(ids, dtype=np.intp)[env.graph_index])
         players.append(_player_row(
@@ -365,6 +368,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     del env
 
     graphs = list(graph_table)
+    switching = len(graphs) > 1
     in_mats = np.stack([g.in_matrix for g in graphs])
     out_masks = in_mats.transpose(0, 2, 1) > 0  # [g, a] is action a's observed set
     if spec.algorithm == "hedge" and not out_masks.all():
@@ -376,7 +380,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     dist = np.stack(dist)
     eta = np.array(eta)[:, None]
     gamma = np.array(gamma)[:, None]
-    retarget = False
+    retarget = switching and exp3g and spec.mode == MODE_INFORMED
     if exp3g and spec.mode == MODE_INFORMED:
         # each distinct graph is profiled once per batch
         profiles = [graph_profile(g) for g in graphs]
@@ -384,22 +388,16 @@ def _play_batch(graph, spec: LearnerSpec, games):
             exploration_vector(prof.num_vertices, informed_exploration_set(prof))
             for prof in profiles
         ])
-        retarget = time_varying
-        if not time_varying:
+        if not switching:
             dist[:] = explore[0]
         if doubling:
-            eta, gamma = _doubling_schedule(profiles, horizons, (
-                _gather(graph_ids, _cells(segments, r)) if time_varying
-                else np.zeros(horizon, dtype=np.intp)
-                for r, horizon in enumerate(horizons)
-            ))
+            eta, gamma = _doubling_schedule(profiles, horizons, graph_ids, segments)
 
-    num_graphs, num_actions = len(graphs), dist.shape[1]
     actions = np.zeros(total, dtype=np.intp)
     cumulative = np.zeros_like(dist)
     probs, estimates = np.empty_like(dist), np.empty_like(dist)
     out_rows = out_masks.reshape(-1, num_actions)  # [g * K + a] is out_masks[g, a]
-    in_mat = in_mats[0]  # the fixed graph's
+    in_mat = in_mats[0]  # one graph's, which the estimate broadcasts over the rows
     restart, epoch = 0, -1
     # a zero observation probability on an observed vertex sets the divide
     # flag (invalid for a loss of 0) in the estimate's masked divide, which
@@ -414,11 +412,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
             seg_uniforms = uniforms[cells].reshape(rounds, live, 1)
             seg_losses = losses[cells].reshape(rounds, live, -1)
             seg_actions = actions[cells].reshape(rounds, live)
-            if time_varying:
+            if switching:
                 seg_ids = graph_ids[cells].reshape(rounds, live)
                 seg_rows = seg_ids * num_actions  # + the action: a row of out_rows
             if retarget:  # live row r's term on graph g is row r * G + g of the table
-                seg_keys = seg_ids + num_graphs * np.arange(live)
+                seg_keys = seg_ids + len(graphs) * np.arange(live)
             for i, t in enumerate(range(first, first + rounds)):
                 if t == restart or i == 0:
                     if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
@@ -448,13 +446,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
                     p = dist_t
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if exp3g:
-                    rows = a
-                    if time_varying:
+                    if switching:  # the actions' rows of out_rows on the round graphs
                         in_mat = in_mats.take(seg_ids[i], axis=0)
-                        rows = np.add(seg_rows[i], a)
-                    seen = out_rows.take(rows, axis=0)
+                        a = np.add(seg_rows[i], a)
                     cum += learners.importance_weighted_estimates(
-                        in_mat, p, seen, seg_losses[i], out=est_out
+                        in_mat, p, out_rows.take(a, axis=0), seg_losses[i], out=est_out
                     )
                 elif hedge:
                     cum += seg_losses[i]
@@ -473,7 +469,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
         yield GameTranscript(
             actions=played + 1,
             incurred=incurred,
-            observed_counts=out_counts[_gather(graph_ids, cells) if time_varying else 0, played],
+            observed_counts=out_counts[_gather(graph_ids, cells), played],
             arm_totals=arm_totals,
             player_loss=player_loss,
             best_fixed_loss=best_fixed,
@@ -483,17 +479,18 @@ def _play_batch(graph, spec: LearnerSpec, games):
         )
 
 
-def _doubling_schedule(profiles, horizons, row_ids) -> tuple:
+def _doubling_schedule(profiles, horizons, graph_ids, segments) -> tuple:
     """Per row and epoch, the (eta, gamma) of the doubling trick's restarts
-    at rounds 1, 2, 4, ..., from the profiles of the row's round graphs;
-    `row_ids` yields each row's graph ids in round order."""
+    at rounds 1, 2, 4, ..., from the profiles of the row's round graphs,
+    read from the segment-major `graph_ids` table."""
     alpha = np.array([prof.alpha for prof in profiles], dtype=float)
     weak = np.array([prof.graph_class is GraphClass.WEAKLY_OBSERVABLE for prof in profiles])
     delta = np.where(weak, [prof.delta for prof in profiles], 0).astype(float)
     epochs = int(horizons[0]).bit_length()
     eta = np.ones((len(horizons), epochs))
     gamma = np.zeros((len(horizons), epochs))
-    for r, (horizon, ids) in enumerate(zip(horizons, row_ids)):
+    for r, horizon in enumerate(horizons):
+        ids = _gather(graph_ids, _cells(segments, r))
         sums = (np.cumsum(alpha[ids]), np.cumsum(delta[ids]), np.cumsum(weak[ids]))
         for e in range(int(horizon).bit_length()):
             s = 1 << e
@@ -587,7 +584,9 @@ class ExperimentReport:
 
 def cell_streams(seed: int, horizon_index: int, rep: int):
     """The documented stream rule: one root per (horizon, rep) cell, spawned
-    into (environment stream, player stream)."""
+    into (environment stream, player stream); the seed is >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(entropy=seed, spawn_key=(horizon_index, rep))
     return root.spawn(2)
 

@@ -16,7 +16,9 @@ in-matrix, a boolean mask and full loss rows for the estimates.
 the result and is returned. By default each allocates and returns a new
 array; the lockstep engine passes buffers it allocates once per batch. Both
 give the same bits. One row (a K-vector, or 1 x K) reduces to scalars and
-draws by searchsorted, and gives the same bits as its row of an R x K call.
+draws by searchsorted, and gives the same bits as its row of an R x K call;
+the estimate takes one matrix-vector product per row for any R, as BLAS
+rounds a product over all rows by their count.
 
 A zero observation probability on an observed vertex is caught from
 numpy's divide flags, not by a pass over the estimates: the estimate's
@@ -171,8 +173,8 @@ def importance_weighted_estimates(
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
 
     Works along the trailing action axis like `exponential_weights`.
-    `in_matrix` is the round's in-matrix: one K x K for every row, or
-    R x K x K with one per row. `observed` is a boolean mask over the actions
+    `in_matrix` is the round's in-matrix: one K x K broadcast over the rows,
+    or R x K x K with one per row. `observed` is a boolean mask over the actions
     and `losses` the full loss rows, of which only the masked entries are
     read.
 
@@ -198,10 +200,7 @@ def importance_weighted_estimates(
 
 
 def _estimates(in_matrix, p, observed, losses, out):
-    if in_matrix.ndim == 3:
-        prob = np.matmul(in_matrix, p[..., None])[..., 0]
-    else:
-        prob = p @ in_matrix.T
+    prob = np.matmul(in_matrix, p[..., None])[..., 0]
     try:
         return np.divide(losses, prob, out=out, where=observed)
     except FloatingPointError:  # x/0 is a divide flag, 0/0 an invalid one

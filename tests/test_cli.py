@@ -173,6 +173,21 @@ def test_zero_horizon_refused_at_the_boundary(capsys, tmp_path, command, grid):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "lowerbound"])
+def test_negative_seed_refused_at_the_boundary(capsys, tmp_path, command):
+    flags = {
+        "run": ("--catalog", "bandit", "--k", "2", "--T", "8"),
+        "sweep": ("--catalog", "bandit", "--k", "2", "--T", "8,16", "--reps", "2",
+                  "--out", str(tmp_path / "rows.csv")),
+        "lowerbound": ("--which", "thm4", "--T", "8", "--k", "3"),
+    }[command]
+    code, out, err = run_cli(capsys, command, *flags, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_sweep_rejects_decreasing_grid(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--catalog", "bandit", "--k", "2", "--env", "bernoulli",

@@ -55,6 +55,9 @@ def test_edge_validation():
 def test_vertex_count_must_be_an_integer(bad):
     with pytest.raises(ValueError, match=f"num_vertices must be an integer, got {bad!r}"):
         FeedbackGraph(bad, [])
+    # the catalog reads K by the same rule: 2.9 is not a K=2 graph
+    with pytest.raises(ValueError, match=f"num_vertices must be an integer, got {bad!r}"):
+        catalog("bandit", bad)
 
 
 @pytest.mark.parametrize("edge", [

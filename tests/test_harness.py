@@ -1,5 +1,6 @@
 import importlib.util
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,14 @@ def test_sweep_refuses_a_non_positive_horizon_before_any_game(monkeypatch):
     with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
         sweep(config)
     assert builds == []
+
+
+def test_negative_seed_refused_by_name():
+    # numpy's SeedSequence would refuse it too, without naming the seed
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        harness.cell_streams(-1, 0, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        sweep(replace(bandit_sweep_config(), seed=-3))
 
 
 def test_sweep_repeats_identically():

@@ -189,13 +189,19 @@ def _hex(values) -> list:
     return [float(x).hex() for x in np.ravel(values)]
 
 
-@pytest.mark.parametrize("k", [2, 5, 7, 8, 9, 10, 16, 40])
-def test_one_row_calls_equal_their_row_of_the_batch(k):
+# 32 rows is a sweep's width, at which a BLAS product over all rows rounded
+# most fixed-graph estimate rows otherwise than their one-row calls
+ROW_CASES = [(6, k) for k in (2, 5, 7, 8, 9, 10, 16, 40)] + [(32, k) for k in (5, 10, 40)]
+
+
+@pytest.mark.parametrize("rows,k", ROW_CASES, ids=[
+    str(k) if rows == 6 else f"R{rows}-{k}" for rows, k in ROW_CASES
+])
+def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
     # one row reduces to scalars and draws by searchsorted; R rows reduce
     # along the action axis and draw by counting. K on both sides of numpy's
     # 8-way pairwise-sum unroll; cumulative rows up to 1e9 as in the engine
-    rows = 6
-    rng = np.random.default_rng(k)
+    rng = np.random.default_rng(k if rows == 6 else 1000 * rows + k)
     cum = rng.random((rows, k)) * 10.0 ** rng.integers(0, 10, size=(rows, 1))
     eta = np.repeat(10.0 ** rng.uniform(-6, 0, size=(rows, 1)), k, axis=1)
     gamma = np.repeat(rng.uniform(0.01, 0.5, size=(rows, 1)), k, axis=1)
@@ -232,13 +238,14 @@ def test_one_row_calls_equal_their_row_of_the_batch(k):
         assert idx.tolist() == [drawn[r]]
         assert sample_index(p[one], uniforms[one, None]).tolist() == [drawn[r]]
         assert sample_index(p[r], float(uniforms[r])) == drawn[r]
-        # a lone row's fixed-graph product equals its sequence form; R rows
-        # take one matrix product, whose last bits BLAS may round otherwise
+        # a fixed graph's estimate row does not depend on the rows beside it,
+        # nor on whether the graph comes as a one-entry sequence
         assert _hex(importance_weighted_estimates(
-            in_matrix, p[one], observed[one], losses[one])) == _hex(
-            importance_weighted_estimates(in_matrix[None], p[one], observed[one], losses[one]))
-        assert np.allclose(importance_weighted_estimates(
-            in_matrix, p[one], observed[one], losses[one]), est[r], rtol=1e-14, atol=0)
+            in_matrix, p[one], observed[one], losses[one])) == _hex(est[r])
+        assert _hex(importance_weighted_estimates(
+            in_matrix, p[r], observed[r], losses[r])) == _hex(est[r])
+        assert _hex(importance_weighted_estimates(
+            in_matrix[None], p[one], observed[one], losses[one])) == _hex(est[r])
         assert _hex(importance_weighted_estimates(
             in_matrices[one], p[one], observed_seq[one], losses[one],
             out=np.empty((1, k)))) == _hex(est_seq[r])
