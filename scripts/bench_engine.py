@@ -10,10 +10,12 @@ Every measurement runs in a fresh interpreter with BLAS pinned to one thread
 and with the tree's own `src/` first on the path:
 
 - per_round: microseconds per game round of a sweep with one horizon
-  (T = 2048) and R = 1, 8, 32 repetitions, for fixed (loopy_star K=10,
-  strong preset, Bernoulli), informed and uninformed (thm7 K=8, uninformed
-  preset) and doubling (thm7 K=8, informed doubling trick) play; the median
-  of `--repeats` runs;
+  (T = 16384 at R = 1, T = 2048 at R = 8 and 32 repetitions), for fixed
+  (loopy_star K=10, strong preset, Bernoulli), informed and uninformed
+  (thm7 K=8, uninformed preset) and doubling (thm7 K=8, informed doubling
+  trick) play; the median of `--repeats` runs, with its quartiles, and
+  per cell the median over repeats of the before/after ratio, the two
+  trees of a repeat having run back to back;
 - pilot: wall time of `scripts/run_pilot.py` (32 reps), the median of
   `--repeats` runs, and whether its CSVs equal the committed `pilot/*.csv`
   byte for byte;
@@ -37,8 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2025
-PER_ROUND_T = 2048
-PER_ROUND_RS = (1, 8, 32)
+# at R = 1, one game of T = 2048 is too short for the host's speed drift to average out
+PER_ROUND_T = {1: 16384, 8: 2048, 32: 2048}
 ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -65,17 +67,17 @@ def _configs(reps, horizons):
     }
 
 
-def worker_per_round():
-    """Runs inside the measured tree: µs per round by mode and R, one run each."""
+def worker_per_round(r: int):
+    """Runs inside the measured tree: µs per round by mode at R = `r`, one
+    run each."""
     from graphbandit import harness
 
     out = {}
-    for r in PER_ROUND_RS:
-        for mode, config in _configs(r, (PER_ROUND_T,)).items():
-            harness.sweep(_configs(1, (64,))[mode])  # warm the profile cache
-            start = time.perf_counter()
-            harness.sweep(config)
-            out[f"{mode}_R{r}"] = 1e6 * (time.perf_counter() - start) / (r * PER_ROUND_T)
+    for mode, config in _configs(r, (PER_ROUND_T[r],)).items():
+        harness.sweep(_configs(1, (64,))[mode])  # warm the profile cache
+        start = time.perf_counter()
+        harness.sweep(config)
+        out[f"{mode}_R{r}"] = 1e6 * (time.perf_counter() - start) / (r * PER_ROUND_T[r])
     return out
 
 
@@ -154,19 +156,21 @@ def main():
     parser.add_argument("--out", default=str(ROOT / "BENCH_engine.json"))
     parser.add_argument("--work", help="where the parent tree and pilot outputs go")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.worker:
-        print(json.dumps(worker_per_round()))
+        print(json.dumps(worker_per_round(args.worker)))
         return
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2, for the quartiles")
 
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_engine_"))
     rev, parent, head = extract_parent(args.parent, work)
 
     report = {
         "config": {
-            "seed": SEED, "per_round_T": PER_ROUND_T, "per_round_R": PER_ROUND_RS,
+            "seed": SEED, "per_round_T_by_R": PER_ROUND_T,
             "per_round_modes": {
                 "fixed": "loopy_star K=10, strong preset, bernoulli (0.3, 0.5 x 9)",
                 "informed": "thm7 K=8, uninformed preset, informed mode",
@@ -181,19 +185,26 @@ def main():
         "before": {"rev": rev},
         "after": {"rev": f"{head} + working tree"},
     }
-    # the host's speed drifts for minutes at a time, so the trees take turns,
-    # run by run, and each figure is a median over its tree's runs
+    # the host's speed drifts for minutes at a time, so the trees take turns
+    # on each R and on the pilot, repeat by repeat, the first tree
+    # alternating; each figure is a median over its tree's runs
     trees = (("before", parent), ("after", ROOT))
-    runs = {label: {"per_round": [], "pilot": []} for label, _ in trees}
+    runs = {label: {"per_round": {}, "pilot": []} for label, _ in trees}
     for i in range(args.repeats):
+        print(f"per-round and pilot, repeat {i + 1}", file=sys.stderr)
+        for r in PER_ROUND_T:
+            for label, tree in trees[::-1] if i % 2 else trees:
+                for key, us in run_worker(__file__, tree, r).items():
+                    runs[label]["per_round"].setdefault(key, []).append(us)
         for label, tree in trees[::-1] if i % 2 else trees:
-            print(f"{label}: per-round and pilot, run {i + 1}", file=sys.stderr)
-            runs[label]["per_round"].append(run_worker(__file__, tree))
             runs[label]["pilot"].append(measure_pilot(tree, work))
     for label, tree in trees:
         per_round, pilot = runs[label]["per_round"], runs[label]["pilot"]
         report[label]["us_per_round"] = {
-            key: statistics.median(run[key] for run in per_round) for key in per_round[0]
+            key: statistics.median(us) for key, us in per_round.items()
+        }
+        report[label]["us_per_round_quartiles"] = {  # the first and the third
+            key: statistics.quantiles(us, n=4)[::2] for key, us in per_round.items()
         }
         report[label]["pilot_32_reps"] = {
             "wall_s": statistics.median(run["wall_s"] for run in pilot),
@@ -201,6 +212,14 @@ def main():
         }
         print(f"{label}: tier-1", file=sys.stderr)
         report[label]["tier1"] = measure_tier1(tree)
+    # the two trees of one repeat ran back to back, so their ratio cancels
+    # most of the drift that the quartiles above show
+    pairs = zip(runs["before"]["per_round"].items(), runs["after"]["per_round"].values())
+    report["paired_before_over_after"] = {
+        key: {"median": statistics.median(b / a for b, a in zip(before, after)),
+              "after_faster": f"{sum(b > a for b, a in zip(before, after))}/{len(before)}"}
+        for (key, before), after in pairs
+    }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report, indent=2))
 

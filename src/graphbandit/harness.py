@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -196,6 +197,9 @@ def run_games(graph: FeedbackGraph | None, spec: LearnerSpec, envs, seeds) -> li
     `envs`, equal those of `run_game` on each (environment, seed) pair."""
     if len(envs) != len(seeds):
         raise ValueError(f"{len(envs)} environments but {len(seeds)} seeds")
+    bad = [seed for seed in seeds if isinstance(seed, (int, np.integer)) and seed < 0]
+    if bad:  # numpy's own error does not name the seed
+        raise ValueError(f"seed must be >= 0, got {bad[0]}")
     games = [_Game(env.horizon, lambda env=env: env, seed) for env, seed in zip(envs, seeds)]
     runs = [None] * len(games)
     for i, run in _play(graph, spec, games):
@@ -299,9 +303,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
     Observed masks are rows of one (graph, action) table. On one graph (a
     fixed graph's cells keep id 0) a mask is its action's row and the
     estimate broadcasts the in-matrix over the rows: no round reads graph
-    ids. On several, each round takes by graph id its rows' in-matrices,
+    ids. On several, each round picks by graph id its rows' in-matrices,
     masks and, for informed play, gamma * u from a table of every live row
-    and graph. The update reads only the losses under the row's mask.
+    and graph. The update reads only the losses under the row's mask. Rows
+    are picked by `take`, but a one-row segment reads its uniforms and ids
+    as Python lists, draws an int and picks by basic indexing.
 
     The loop runs under `np.errstate(divide="raise", invalid="raise")`, so a
     zero observation probability on an observed vertex raises the
@@ -417,6 +423,12 @@ def _play_batch(graph, spec: LearnerSpec, games):
                 seg_rows = seg_ids * num_actions  # + the action: a row of out_rows
             if retarget:  # live row r's term on graph g is row r * G + g of the table
                 seg_keys = seg_ids + len(graphs) * np.arange(live)
+            pick = _take_rows
+            if live == 1:  # Python numbers, with which basic indexing picks a row
+                pick, seg_uniforms = operator.getitem, uniforms[cells].tolist()
+                if switching:  # row 0's term on graph g is row g of the table
+                    seg_ids, seg_rows = graph_ids[cells].tolist(), seg_rows.ravel().tolist()
+                    seg_keys = seg_ids
             for i, t in enumerate(range(first, first + rounds)):
                 if t == restart or i == 0:
                     if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
@@ -436,7 +448,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
                         )[1].reshape(-1, num_actions)
                 if exp3g:
                     if retarget:
-                        terms = terms[0], table.take(seg_keys[i], axis=0)
+                        terms = terms[0], pick(table, seg_keys[i])
                     p = learners.exp3g_distribution(
                         cum, eta_t, gamma_t, dist_t, out=p_out, terms=terms
                     )
@@ -447,10 +459,10 @@ def _play_batch(graph, spec: LearnerSpec, games):
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if exp3g:
                     if switching:  # the actions' rows of out_rows on the round graphs
-                        in_mat = in_mats.take(seg_ids[i], axis=0)
-                        a = np.add(seg_rows[i], a)
+                        in_mat = pick(in_mats, seg_ids[i])
+                        a = seg_rows[i] + a
                     cum += learners.importance_weighted_estimates(
-                        in_mat, p, out_rows.take(a, axis=0), seg_losses[i], out=est_out
+                        in_mat, p, pick(out_rows, a), seg_losses[i], out=est_out
                     )
                 elif hedge:
                     cum += seg_losses[i]
@@ -477,6 +489,10 @@ def _play_batch(graph, spec: LearnerSpec, games):
             expected_best_loss=expected_best,
             config=config,
         )
+
+
+def _take_rows(table, rows):
+    return table.take(rows, axis=0)
 
 
 def _doubling_schedule(profiles, horizons, graph_ids, segments) -> tuple:

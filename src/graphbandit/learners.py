@@ -7,8 +7,8 @@ Actions are the graph's vertices, 1-indexed; probability vectors are numpy
 arrays whose entry i-1 belongs to action i. The weight, draw and estimate
 functions work along a trailing action axis, so the same code serves one
 game's K-vector and the harness's R x K rows of games played in lockstep.
-Each takes its inputs in the form the engine plays: float uniforms for the
-draw (an R-vector, or the R x 1 column the engine views per round), an
+Each takes its inputs in the form the engine plays: uniforms for the draw
+(a float for one row, an R-vector or the R x 1 column viewed per round), an
 in-matrix, a boolean mask and full loss rows for the estimates.
 
 `exponential_weights`, `exp3g_distribution`, `sample_index` and
@@ -16,9 +16,9 @@ in-matrix, a boolean mask and full loss rows for the estimates.
 the result and is returned. By default each allocates and returns a new
 array; the lockstep engine passes buffers it allocates once per batch. Both
 give the same bits. One row (a K-vector, or 1 x K) reduces to scalars and
-draws by searchsorted, and gives the same bits as its row of an R x K call;
-the estimate takes one matrix-vector product per row for any R, as BLAS
-rounds a product over all rows by their count.
+draws an int by bisecting a running sum, the bits of its row of an R x K
+call; the estimate takes one matrix-vector product per row for any R, as
+BLAS rounds a product over all rows by their count.
 
 A zero observation probability on an observed vertex is caught from
 numpy's divide flags, not by a pass over the estimates: the estimate's
@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -118,30 +120,30 @@ def informed_exploration_set(prof: GraphProfile) -> tuple:
 
 def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
-    row; returns 0-based indices (an int for a single distribution).
+    row; returns 0-based indices (an int for a float uniform).
 
-    `u` holds the uniforms: a float for a single distribution, else an
+    A float uniform draws one row (a K-vector or 1 x K); else `u` is an
     R-vector or an R x 1 column. A draw counts the CDF entries at or below
-    its uniform, which on a nondecreasing CDF is searchsorted(side="right")
-    and is the index of the first entry above it. One row takes the search
-    over the CDF without its last entry; several rows set the last column
-    to +inf and take the first entry above, an argmax over a boolean
-    array, which needs no cast to count. Either way a uniform beyond a CDF
-    that rounds below 1 lands on the last action. Fixed vertex order plus
-    one uniform per draw keeps action sequences reproducible across runs
-    that share a generator state.
+    its uniform: searchsorted(side="right"), the first entry above it. One
+    row bisects (`bisect_right`) Python's running sum of its first K-1
+    probabilities, the bits of `np.add.accumulate`'s sequential sum;
+    several rows set the last column to +inf and take the first entry
+    above, an argmax over a boolean array, which needs no cast to count.
+    Either way a uniform beyond a CDF that rounds below 1 lands on the last
+    action. Fixed vertex order plus one uniform per draw keeps action
+    sequences reproducible across runs that share a generator state.
 
-    For R x K rows, `out`, an intp R-vector, receives the indices and is
-    returned; by default a new array is.
+    `out`, an intp R-vector, receives the indices and is returned unless
+    the uniform is a float; by default a new array is.
     """
-    if dist.ndim == 1:
-        return int(np.add.accumulate(dist)[:-1].searchsorted(u, side="right"))
+    if isinstance(u, float):  # one row
+        a = bisect_right(list(accumulate(dist.ravel().tolist()[:-1])), u)
+        if out is not None:
+            out[0] = a
+        return a
     if out is None:
         out = np.empty(len(dist), dtype=np.intp)
     u = np.asarray(u)
-    if len(dist) == 1:
-        out[:] = np.add.accumulate(dist[0])[:-1].searchsorted(u[0], side="right")
-        return out
     if u.ndim == 1:
         u = u[:, None]
     c = np.add.accumulate(dist, axis=-1)

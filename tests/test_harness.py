@@ -112,8 +112,9 @@ def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
     # whose observed loss (1, or 0 for a 0/0) then has observation probability 0
     monkeypatch.setattr(learners, "exp3g_distribution",
                         lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    # a float uniform is a one-row draw, which returns an int
     monkeypatch.setattr(learners, "sample_index",
-                        lambda p, u, **_: np.ones(len(p), dtype=np.intp))
+                        lambda p, u, **_: 1 if isinstance(u, float) else np.ones(len(p), np.intp))
     env = bernoulli_env(mu, 10, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -123,10 +124,13 @@ def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
 
 def _point_mass_player(monkeypatch, draw):
     # the play distribution puts all mass on action 1; `draw(rows)` gives the
-    # rows' drawn actions, 0-based
+    # rows' drawn actions, 0-based, and a one-row draw (a float uniform)
+    # returns its action as an int, as `sample_index` does
     monkeypatch.setattr(learners, "exp3g_distribution",
                         lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
-    monkeypatch.setattr(learners, "sample_index", lambda p, u, **_: draw(len(p)))
+    monkeypatch.setattr(learners, "sample_index", lambda p, u, **_: (
+        int(draw(1)[0]) if isinstance(u, float) else draw(len(p))
+    ))
 
 
 def test_zero_probability_raises_before_any_transcript(monkeypatch):
@@ -454,6 +458,19 @@ def test_negative_seed_refused_by_name():
         harness.cell_streams(-1, 0, 0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         sweep(replace(bandit_sweep_config(), seed=-3))
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)], ids=["int", "numpy_int"])
+def test_negative_game_seed_refused_by_name(seed):
+    # run_game and run_games pass an int seed to default_rng, whose own error
+    # does not name it
+    env = bernoulli_env([0.5, 0.5, 0.5], 10, seed=0)
+    spec = LearnerSpec(algorithm="exp3g", **MANUAL)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_game(catalog("bandit", 3), spec, env, seed)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        harness.run_games(catalog("bandit", 3), spec, [env, env], [0, seed])
+    assert run_game(catalog("bandit", 3), spec, env, 0).horizon == 10
 
 
 def test_sweep_repeats_identically():

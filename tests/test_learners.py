@@ -293,6 +293,38 @@ def test_multi_row_draw_equals_the_count(k):
         assert expected[0] == k - 1
 
 
+@pytest.mark.parametrize("k", range(2, 41))
+def test_one_row_draw_equals_accumulate_searchsorted(k):
+    # a float uniform draws one row by bisecting Python's running sum: the
+    # same index as searchsorted(side="right") over numpy's sequential sum
+    # without its last entry, and as that row of an R-row draw
+    rng = np.random.default_rng(900 + k)
+    rows = 24
+    dist = rng.random((rows, k)) ** 4
+    dist[rng.random((rows, k)) < 0.2] = 0.0  # repeated CDF entries
+    dist[np.add.reduce(dist, axis=1) == 0, 0] = 1.0
+    dist /= np.add.reduce(dist, axis=1, keepdims=True)
+    dist[0] = np.full(k, 1.0 / k) * (1.0 - 2.0**-40)  # a CDF that rounds below 1
+    cdf = np.add.accumulate(dist, axis=-1)
+    u = rng.random(rows)
+    ties = np.arange(rows) % 2 == 1  # uniforms exactly on a partial sum
+    u[ties] = cdf[ties, rng.integers(0, k - 1, size=int(ties.sum()))]
+    u[0] = np.nextafter(1.0, 0.0)
+    assert cdf[0, -1] < u[0]
+    drawn = sample_index(dist, u)
+    for r in range(rows):
+        x = float(u[r])
+        expected = int(np.add.accumulate(dist[r])[:-1].searchsorted(x, side="right"))
+        assert sample_index(dist[r], x) == expected == drawn[r]
+        one = sample_index(dist[r:r + 1], x)
+        assert type(one) is int and one == expected
+        out = np.full(1, -1, dtype=np.intp)
+        assert sample_index(dist[r:r + 1], x, out=out) == expected
+        assert out.tolist() == [expected]
+        assert sample_index(dist[r:r + 1], u[r:r + 1]).tolist() == [expected]
+    assert drawn[0] == k - 1
+
+
 # ---------------------------------------------------------------------------
 # second-order bound
 
