@@ -27,8 +27,6 @@ from .graph import (
 )
 from .learners import MODES
 
-PRESET_FLAGS = {"strong": "strong", "weak": "weak", "loopless-clique": "loopless_clique", "manual": "manual"}
-
 
 def _emit(pairs):
     for key, value in pairs:
@@ -80,7 +78,7 @@ def _parse_horizons(text: str):
 def _learner_spec(args) -> harness.LearnerSpec:
     return harness.LearnerSpec(
         algorithm=args.learner,
-        preset="manual" if args.learner == "hedge" else PRESET_FLAGS[args.preset],
+        preset="manual" if args.learner == "hedge" else args.preset.replace("-", "_"),
         eta=args.eta,
         gamma=args.gamma,
         mode=args.mode,
@@ -227,6 +225,8 @@ def cmd_lowerbound(args) -> int:
     horizon = args.T
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
     if args.which in ("thm4", "all"):
         g = FeedbackGraph(3, [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
         spec = harness.LearnerSpec(algorithm="exp3g", preset="manual", eta=0.2, gamma=0.1)
@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_game_flags(p):
         _add_graph_source(p, positional=False)
         p.add_argument("--learner", choices=("hedge", "exp3g"), default="exp3g")
-        p.add_argument("--preset", choices=tuple(PRESET_FLAGS), default="strong")
+        p.add_argument("--preset", choices=[name.replace("_", "-") for name in harness.PRESETS],
+                       default="strong")
         p.add_argument("--eta", type=float, help="learning rate (manual preset / hedge)")
         p.add_argument("--gamma", type=float, help="exploration rate (manual preset)")
         p.add_argument("--mode", choices=MODES, default="fixed")

@@ -3,9 +3,10 @@
 One lockstep engine plays every game: the games of a sweep (each horizon,
 repetition and chi branch) advance together, round t of every game still
 running being one step over R x K numpy arrays, and `run_game` is its
-one-game case. The Exp3.G arithmetic is the learners module's, applied to
-all rows at once; no row's bits depend on the rows beside it, so each
-equals its game played alone.
+one-game case. Every learner is an Exp3.G row (Hedge at gamma = 0, the
+uniform and constant players at gamma = 1), played by the learners module's
+arithmetic on all rows at once; no row's bits depend on the rows beside it,
+so each equals its game played alone.
 
 Live-prefix rule: a batch's games are sorted by decreasing horizon, so the
 games still running at round t are rows 0..live-1. A segment is a run of
@@ -153,15 +154,16 @@ def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Pres
 
 
 def _player_row(spec: LearnerSpec, num_actions, base_graph, horizon) -> tuple:
-    """A game's row in the engine: (eta, gamma, distribution). The
-    distribution is Exp3.G's exploration vector, or what a player that never
-    updates draws from; hedge plays exponential weights at its own eta. The
-    doubling preset's rates are placeholders that `_doubling_schedule`
-    overwrites, and its exploration vector follows the round graph."""
+    """A game's row in the engine: (eta, gamma, distribution), an Exp3.G
+    player. Hedge is gamma = 0 at its own eta (`p * 1.0 + 0.0` is exponential
+    weights bit for bit); the uniform and constant players are gamma = 1 on
+    the distribution they draw from (`0.0 * w + u` is `u`). The doubling
+    preset's rates are placeholders that `_doubling_schedule` overwrites,
+    and its exploration vector follows the round graph."""
     if spec.algorithm == "constant":
         if not 1 <= spec.constant_action <= num_actions:
             raise ValueError("action out of range")
-        return 1.0, 0.0, np.eye(num_actions)[spec.constant_action - 1]
+        return 1.0, 1.0, np.eye(num_actions)[spec.constant_action - 1]
     if spec.algorithm == "exp3g" and spec.preset != "doubling":
         preset = _resolve_preset(spec, base_graph, num_actions, horizon)
         # a preset tunes its rates from K and T: at a short horizon they can
@@ -169,9 +171,9 @@ def _player_row(spec: LearnerSpec, num_actions, base_graph, horizon) -> tuple:
         # ln K > T/2)
         _check_rates(preset.eta, preset.gamma)
         return preset.eta, preset.gamma, exploration_vector(num_actions, preset.exploration_set)
-    # hedge, uniform and doubling rows start from the uniform distribution
     eta = spec.eta if spec.algorithm == "hedge" else 1.0
-    return eta, 0.0, np.full(num_actions, 1.0 / num_actions)
+    gamma = 1.0 if spec.algorithm == "uniform" else 0.0
+    return eta, gamma, np.full(num_actions, 1.0 / num_actions)
 
 
 def run_game(
@@ -293,6 +295,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
     drawn up front as `rng.random(T)`, the same numbers T calls to
     `rng.random()` give.
 
+    Every row acts through one `exp3g_distribution` call (see `_player_row`).
+    Hedge's update adds the full loss rows; every other row adds importance-
+    weighted estimates, which gamma = 1 rows never read and cannot make raise
+    (an observed vertex has P(i) >= p(a) > 0).
+
     The arithmetic is the learners module's, called with buffers allocated
     once per batch and sliced per segment; a segment with one live row
     passes 1 x K views, on which the row functions reduce to scalars. The
@@ -318,7 +325,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     horizons = [game.horizon for game in games]
     segments = _segments(horizons)
     total = sum(horizons)
-    uniforms = np.zeros(total)
+    uniforms = np.empty(total)
     graph_ids = np.zeros(total, dtype=np.intp)
     graph_table = {} if graph is None else {graph: 0}
     losses = None
@@ -354,8 +361,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
         players.append(_player_row(
             spec, num_actions, graph if graph is not None else env.graph_at(0), env.horizon
         ))
-        if spec.algorithm != "constant":
-            _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
+        _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
         setups.append((
             env.losses.sum(axis=0),
             float(env.horizon * env.means.min()) if env.means is not None else None,
@@ -377,17 +383,17 @@ def _play_batch(graph, spec: LearnerSpec, games):
     switching = len(graphs) > 1
     in_mats = np.stack([g.in_matrix for g in graphs])
     out_masks = in_mats.transpose(0, 2, 1) > 0  # [g, a] is action a's observed set
-    if spec.algorithm == "hedge" and not out_masks.all():
-        raise ValueError("Hedge needs full feedback; some action does not observe every loss")
-    exp3g = spec.algorithm == "exp3g"
     hedge = spec.algorithm == "hedge"
+    if hedge and not out_masks.all():
+        raise ValueError("Hedge needs full feedback; some action does not observe every loss")
     doubling = spec.preset == "doubling"
     eta, gamma, dist = zip(*players)
     dist = np.stack(dist)
     eta = np.array(eta)[:, None]
     gamma = np.array(gamma)[:, None]
-    retarget = switching and exp3g and spec.mode == MODE_INFORMED
-    if exp3g and spec.mode == MODE_INFORMED:
+    informed = spec.algorithm == "exp3g" and spec.mode == MODE_INFORMED
+    retarget = switching and informed
+    if informed:
         # each distinct graph is profiled once per batch
         profiles = [graph_profile(g) for g in graphs]
         explore = np.stack([
@@ -446,36 +452,27 @@ def _play_batch(graph, spec: LearnerSpec, games):
                         table = learners.exploration_terms(
                             gamma[:live, epoch, None, None], explore
                         )[1].reshape(-1, num_actions)
-                if exp3g:
-                    if retarget:
-                        terms = terms[0], pick(table, seg_keys[i])
-                    p = learners.exp3g_distribution(
-                        cum, eta_t, gamma_t, dist_t, out=p_out, terms=terms
-                    )
-                elif hedge:
-                    p = learners.exponential_weights(cum, eta_t, out=p_out)
-                else:
-                    p = dist_t
+                if retarget:
+                    terms = terms[0], pick(table, seg_keys[i])
+                p = learners.exp3g_distribution(
+                    cum, eta_t, gamma_t, dist_t, out=p_out, terms=terms
+                )
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
-                if exp3g:
-                    if switching:  # the actions' rows of out_rows on the round graphs
-                        in_mat = pick(in_mats, seg_ids[i])
-                        a = seg_rows[i] + a
-                    cum += learners.importance_weighted_estimates(
-                        in_mat, p, pick(out_rows, a), seg_losses[i], out=est_out
-                    )
-                elif hedge:
+                if hedge:  # full information: every loss, unweighted
                     cum += seg_losses[i]
+                    continue
+                if switching:  # the actions' rows of out_rows on the round graphs
+                    in_mat = pick(in_mats, seg_ids[i])
+                    a = seg_rows[i] + a
+                cum += learners.importance_weighted_estimates(
+                    in_mat, p, pick(out_rows, a), seg_losses[i], out=est_out
+                )
 
     out_counts = out_masks.sum(axis=-1)
     for r, (arm_totals, expected_best, config) in enumerate(setups):
         cells = _cells(segments, r)
         played = _gather(actions, cells)
-        # a segment's loss rows of one game are a strided view; pick the played entries
-        incurred = np.concatenate([
-            losses[where][np.arange(rounds.stop - rounds.start), played[rounds]]
-            for rounds, where in cells
-        ] + [losses[:0, 0]]).astype(float)
+        incurred = _gather(losses, cells)[np.arange(len(played)), played].astype(float)
         player_loss = float(incurred.sum())
         best_fixed = float(arm_totals.min())
         yield GameTranscript(
@@ -634,24 +631,24 @@ def sweep(config: SweepConfig) -> ExperimentReport:
             raise ValueError(f"chi averaging is undefined for env {config.env.kind!r}")
     else:
         chis = (None,)
-    # a fixed graph is profiled once, up front, so one beyond the exact
-    # solvers' reach is refused before any game is played; a graph sequence
-    # is profiled by each cell's first graph
+    # a fixed graph is profiled once, up front, and a graph sequence by each
+    # cell's first graph as the cell's batch is set up, so a graph beyond the
+    # exact solvers' reach is refused before any round is played
     if config.graph is not None:
         num_actions = config.graph.num_vertices
         columns = _profile_columns(config.graph)
     else:
         num_actions = config.env.params.get("k")
         columns = None
-    first_graphs = {}
+    cell_columns = {}
 
     def build(cell, horizon, env_ss, chi):
         env = build_environment(
             config.env, horizon, env_ss, num_actions=num_actions,
             graph=config.graph, chi=chi,
         )
-        if columns is None:
-            first_graphs.setdefault(cell, env.graph_at(0))
+        if columns is None and cell not in cell_columns:
+            cell_columns[cell] = _profile_columns(env.graph_at(0))
         return env
 
     cells = [(hi, rep) for hi in range(len(config.horizons)) for rep in range(config.reps)]
@@ -674,7 +671,7 @@ def sweep(config: SweepConfig) -> ExperimentReport:
         rows.append({
             "graph": config.graph_name,
             "K": k[0],
-            **(columns or _profile_columns(first_graphs[cell])),
+            **(columns or cell_columns[cell]),
             "learner": config.learner.algorithm,
             "preset": config.learner.preset,
             "mode": config.learner.mode,

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from graphbandit import environments, harness
 from graphbandit.cli import main
 from graphbandit.graph import catalog, format_graph
 
@@ -173,6 +174,15 @@ def test_zero_horizon_refused_at_the_boundary(capsys, tmp_path, command, grid):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+@pytest.mark.parametrize("which", ["thm8", "thm7"])
+def test_lowerbound_refuses_reps_below_one_at_the_boundary(capsys, which, reps):
+    code, out, err = run_cli(capsys, "lowerbound", "--which", which, "--T", "64", "--reps", reps)
+    assert code == 2
+    assert out == ""
+    assert "reps must be >= 1" in err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "lowerbound"])
 def test_negative_seed_refused_at_the_boundary(capsys, tmp_path, command):
     flags = {
@@ -186,6 +196,47 @@ def test_negative_seed_refused_at_the_boundary(capsys, tmp_path, command):
     assert out == ""
     assert "seed must be >= 0, got -1" in err
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_thm7_uninformed_sweep_writes_the_harness_sweep(capsys, tmp_path):
+    out_csv = tmp_path / "rows.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--env", "thm7", "--k", "6", "--mode", "uninformed",
+        "--preset", "uninformed", "--T", "64,128", "--reps", "2", "--seed", "3",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    config = harness.SweepConfig(
+        graph=None, graph_name="thm7-sequence",
+        learner=harness.LearnerSpec(preset="uninformed", mode="uninformed"),
+        env=environments.EnvSpec("thm7", {"k": 6}), horizons=(64, 128), reps=2, seed=3,
+    )
+    harness.sweep(config).write_csv(tmp_path / "want.csv")
+    assert out_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_run_doubling_preset_plays_the_doubling_wrapper(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--env", "thm7", "--k", "6", "--mode", "informed",
+        "--preset", "doubling", "--T", "300", "--seed", "2",
+    )
+    assert code == 0
+    kv = parse_kv(out)
+    env_ss, player_ss = harness.cell_streams(2, 0, 0)
+    env = environments.uninformed_separation_env(6, 300, env_ss)
+    run = harness.doubling_wrapper(None, harness.LearnerSpec(mode="informed"), env, player_ss)
+    assert kv["preset"] == "doubling"
+    assert (float(kv["player_loss"]), float(kv["regret"])) == (run.player_loss, run.regret)
+
+
+def test_doubling_preset_outside_informed_mode_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--env", "thm7", "--k", "6", "--mode", "uninformed",
+        "--preset", "doubling", "--T", "64",
+    )
+    assert code == 2
+    assert out == ""
+    assert "the doubling preset drives exp3g in informed mode" in err
 
 
 def test_sweep_rejects_decreasing_grid(capsys):

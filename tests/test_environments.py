@@ -286,6 +286,11 @@ def test_build_environment_refuses_a_horizon_below_one(kind, params, horizon):
                           graph=catalog("revealing_action", 3))
 
 
+def test_thm5_environment_needs_the_graph():
+    with pytest.raises(ValueError, match="thm5 environment needs the feedback graph"):
+        build_environment(EnvSpec("thm5"), 64, 0, num_actions=6)
+
+
 def test_losses_are_binary_or_half():
     envs = [
         hidden_arm_env(1, 50, 4),

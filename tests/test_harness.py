@@ -252,6 +252,18 @@ def test_constant_graph_sequence_matches_fixed_play():
     assert informed.horizon == fixed.horizon
 
 
+def test_informed_play_on_a_strongly_observable_graph_equals_fixed_play():
+    # informed play explores every vertex of a strongly observable round
+    # graph, as the strong preset does
+    g = catalog("loopy_star", 5)
+    env = bernoulli_env([0.3, 0.5, 0.5, 0.5, 0.6], 400, seed=6)
+    fixed = run_game(g, LearnerSpec(preset="strong"), env, 9)
+    informed = run_game(g, LearnerSpec(preset="strong", mode="informed"), env, 9)
+    assert np.array_equal(informed.actions, fixed.actions)
+    assert np.array_equal(informed.incurred, fixed.incurred)
+    assert informed.player_loss == fixed.player_loss
+
+
 # ---------------------------------------------------------------------------
 # hidden-arm equality
 
@@ -430,6 +442,25 @@ def test_sweep_refuses_out_of_reach_graph_before_any_game(monkeypatch):
     assert builds == []
 
 
+def test_sweep_refuses_out_of_reach_graph_sequence_before_any_round(monkeypatch):
+    draws = []
+    draw = learners.sample_index
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "sample_index", counted)
+    config = SweepConfig(
+        **thm7(41), learner=LearnerSpec(**MANUAL, mode="uninformed"),
+        horizons=(64, 128), reps=2,
+    )
+    # each cell's first graph is profiled as its batch is set up
+    with pytest.raises(ValueError, match="exceeds the exact independence-solver cap"):
+        sweep(config)
+    assert draws == []
+
+
 def test_sweep_refuses_a_non_positive_horizon_before_any_game(monkeypatch):
     builds = []
     build = harness.build_environment
@@ -605,6 +636,12 @@ LOCKSTEP_CASES = {
         graph=catalog("loopy_star", 4), graph_name="loopy_star",
         learner=LearnerSpec(algorithm="constant", constant_action=2), env=BERNOULLI4,
     ),
+    # the planted weak instance, built from the graph (on clique_minus its
+    # capped set has one vertex, and it falls back to the thm8 table)
+    "thm5": dict(
+        graph=catalog("revealing_action", 6), graph_name="revealing_action",
+        learner=LearnerSpec(preset="weak"), env=EnvSpec("thm5"),
+    ),
 }
 
 
@@ -663,8 +700,10 @@ RUN_GAMES_CASES = {
               lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.7], horizon, seed=i)),
     "constant": (catalog("loopy_star", 4), LearnerSpec(algorithm="constant", constant_action=3),
                  lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.7], horizon, seed=i)),
+    "uniform": (catalog("loopy_star", 4), LearnerSpec(algorithm="uniform"),
+                lambda i, horizon: bernoulli_env([0.3, 0.5, 0.5, 0.7], horizon, seed=i)),
 }
-SEGMENT_EDGE_CASES = ("doubling", "hedge", "constant")
+SEGMENT_EDGE_CASES = ("doubling", "hedge", "constant", "uniform")
 
 
 @pytest.mark.parametrize("case", sorted(RUN_GAMES_CASES))
@@ -700,6 +739,9 @@ LEARNER_CASES = {
                    LearnerSpec(**MANUAL_RATES, mode="uninformed")),
     "doubling": (lambda: DoublingExp3G(6), "informed",
                  LearnerSpec(preset="doubling", mode="informed")),
+    # every round strongly observable: each restart takes the strong tuning
+    "doubling_strong": (lambda: DoublingExp3G(5), "informed",
+                        LearnerSpec(preset="doubling", mode="informed")),
     "hedge": (lambda: HedgePlayer(5, 0.1), "fixed", LearnerSpec(algorithm="hedge", eta=0.1)),
     "uniform": (lambda: UniformRandom(5), "fixed", LearnerSpec(algorithm="uniform")),
     "constant": (lambda: ConstantAction(4), "fixed",

@@ -10,6 +10,7 @@ from graphbandit.learners import (
     BEFORE_ACTION,
     Exp3G,
     FeedbackEvent,
+    doubling_rates,
     exp3g_distribution,
     exploration_terms,
     exploration_vector,
@@ -611,6 +612,15 @@ def test_preset_strong_loopy_star():
     prof = profile(catalog("loopy_star", 10))
     pre = preset_strong(prof, 10**6)
     assert pre.gamma == pytest.approx((9 * 10**6) ** -0.5)
+
+
+def test_doubling_rates_on_strong_rounds_equal_the_strong_preset():
+    # every round strongly observable with the same alpha: the epoch starting
+    # at round s is tuned as the strong preset tunes a game of s rounds
+    prof = profile(catalog("loopy_star", 5))
+    for s in range(1, 2**12 + 1):
+        pre = preset_strong(prof, s)
+        assert doubling_rates(5, s, prof.alpha * s, 0, 0, False) == (pre.eta, pre.gamma)
 
 
 def test_preset_strong_rejects_weak_graph():
