@@ -145,8 +145,6 @@ def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Pres
         return preset_loopless_clique(num_actions, horizon)
     if spec.preset == "uninformed":
         return preset_uninformed(num_actions, horizon)
-    if base_graph is None:
-        raise ValueError(f"preset {spec.preset!r} needs a graph to profile")
     prof = graph_profile(base_graph)
     if spec.preset == "strong":
         return preset_strong(prof, horizon)
@@ -454,9 +452,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
                         )[1].reshape(-1, num_actions)
                 if retarget:
                     terms = terms[0], pick(table, seg_keys[i])
-                p = learners.exp3g_distribution(
-                    cum, eta_t, gamma_t, dist_t, out=p_out, terms=terms
-                )
+                p = learners.exp3g_distribution(cum, eta_t, terms, out=p_out)
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if hedge:  # full information: every loss, unweighted
                     cum += seg_losses[i]
@@ -558,7 +554,6 @@ class SweepConfig:
 
 @dataclass
 class ExperimentReport:
-    config_echo: dict
     rows: list
 
     def mean_regret(self) -> dict:
@@ -663,11 +658,12 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     # keep only what a row needs of each transcript
     runs = [None] * len(games)
     for i, run in _play(config.graph, config.learner, games):
-        runs[i] = (run.config["K"], run.player_loss, run.best_fixed_loss, run.regret)
+        runs[i] = (run.config["K"], run.config["env"], run.player_loss, run.best_fixed_loss,
+                   run.regret)
 
     rows = []
     for cell, i in zip(cells, range(0, len(runs), len(chis))):
-        k, player, best, regret = zip(*runs[i:i + len(chis)])
+        k, env, player, best, regret = zip(*runs[i:i + len(chis)])
         rows.append({
             "graph": config.graph_name,
             "K": k[0],
@@ -675,7 +671,7 @@ def sweep(config: SweepConfig) -> ExperimentReport:
             "learner": config.learner.algorithm,
             "preset": config.learner.preset,
             "mode": config.learner.mode,
-            "env": config.env.kind,
+            "env": env[0],
             "T": config.horizons[cell[0]],
             "rep": cell[1],
             "seed": config.seed,
@@ -683,18 +679,7 @@ def sweep(config: SweepConfig) -> ExperimentReport:
             "best_fixed_loss": float(np.mean(best)),
             "regret": float(np.mean(regret)),
         })
-    echo = {
-        "graph": config.graph_name,
-        "learner": config.learner.algorithm,
-        "preset": config.learner.preset,
-        "mode": config.learner.mode,
-        "env": config.env.kind,
-        "horizons": tuple(config.horizons),
-        "reps": config.reps,
-        "seed": config.seed,
-        "chi_average": config.chi_average,
-    }
-    return ExperimentReport(config_echo=echo, rows=rows)
+    return ExperimentReport(rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,6 @@ MODE_INFORMED = "informed"
 MODE_UNINFORMED = "uninformed"
 MODES = (MODE_FIXED, MODE_INFORMED, MODE_UNINFORMED)
 
-BEFORE_ACTION = "before_action"
-AFTER_ACTION = "after_action"
-
 
 def exponential_weights(cumulative: np.ndarray, eta, out: np.ndarray | None = None) -> np.ndarray:
     """Distribution proportional to exp(-eta * cumulative) along the trailing
@@ -80,18 +77,16 @@ def exploration_terms(gamma, u: np.ndarray) -> tuple:
 
 
 def exp3g_distribution(
-    cumulative: np.ndarray, eta, gamma, u: np.ndarray,
-    out: np.ndarray | None = None, terms: tuple | None = None,
+    cumulative: np.ndarray, eta, terms: tuple, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exp3.G's play distribution: exponential weights mixed with the uniform
-    exploration distribution `u` at rate `gamma`, row by row like
-    `exponential_weights`.
+    """Exp3.G's play distribution: exponential weights mixed with a uniform
+    exploration distribution, row by row like `exponential_weights`.
 
-    `out` works as in `exponential_weights`. `terms` is
-    `exploration_terms(gamma, u)` computed already, for a caller that plays
-    many rounds with the same gamma and u; the result is the same bits.
+    `terms` is `exploration_terms(gamma, u)` for the exploration rate gamma
+    and distribution u, computed once by a caller that plays many rounds
+    with the same gamma and u. `out` works as in `exponential_weights`.
     """
-    keep, explore = terms if terms is not None else exploration_terms(gamma, u)
+    keep, explore = terms
     p = exponential_weights(cumulative, eta, out=out)
     np.multiply(keep, p, out=p)
     return np.add(p, explore, out=p)
@@ -341,27 +336,22 @@ class Exp3G:
     @property
     def p(self) -> np.ndarray:
         if self._p is None:
-            self._p = exp3g_distribution(self.cumulative, self.eta, self.gamma, self._u)
+            self._p = exp3g_distribution(
+                self.cumulative, self.eta, exploration_terms(self.gamma, self._u)
+            )
         return self._p
 
-    def set_round_graph(self, g: FeedbackGraph, when: str, prof: GraphProfile | None = None):
-        """Supply round t's graph: before acting in the informed model, after
-        acting in the uninformed model (equivalently via the event). `prof`
-        is the graph's profile when the caller has it already."""
+    def set_round_graph(self, g: FeedbackGraph, prof: GraphProfile | None = None):
+        """Supply round t's graph before acting, in the informed model; the
+        uninformed model gets its graph with the feedback event. `prof` is
+        the graph's profile when the caller has it already."""
         if g.num_vertices != self.num_actions:
             raise ValueError("graph size does not match num_actions")
-        if when == BEFORE_ACTION:
-            if self.mode != MODE_INFORMED:
-                raise ValueError("before_action graphs only apply to informed mode")
-            self._set_exploration(informed_exploration_set(prof or graph_profile(g)))
-            self._round_graph = g
-            self._p = None
-        elif when == AFTER_ACTION:
-            if self.mode != MODE_UNINFORMED:
-                raise ValueError("after_action graphs only apply to uninformed mode")
-            self._round_graph = g
-        else:
-            raise ValueError(f"unknown timing {when!r}")
+        if self.mode != MODE_INFORMED:
+            raise ValueError("round graphs are set before acting only in informed mode")
+        self._set_exploration(informed_exploration_set(prof or graph_profile(g)))
+        self._round_graph = g
+        self._p = None
 
     def act(self, rng) -> int:
         """Draw an action from p. Repeated calls within a round resample the

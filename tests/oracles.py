@@ -673,9 +673,7 @@ class DoublingExp3G:
         self._weak_rounds = 0
         self._learner = None
 
-    def set_round_graph(self, g: FeedbackGraph, when: str):
-        if when != learners.BEFORE_ACTION:
-            raise ValueError("the doubling learner plays the informed model")
+    def set_round_graph(self, g: FeedbackGraph):
         prof = graph_profile(g)
         weak = prof.graph_class is GraphClass.WEAKLY_OBSERVABLE
         self.round += 1
@@ -691,7 +689,7 @@ class DoublingExp3G:
             self._learner = learners.Exp3G(
                 self.num_actions, eta, gamma, mode=learners.MODE_INFORMED
             )
-        self._learner.set_round_graph(g, when, prof)
+        self._learner.set_round_graph(g, prof)
 
     def act(self, rng) -> int:
         return self._learner.act(rng)

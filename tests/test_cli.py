@@ -137,6 +137,64 @@ def test_run_plays_the_sweep_cell_of_its_seed(capsys, tmp_path):
     assert float(parse_kv(out)["regret"]) == float(row["regret"])
 
 
+def test_sweep_writes_the_env_it_built(capsys, tmp_path):
+    # clique_minus K=6's capped independent set has fewer than two vertices,
+    # so the thm5 request builds the thm8 two-arm table; the row says so
+    game = ["--catalog", "clique_minus", "--k", "6", "--env", "thm5", "--preset", "weak",
+            "--T", "512", "--seed", "1"]
+    code, out, _ = run_cli(capsys, "run", *game)
+    assert code == 0
+    out_csv = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "sweep", *game, "--reps", "1", "--out", str(out_csv))
+    assert code == 0
+    with open(out_csv, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    kv = parse_kv(out)
+    assert kv["env"] == "thm8"
+    assert (row["env"], float(row["regret"])) == (kv["env"], float(kv["regret"]))
+
+
+def _cell_run(graph, spec, env_for):
+    """`run_game` on the env that `env_for(env stream)` builds, with the
+    player stream of the CLI's cell (0, 0) at seed 0."""
+    env_ss, player_ss = harness.cell_streams(0, 0, 0)
+    return harness.run_game(graph, spec, env_for(env_ss), player_ss)
+
+
+def test_run_plays_a_loss_table_file(capsys, tmp_path):
+    path = tmp_path / "t.csv"
+    table = np.random.default_rng(9).integers(0, 5, size=(50, 3)) / 4
+    environments.save_loss_table(path, table)
+    game = ["run", "--catalog", "full", "--k", "3", "--env", "table", "--table", str(path),
+            "--preset", "manual", "--eta", "0.1", "--gamma", "0.1"]
+    code, out, _ = run_cli(capsys, *game, "--T", "50")
+    assert code == 0
+    spec = harness.LearnerSpec(preset="manual", eta=0.1, gamma=0.1)
+    run = _cell_run(catalog("full", 3), spec, lambda _: environments.table_env(
+        environments.load_loss_table(path)))
+    kv = parse_kv(out)
+    assert kv["env"] == "table"
+    assert (float(kv["player_loss"]), float(kv["regret"])) == (run.player_loss, run.regret)
+    code, out, err = run_cli(capsys, *game, "--T", "40")
+    assert code == 2
+    assert out == ""
+    assert "table has 50 rows but horizon is 40" in err
+
+
+def test_run_eps_sets_the_adversary_gap(capsys):
+    code, out, _ = run_cli(
+        capsys, "run", "--catalog", "clique_minus", "--k", "5", "--env", "thm8", "--eps", "0.2",
+        "--T", "300", "--preset", "manual", "--eta", "0.05", "--gamma", "0.2",
+    )
+    assert code == 0
+    spec = harness.LearnerSpec(preset="manual", eta=0.05, gamma=0.2)
+    run = _cell_run(catalog("clique_minus", 5), spec,
+                    lambda env_ss: environments.simple_weak_env(300, 5, 1, env_ss, eps=0.2))
+    kv = parse_kv(out)
+    assert (float(kv["player_loss"]), float(kv["regret"])) == (run.player_loss, run.regret)
+    assert float(kv["expected_regret"]) == run.expected_regret
+
+
 def test_missing_learning_rates_exit_2(capsys):
     game = ["run", "--catalog", "full", "--k", "3", "--env", "bernoulli",
             "--mu", "0.3,0.5,0.5", "--T", "16"]
@@ -297,6 +355,35 @@ def test_lowerbound_thm8_and_thm7_run(capsys):
     assert code == 0
     kv = parse_kv(out)
     assert float(kv["thm7_rate_value"]) == pytest.approx(5 ** (1 / 3) * 256 ** (2 / 3) / 16)
+
+
+# `lowerbound --which all` output, line for line, at (T, reps, k, seed); thm4
+# is exactly T/4 at any seed, thm8 and thm7 are seeded means over --reps cells
+LOWERBOUND_PINS = {
+    ("2000", "4", "8", "3"): [
+        "thm4_measured=500", "thm4_rate_formula=T/4", "thm4_rate_value=500",
+        "thm8_measured=265.375", "thm8_rate_formula=T^(2/3)/8",
+        "thm8_rate_value=19.84251315",
+        "thm7_measured=426.25", "thm7_rate_formula=K^(1/3)*T^(2/3)/16",
+        "thm7_rate_value=19.84251315",
+    ],
+    ("777", "3", "6", "11"): [
+        "thm4_measured=194.25", "thm4_rate_formula=T/4", "thm4_rate_value=194.25",
+        "thm8_measured=118", "thm8_rate_formula=T^(2/3)/8",
+        "thm8_rate_value=10.56470462",
+        "thm7_measured=153.6666667", "thm7_rate_formula=K^(1/3)*T^(2/3)/16",
+        "thm7_rate_value=9.598671157",
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", sorted(LOWERBOUND_PINS), ids="T{0[0]}".format)
+def test_lowerbound_output_is_pinned(capsys, flags):
+    horizon, reps, k, seed = flags
+    code, out, _ = run_cli(capsys, "lowerbound", "--which", "all", "--T", horizon,
+                           "--reps", reps, "--k", k, "--seed", seed)
+    assert code == 0
+    assert out.splitlines() == LOWERBOUND_PINS[flags]
 
 
 def test_help_lists_flags(capsys):

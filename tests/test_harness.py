@@ -26,7 +26,7 @@ from graphbandit.harness import (
     run_games,
     sweep,
 )
-from graphbandit.learners import BEFORE_ACTION, Exp3G, FeedbackEvent
+from graphbandit.learners import Exp3G, FeedbackEvent
 
 from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom
 
@@ -42,7 +42,7 @@ def play_learner(learner, env, seed, graph=None, mode="fixed"):
     for t in range(env.horizon):
         g = env.graph_at(t) if env.time_varying else graph
         if mode == "informed":
-            learner.set_round_graph(g, BEFORE_ACTION)
+            learner.set_round_graph(g)
         a = learner.act(rng)
         obs = g.out_index[a - 1]
         row = env.losses[t]
@@ -178,6 +178,32 @@ def test_hedge_needs_full_feedback():
     spec = LearnerSpec(algorithm="hedge", preset="manual", eta=0.1, gamma=0.0)
     with pytest.raises(ValueError):
         run_game(g, spec, env, 0)
+
+
+GAME_REFUSALS = {
+    "fixed_env_without_graph": (
+        lambda spec: run_game(None, spec, bernoulli_env([0.5, 0.5], 10, seed=0), 0),
+        "fixed environment needs a graph",
+    ),
+    "batch_of_mixed_action_counts": (
+        lambda spec: run_games(
+            None, replace(spec, mode="uninformed"),
+            [uninformed_separation_env(k, 16, seed=0) for k in (5, 6)], [0, 1],
+        ),
+        "the games of one batch must share the action count",
+    ),
+    "chi_average_on_bernoulli": (
+        lambda spec: sweep(bandit_sweep_config(chi_average=True)),
+        "chi averaging is undefined for env 'bernoulli'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAME_REFUSALS))
+def test_harness_refuses_games_it_cannot_play(case):
+    call, match = GAME_REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        call(LearnerSpec(algorithm="exp3g", **MANUAL))
 
 
 def test_mode_and_dimension_validation():

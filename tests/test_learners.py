@@ -6,8 +6,6 @@ import pytest
 
 from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 from graphbandit.learners import (
-    AFTER_ACTION,
-    BEFORE_ACTION,
     Exp3G,
     FeedbackEvent,
     doubling_rates,
@@ -119,12 +117,11 @@ def test_buffered_row_functions_equal_allocating_calls(rows, k):
     assert exponential_weights(cum, eta_rows, out=out) is out
     assert np.array_equal(out, q)
 
-    p = exp3g_distribution(cum, eta, gamma, u)
+    p = exp3g_distribution(cum, eta, exploration_terms(gamma, u))
     out = junk()
     terms = exploration_terms(gamma_rows, u)
-    assert exp3g_distribution(cum, eta_rows, gamma_rows, u, out=out, terms=terms) is out
+    assert exp3g_distribution(cum, eta_rows, terms, out=out) is out
     assert np.array_equal(out, p)
-    assert np.array_equal(exp3g_distribution(cum, eta_rows, gamma_rows, u), p)
     assert np.isfinite(p).all() and (p >= 0).all()
     assert np.abs(np.add.reduce(p, axis=1) - 1.0).max() <= 1e-12
 
@@ -218,7 +215,7 @@ def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
     losses = (rng.integers(0, 3, size=(rows, k)) / 2).astype(np.float16)
 
     q = exponential_weights(cum, eta)
-    p = exp3g_distribution(cum, eta, gamma, u)
+    p = exp3g_distribution(cum, eta, exploration_terms(gamma, u))
     drawn = sample_index(p, uniforms)
     observed = in_matrix.T[drawn] > 0
     observed_seq = np.transpose(in_matrices, (0, 2, 1))[np.arange(rows), drawn] > 0
@@ -232,8 +229,7 @@ def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
         assert exponential_weights(cum[one], eta[one], out=out) is out
         assert _hex(out) == _hex(q[r])
         terms = exploration_terms(gamma[one], u[one])
-        assert _hex(exp3g_distribution(cum[one], eta[one], gamma[one], u[one], out=out,
-                                       terms=terms)) == _hex(p[r])
+        assert _hex(exp3g_distribution(cum[one], eta[one], terms, out=out)) == _hex(p[r])
         idx = np.full(1, -1, dtype=np.intp)
         assert sample_index(p[one], uniforms[one], out=idx) is idx
         assert idx.tolist() == [drawn[r]]
@@ -547,15 +543,17 @@ def test_exp3g_round_graph_timing_enforced():
     g = catalog("clique_minus", 4)
     fixed = Exp3G(4, eta=0.1, gamma=0.1, graph=g)
     with pytest.raises(ValueError):
-        fixed.set_round_graph(g, BEFORE_ACTION)
+        fixed.set_round_graph(g)
     informed = Exp3G(4, eta=0.1, gamma=0.1, mode="informed")
     rng = np.random.default_rng(11)
     with pytest.raises(RuntimeError):
         informed.act(rng)
-    informed.set_round_graph(g, BEFORE_ACTION)
+    informed.set_round_graph(g)
     informed.act(rng)
+    # the uninformed model gets its graph with the feedback event
+    uninformed = Exp3G(4, eta=0.1, gamma=0.1, mode="uninformed")
     with pytest.raises(ValueError):
-        informed.set_round_graph(g, AFTER_ACTION)
+        uninformed.set_round_graph(g)
 
 
 def test_exp3g_informed_retargets_exploration():
@@ -563,7 +561,7 @@ def test_exp3g_informed_retargets_exploration():
     learner = Exp3G(5, eta=0.01, gamma=0.2, mode="informed")
     rng = np.random.default_rng(12)
     for t in range(10):
-        learner.set_round_graph(star, BEFORE_ACTION)
+        learner.set_round_graph(star)
         assert learner.exploration_set == (1,)
         a = learner.act(rng)
         row = np.full(5, 0.5)
@@ -626,6 +624,24 @@ def test_doubling_rates_on_strong_rounds_equal_the_strong_preset():
 def test_preset_strong_rejects_weak_graph():
     with pytest.raises(ValueError):
         preset_strong(profile(catalog("revealing_action", 5)), 100)
+
+
+PRESET_REFUSALS = {
+    "strong_k1": (lambda: preset_strong(profile(FeedbackGraph(1, [(1, 1)])), 10),
+                  "strong preset needs K >= 2"),
+    "weak_on_full": (lambda: preset_weak(profile(catalog("full", 3)), 10),
+                     "weak preset needs a weakly observable graph"),
+    "loopless_clique_k1": (lambda: preset_loopless_clique(1, 10),
+                           "loopless clique preset needs K >= 2"),
+    "uninformed_k1": (lambda: preset_uninformed(1, 10), "uninformed preset needs K >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESET_REFUSALS))
+def test_presets_refuse_graphs_outside_their_tuning(case):
+    call, match = PRESET_REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_preset_weak_values():
