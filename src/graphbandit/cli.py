@@ -151,30 +151,24 @@ def _game_graph(args, env_spec) -> FeedbackGraph | None:
     return None
 
 
-def _single_run(args):
+def cmd_run(args) -> int:
     env_spec = _env_spec(args)
     graph = _game_graph(args, env_spec)
-    num_actions = args.k if graph is None else graph.num_vertices
     spec = _learner_spec(args)
     env_ss, player_ss = harness.cell_streams(args.seed, 0, 0)
     env = environments.build_environment(
-        env_spec, args.T, env_ss, num_actions=num_actions, graph=graph
+        env_spec, args.T, env_ss, num_actions=args.k if graph is None else graph.num_vertices,
+        graph=graph,
     )
     transcript = harness.run_game(graph, spec, env, player_ss)
-    transcript.config["seed"] = args.seed
-    return transcript, env, graph
-
-
-def cmd_run(args) -> int:
-    transcript, env, graph = _single_run(args)
     pairs = [
         ("env", env.kind),
         ("K", env.num_actions),
         ("T", transcript.horizon),
         ("seed", args.seed),
-        ("learner", transcript.config["learner"]),
-        ("preset", transcript.config["preset"]),
-        ("mode", transcript.config["mode"]),
+        ("learner", spec.algorithm),
+        ("preset", spec.preset),
+        ("mode", spec.mode),
     ]
     if graph is not None:
         pairs.append(("class", classify_graph(graph).value))
@@ -185,8 +179,9 @@ def cmd_run(args) -> int:
         ("best_fixed_loss", transcript.best_fixed_loss),
         ("regret", transcript.regret),
     ]
-    if transcript.expected_regret is not None:
-        pairs.append(("expected_regret", transcript.expected_regret))
+    if env.means is not None:  # against the best arm in expectation
+        pairs.append(("expected_regret",
+                      transcript.player_loss - float(env.horizon * env.means.min())))
     _emit(pairs)
     return 0
 

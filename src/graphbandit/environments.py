@@ -14,16 +14,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import FeedbackGraph, weak_domination_number, weakly_observable_set
-from .graph import _mask_to_vertices
+from .graph import _integer, _mask_to_vertices
 
-ENV_KINDS = ("table", "bernoulli", "thm4", "thm5", "thm8", "thm7")
+# each kind and the EnvSpec parameters it reads; a sweep sizes thm7, which
+# has no fixed graph, by its `k`
+ENV_PARAMS = {
+    "table": ("table", "path"),
+    "bernoulli": ("mu",),
+    "thm4": ("chi",),
+    "thm5": ("chi", "eps"),
+    "thm8": ("chi", "eps"),
+    "thm7": ("chi", "eps", "k"),
+}
+ENV_KINDS = tuple(ENV_PARAMS)
 
 
 def _gap(eps: float) -> float:
     """A planted instance's gap: capped at 1/4 so every mean stays inside
     [1/4, 3/4] or at 1, and refused unless positive."""
     eps = min(float(eps), 0.25)
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError("eps must be positive")
     return eps
 
@@ -53,7 +63,7 @@ class Environment:
                 f"loss table shape {self.losses.shape} does not match "
                 f"(T={self.horizon}, K={self.num_actions})"
             )
-        if np.any(self.losses < 0) or np.any(self.losses > 1):
+        if not ((self.losses >= 0) & (self.losses <= 1)).all():  # NaN fails too
             raise ValueError("losses must lie in [0, 1]")
         self.losses.setflags(write=False)
 
@@ -80,7 +90,7 @@ def table_env(table) -> Environment:
 def bernoulli_env(mu, horizon: int, seed) -> Environment:
     """Independent Bernoulli losses with per-arm means mu."""
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0) or np.any(mu > 1):
+    if not ((mu >= 0) & (mu <= 1)).all():  # NaN fails too
         raise ValueError("means must lie in [0, 1]")
     table = _draw(np.random.default_rng(seed), horizon, mu)
     return Environment(
@@ -367,10 +377,8 @@ def save_loss_table(path, table: np.ndarray):
 
 
 def load_loss_table(path) -> np.ndarray:
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
-    if np.any(table < 0) or np.any(table > 1):
-        raise ValueError("loss table entries must lie in [0, 1]")
-    return table
+    """Read a table `save_loss_table` wrote; `Environment` checks its range."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +393,14 @@ class EnvSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ENV_KINDS:
+        if self.kind not in ENV_PARAMS:
             raise ValueError(f"unknown environment kind {self.kind!r}; choose from {ENV_KINDS}")
+        unread = sorted(set(self.params) - set(ENV_PARAMS[self.kind]))
+        if unread:
+            raise ValueError(
+                f"the {self.kind} environment reads no {', '.join(unread)}; "
+                f"it takes {', '.join(ENV_PARAMS[self.kind])}"
+            )
 
 
 def build_environment(
@@ -395,15 +409,19 @@ def build_environment(
 ) -> Environment:
     """Instantiate an EnvSpec. `chi` overrides the spec's own chi parameter,
     which is how matched-seed chi pairs are produced."""
-    if horizon < 1:
+    if _integer(horizon, "horizon") < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    params = dict(spec.params)
+    params = spec.params
+    if chi is None:
+        chi = params.get("chi")
     if chi is not None:
-        params["chi"] = chi
+        chi = _integer(chi, "chi")
     if num_actions is None and graph is not None:
         num_actions = graph.num_vertices
     if num_actions is None and spec.kind in ("thm4", "thm8", "thm7"):
         raise ValueError(f"{spec.kind} environment needs the action count")
+    if num_actions is not None:  # thm7's `k` comes here from a sweep's spec unchecked
+        num_actions = _integer(num_actions, "num_actions")
     if spec.kind == "table":
         table = params.get("table")
         if table is None:
@@ -421,20 +439,15 @@ def build_environment(
             raise ValueError("bernoulli environment needs `mu`")
         return bernoulli_env(mu, horizon, seed)
     if spec.kind == "thm4":
-        return hidden_arm_env(int(params.get("chi", 1)), horizon, num_actions)
+        return hidden_arm_env(1 if chi is None else chi, horizon, num_actions)
     if spec.kind == "thm8":
         return simple_weak_env(
-            horizon, num_actions, int(params.get("chi", 1)), seed,
-            eps=params.get("eps"),
+            horizon, num_actions, 1 if chi is None else chi, seed, eps=params.get("eps"),
         )
     if spec.kind == "thm5":
         if graph is None:
             raise ValueError("thm5 environment needs the feedback graph")
-        return weak_lower_env(
-            graph, horizon, seed, chi=params.get("chi"), eps=params.get("eps")
-        )
+        return weak_lower_env(graph, horizon, seed, chi=chi, eps=params.get("eps"))
     if spec.kind == "thm7":
-        return uninformed_separation_env(
-            num_actions, horizon, seed, chi=params.get("chi"), eps=params.get("eps")
-        )
+        return uninformed_separation_env(num_actions, horizon, seed, chi=chi, eps=params.get("eps"))
     raise AssertionError(f"unhandled kind {spec.kind}")

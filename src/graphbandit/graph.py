@@ -42,15 +42,20 @@ class GraphClass(Enum):
     NOT_OBSERVABLE = "not_observable"
 
 
-def _vertex_count(num_vertices) -> int:
-    """An integer (numpy's included) >= 1 as a Python int; a float, a string
-    or a bool raises ValueError, never truncated or read as 1."""
+def _integer(value, name: str) -> int:
+    """An integer (numpy's included) as a Python int; a float, a string or a
+    bool raises ValueError naming `name`, never truncated or read as 1."""
     try:
-        if type(num_vertices) is bool:
+        if type(value) is bool:
             raise TypeError
-        k = operator.index(num_vertices)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _vertex_count(num_vertices) -> int:
+    """`num_vertices` by the `_integer` rule, refused below 1."""
+    k = _integer(num_vertices, "num_vertices")
     if k < 1:
         raise ValueError(f"num_vertices must be >= 1, got {k}")
     return k
@@ -68,12 +73,13 @@ class FeedbackGraph:
         in_masks = [0] * k
         out_masks = [0] * k
         for u, v in edges:
-            try:
-                if type(u) is bool or type(v) is bool:
-                    raise TypeError
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})") from None
+            if type(u) is not int or type(v) is not int:  # a plain int skips the per-edge call
+                try:
+                    u, v = _integer(u, "u"), _integer(v, "v")
+                except ValueError:
+                    raise ValueError(
+                        f"edge endpoints must be integers, got ({u!r}, {v!r})"
+                    ) from None
             if not (1 <= u <= k and 1 <= v <= k):
                 raise ValueError(f"edge ({u}, {v}) out of range for K={k}")
             out_masks[u - 1] |= 1 << (v - 1)
@@ -475,7 +481,6 @@ def profile(g: FeedbackGraph) -> GraphProfile:
 
 @dataclass(frozen=True)
 class RatePrediction:
-    graph_class: GraphClass
     formula: str
     value: float
 
@@ -489,12 +494,10 @@ def predict_rate(prof: GraphProfile, horizon: int) -> RatePrediction:
         raise ValueError("horizon must be positive")
     t = float(horizon)
     if prof.graph_class is GraphClass.STRONGLY_OBSERVABLE:
-        return RatePrediction(prof.graph_class, "sqrt(alpha*T)", math.sqrt(prof.alpha * t))
+        return RatePrediction("sqrt(alpha*T)", math.sqrt(prof.alpha * t))
     if prof.graph_class is GraphClass.WEAKLY_OBSERVABLE:
-        return RatePrediction(
-            prof.graph_class, "delta^(1/3)*T^(2/3)", prof.delta ** (1 / 3) * t ** (2 / 3)
-        )
-    return RatePrediction(prof.graph_class, "T", t)
+        return RatePrediction("delta^(1/3)*T^(2/3)", prof.delta ** (1 / 3) * t ** (2 / 3))
+    return RatePrediction("T", t)
 
 
 # ---------------------------------------------------------------------------

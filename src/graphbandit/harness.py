@@ -42,7 +42,7 @@ import numpy as np
 
 from . import learners
 from .environments import Environment, EnvSpec, build_environment
-from .graph import FeedbackGraph, GraphClass
+from .graph import FeedbackGraph, GraphClass, _integer
 from .graph import profile as graph_profile
 from .learners import (
     MODE_FIXED,
@@ -110,30 +110,21 @@ def _check_rates(eta, gamma):
 
 @dataclass
 class GameTranscript:
-    """Per-round record of one game plus its regret accounting."""
+    """What one game's play produced: the actions (1-based), the loss each
+    incurred, and the regret against the best arm in hindsight. `env` is the
+    kind of environment built, which a thm5 request that falls back to the
+    two-arm construction reports as thm8."""
 
     actions: np.ndarray
     incurred: np.ndarray
-    observed_counts: np.ndarray
-    arm_totals: np.ndarray
     player_loss: float
     best_fixed_loss: float
     regret: float
-    expected_best_loss: float | None
-    config: dict
+    env: str
 
     @property
     def horizon(self) -> int:
         return len(self.actions)
-
-    @property
-    def expected_regret(self) -> float | None:
-        """Regret against the best arm in expectation, for stochastic
-        environments with known means; the headline `regret` is always
-        against the realized best arm in hindsight."""
-        if self.expected_best_loss is None:
-            return None
-        return self.player_loss - self.expected_best_loss
 
 
 def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Preset:
@@ -360,21 +351,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
             spec, num_actions, graph if graph is not None else env.graph_at(0), env.horizon
         ))
         _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
-        setups.append((
-            env.losses.sum(axis=0),
-            float(env.horizon * env.means.min()) if env.means is not None else None,
-            {
-                "graph": "env-sequence" if graph is None else repr(graph),
-                "K": num_actions,
-                "learner": spec.algorithm,
-                "preset": spec.preset,
-                "mode": spec.mode,
-                "env": env.kind,
-                "chi": env.params.get("chi"),
-                "T": env.horizon,
-                "seed": game.seed if isinstance(game.seed, int) else "derived",
-            },
-        ))
+        setups.append((float(env.losses.sum(axis=0).min()), env.kind))
     del env
 
     graphs = list(graph_table)
@@ -464,23 +441,18 @@ def _play_batch(graph, spec: LearnerSpec, games):
                     in_mat, p, pick(out_rows, a), seg_losses[i], out=est_out
                 )
 
-    out_counts = out_masks.sum(axis=-1)
-    for r, (arm_totals, expected_best, config) in enumerate(setups):
+    for r, (best_fixed, kind) in enumerate(setups):
         cells = _cells(segments, r)
         played = _gather(actions, cells)
         incurred = _gather(losses, cells)[np.arange(len(played)), played].astype(float)
         player_loss = float(incurred.sum())
-        best_fixed = float(arm_totals.min())
         yield GameTranscript(
             actions=played + 1,
             incurred=incurred,
-            observed_counts=out_counts[_gather(graph_ids, cells), played],
-            arm_totals=arm_totals,
             player_loss=player_loss,
             best_fixed_loss=best_fixed,
             regret=player_loss - best_fixed,
-            expected_best_loss=expected_best,
-            config=config,
+            env=kind,
         )
 
 
@@ -508,30 +480,6 @@ def _doubling_schedule(profiles, horizons, graph_ids, segments) -> tuple:
                 float(sums[1][s - 1]), int(sums[2][s - 1]), bool(weak[ids[s - 1]]),
             )
     return eta, gamma
-
-
-def expected_regret_thm4(run_chi0: GameTranscript, run_chi1: GameTranscript) -> float:
-    """Exact chi-averaged expected regret of a matched pair of runs against
-    the hidden-arm construction.
-
-    With chi in {0, 1} equally likely, arm 1's play count M determines the
-    regret of both branches (M/2 and (T-M)/2), and feedback never depends on
-    chi, so matched seeds give identical action sequences and the average is
-    exactly T/4 for any player.
-    """
-    if run_chi0.config.get("env") != "thm4" or run_chi1.config.get("env") != "thm4":
-        raise ValueError("both runs must target the thm4 environment")
-    if (run_chi0.config.get("chi"), run_chi1.config.get("chi")) != (0, 1):
-        raise ValueError("pass the chi=0 run first and the chi=1 run second")
-    for key in ("K", "learner", "preset", "mode", "T", "seed"):
-        if run_chi0.config.get(key) != run_chi1.config.get(key):
-            raise ValueError(f"mismatched runs: {key} differs")
-    if not np.array_equal(run_chi0.actions, run_chi1.actions):
-        raise ValueError("action sequences differ; the runs were not seed-matched")
-    horizon = run_chi0.horizon
-    m1 = int(np.count_nonzero(run_chi1.actions == 1))
-    m0 = int(np.count_nonzero(run_chi0.actions == 1))
-    return 0.5 * (0.5 * m1) + 0.5 * (0.5 * (horizon - m0))
 
 
 # ---------------------------------------------------------------------------
@@ -614,16 +562,19 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     independent of play order."""
     if not config.horizons:
         raise ValueError("horizon grid is empty")
-    if list(config.horizons) != sorted(set(config.horizons)):
+    horizons = [_integer(horizon, "horizon") for horizon in config.horizons]
+    if horizons != sorted(set(horizons)):
         raise ValueError("horizon grid must be strictly increasing")
-    if config.horizons[0] < 1:
-        raise ValueError(f"horizon must be >= 1, got {config.horizons[0]}")
-    if config.reps < 1:
+    if horizons[0] < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizons[0]}")
+    if _integer(config.reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
     if config.chi_average:
         chis = CHI_PAIRS.get(config.env.kind)
         if chis is None:
             raise ValueError(f"chi averaging is undefined for env {config.env.kind!r}")
+        if "chi" in config.env.params:
+            raise ValueError("chi averaging plays both branches; the env spec fixes chi")
     else:
         chis = (None,)
     # a fixed graph is profiled once, up front, and a graph sequence by each
@@ -658,15 +609,14 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     # keep only what a row needs of each transcript
     runs = [None] * len(games)
     for i, run in _play(config.graph, config.learner, games):
-        runs[i] = (run.config["K"], run.config["env"], run.player_loss, run.best_fixed_loss,
-                   run.regret)
+        runs[i] = (run.env, run.player_loss, run.best_fixed_loss, run.regret)
 
     rows = []
     for cell, i in zip(cells, range(0, len(runs), len(chis))):
-        k, env, player, best, regret = zip(*runs[i:i + len(chis)])
+        env, player, best, regret = zip(*runs[i:i + len(chis)])
         rows.append({
             "graph": config.graph_name,
-            "K": k[0],
+            "K": num_actions,
             **(columns or cell_columns[cell]),
             "learner": config.learner.algorithm,
             "preset": config.learner.preset,

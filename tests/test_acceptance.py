@@ -16,7 +16,6 @@ from graphbandit.environments import (
     EnvSpec,
     adversarial_tables,
     domination_capped_independent_set,
-    hidden_arm_env,
     table_env,
 )
 from graphbandit.graph import (
@@ -34,8 +33,6 @@ from graphbandit.harness import (
     LearnerSpec,
     SweepConfig,
     cell_streams,
-    expected_regret_thm4,
-    run_game,
     run_games,
     sweep,
 )
@@ -85,17 +82,14 @@ def test_criterion_01_hidden_arm_equality():
         LearnerSpec(algorithm="constant", constant_action=1),
     ]
     values = []
-    for spec in specs:
-        runs = {}
-        for chi in (0, 1):
-            env = hidden_arm_env(chi, horizon, 3)
-            runs[chi] = run_game(g, spec, env, np.random.SeedSequence(101))
-        values.append(expected_regret_thm4(runs[0], runs[1]))
+    for spec in specs:  # each chi pair as `lowerbound --which thm4` plays it
+        config = SweepConfig(g, "thm4", spec, EnvSpec("thm4"), (horizon,), 1, 101,
+                             chi_average=True)
+        values.append(sweep(config).rows[0]["regret"])
     elapsed = time.time() - start
     report("01 hidden-arm T/4", elapsed, 1.0,
            f"chi-averaged regrets {values} vs {horizon / 4}")
-    for value in values:
-        assert abs(value - horizon / 4.0) <= 1e-9
+    assert values == [horizon / 4.0] * len(specs)
     assert elapsed < 1.0
 
 

@@ -25,18 +25,33 @@ def test_tracer_wraps_and_restores_every_target():
     assert all(r is o for r, o in zip(restored, originals))
 
 
-def test_bench_workloads_import_and_match_benchmark(monkeypatch):
-    # the workloads import the package, tests/oracles.py and bench/ modules;
-    # a change that breaks those imports fails here rather than in every
-    # bench run
+def load_workloads(monkeypatch):
     bench = TRACER.parent
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    declared = json.loads((bench.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return module
+
+
+def test_bench_workloads_import_and_match_benchmark(monkeypatch):
+    # the workloads import the package, tests/oracles.py and bench/ modules;
+    # a change that breaks those imports fails here rather than in every
+    # bench run
+    module = load_workloads(monkeypatch)
+    declared = json.loads((TRACER.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert sorted(module.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])
+
+
+def test_bench_anchors_match_their_references(monkeypatch, tmp_path):
+    # each workload's anchor replays a few operations at its default seed
+    # against the stored reference: a change to the transcript fields, the
+    # CSV columns or the numbers the bench reads fails here
+    module = load_workloads(monkeypatch)
+    for name, workload in module.WORKLOADS.items():
+        outcome = workload.anchor(tmp_path)
+        assert outcome.ops > 0 and outcome.failed == 0, (name, outcome.messages)
 
 
 def test_traced_games_call_each_row_function_once_per_round():

@@ -192,7 +192,44 @@ def test_run_eps_sets_the_adversary_gap(capsys):
                     lambda env_ss: environments.simple_weak_env(300, 5, 1, env_ss, eps=0.2))
     kv = parse_kv(out)
     assert (float(kv["player_loss"]), float(kv["regret"])) == (run.player_loss, run.regret)
-    assert float(kv["expected_regret"]) == run.expected_regret
+    # against the best arm in expectation, whose mean is 1/2 - eps
+    assert float(kv["expected_regret"]) == run.player_loss - float(300 * (0.5 - 0.2))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--env", "bernoulli", "--mu", "0.5,nan,0.5"), "means must lie in"),
+    (("--env", "thm8", "--eps", "nan"), "eps must be positive"),
+], ids=["mu", "eps"])
+def test_nan_parameters_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "3", *flags, "--T", "10")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_nan_loss_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0.5,nan\n0,1\n1,0\n")
+    code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "2", "--env", "table",
+                             "--table", str(path), "--T", "3")
+    assert (code, out) == (2, "")
+    assert "losses must lie in [0, 1]" in err
+
+
+def test_unread_env_flags_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "run", "--catalog", "full", "--k", "2", "--env", "bernoulli", "--mu", "0.3,0.5",
+        "--chi", "1", "--eps", "0.2", "--table", str(tmp_path / "nofile.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "the bernoulli environment reads no chi, eps, path" in err
+    out_csv = tmp_path / "rows.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--catalog", "full", "--k", "3", "--env", "thm8", "--chi", "1",
+        "--chi-average", "--T", "64", "--reps", "1", "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "")
+    assert "chi averaging" in err
+    assert not out_csv.exists()
 
 
 def test_missing_learning_rates_exit_2(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphbandit.environments import (
+    Environment,
     EnvSpec,
     bernoulli_env,
     build_environment,
@@ -18,6 +19,7 @@ from graphbandit.environments import (
     weak_lower_env,
 )
 from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
+from graphbandit.harness import LearnerSpec, SweepConfig, sweep
 
 from oracles import (
     domination_counts,
@@ -300,6 +302,68 @@ def test_losses_are_binary_or_half():
     for env in envs:
         vals = set(np.unique(env.losses).tolist())
         assert vals <= {0.0, 0.5, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+NAN = float("nan")
+THM4 = EnvSpec("thm4")
+
+
+def _sweep(env=THM4, horizons=(64,), reps=1, chi_average=False):
+    return sweep(SweepConfig(catalog("bandit", 3), "bandit", LearnerSpec(algorithm="uniform"),
+                             env, horizons, reps, chi_average=chi_average))
+
+
+REFUSALS = {
+    # NaN fails every range check
+    "nan_loss": (lambda: table_env([[0.5, NAN]]), "losses must lie in"),
+    "nan_mean": (lambda: bernoulli_env([0.5, NAN], 10, 0), "means must lie in"),
+    "nan_eps": (lambda: simple_weak_env(10, 3, 1, 0, eps=NAN), "eps must be positive"),
+    "zero_eps": (lambda: simple_weak_env(10, 3, 1, 0, eps=0.0), "eps must be positive"),
+    # a parameter no code reads
+    "bernoulli_chi": (lambda: EnvSpec("bernoulli", {"mu": (0.5,), "chi": 1}), "reads no chi"),
+    "thm4_eps": (lambda: EnvSpec("thm4", {"eps": 0.1}), "reads no eps"),
+    "thm8_k": (lambda: EnvSpec("thm8", {"k": 5}), "reads no k"),
+    "table_mu": (lambda: EnvSpec("table", {"path": "t.csv", "mu": (0.5,)}), "reads no mu"),
+    "chi_average_with_chi": (lambda: _sweep(EnvSpec("thm4", {"chi": 1}), chi_average=True),
+                             "chi averaging"),
+    # an integer that is not one is refused by name, not truncated
+    "float_chi": (lambda: build_environment(EnvSpec("thm4", {"chi": 0.7}), 10, 0, 3),
+                  "chi must be an integer"),
+    "bool_chi": (lambda: build_environment(EnvSpec("thm4", {"chi": True}), 10, 0, 3),
+                 "chi must be an integer"),
+    "float_chi_override": (lambda: build_environment(THM4, 10, 0, 3, chi=1.0),
+                           "chi must be an integer"),
+    "float_horizon": (lambda: build_environment(THM4, 10.0, 0, 3), "horizon must be an integer"),
+    "sweep_float_horizon": (lambda: _sweep(horizons=(64.5,)), "horizon must be an integer"),
+    "sweep_bool_horizon": (lambda: _sweep(horizons=(True,)), "horizon must be an integer"),
+    "sweep_float_reps": (lambda: _sweep(reps=2.0), "reps must be an integer"),
+    "float_action_count": (lambda: build_environment(EnvSpec("thm7"), 10, 0, 8.0),
+                           "num_actions must be an integer"),
+    # the constructions' own checks
+    "shape": (lambda: Environment("table", 3, 2, np.zeros((2, 2))), "does not match"),
+    "no_sequence": (lambda: table_env([[0.5]]).graph_at(0), "no graph sequence"),
+    "one_dim_table": (lambda: table_env([0.5, 0.5]), "two-dimensional"),
+    "hidden_arm_k1": (lambda: hidden_arm_env(0, 10, 1), "at least 2 actions"),
+    "thm8_chi": (lambda: simple_weak_env(10, 3, 0, 0), "chi must be -1 or \\+1"),
+    "thm5_chi": (lambda: weak_lower_env(catalog("revealing_action", 8), 100, 5, chi=1),
+                 "support vertices"),
+    "thm7_chi": (lambda: uninformed_separation_env(5, 10, 0, chi=0), "chi must be -1 or \\+1"),
+    "unknown_kind": (lambda: EnvSpec("thm9"), "unknown environment kind"),
+    "no_action_count": (lambda: build_environment(THM4, 10, 0), "needs the action count"),
+    "no_table": (lambda: build_environment(EnvSpec("table"), 10, 0), "needs `table` or `path`"),
+    "no_mu": (lambda: build_environment(EnvSpec("bernoulli"), 10, 0), "needs `mu`"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case):
+    make, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from graphbandit.harness import (
     LearnerSpec,
     SweepConfig,
     doubling_wrapper,
-    expected_regret_thm4,
     run_game,
     run_games,
     sweep,
@@ -78,16 +77,6 @@ def test_accounting_matches_reference_recomputation():
     assert abs(out.player_loss - replayed.sum()) < 1e-9
     assert abs(out.best_fixed_loss - env.losses.sum(axis=0).min()) < 1e-9
     assert abs(out.regret - (out.player_loss - out.best_fixed_loss)) < 1e-9
-    assert np.array_equal(out.arm_totals, env.losses.sum(axis=0))
-
-
-def test_observed_counts_match_graph():
-    g = catalog("loopy_star", 4)  # hub sees 4, leaves see 1
-    env = bernoulli_env([0.5] * 4, 100, seed=2)
-    out = run_game(g, LearnerSpec(algorithm="exp3g", **MANUAL), env, 3)
-    hub = out.actions == 1
-    assert np.all(out.observed_counts[hub] == 4)
-    assert np.all(out.observed_counts[~hub] == 1)
 
 
 def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
@@ -169,7 +158,7 @@ def test_zero_probability_off_the_observed_set_costs_no_fallback(monkeypatch):
         runs = [run_game(g, spec, hidden_arm_env(chi, 400, 3), 7) for chi in (0, 1)]
     assert calls == []
     assert np.geterr() == before
-    assert expected_regret_thm4(*runs) == 100.0
+    assert (runs[0].regret + runs[1].regret) / 2 == 100.0
 
 
 def test_hedge_needs_full_feedback():
@@ -309,22 +298,14 @@ def test_hidden_arm_equality_is_exact(spec):
     for chi in (0, 1):
         env = hidden_arm_env(chi, 1000, 3)
         runs[chi] = run_game(g, spec, env, np.random.SeedSequence(21))
-    value = expected_regret_thm4(runs[0], runs[1])
-    assert abs(value - 250.0) < 1e-9
+    # chi never reaches the player, so both branches play the same actions
+    assert np.array_equal(runs[0].actions, runs[1].actions)
+    assert (runs[0].regret + runs[1].regret) / 2 == 250.0
     # always-arm-1 gives (T/2)/2 + 0 = T/4; never-arm-1 gives 0 + (T/2)/2
     if spec.algorithm == "constant":
         m = 1000 if spec.constant_action == 1 else 0
         assert runs[1].regret == pytest.approx(m / 2)
         assert runs[0].regret == pytest.approx((1000 - m) / 2)
-
-
-def test_hidden_arm_equality_rejects_mismatches():
-    g = FeedbackGraph(3, [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
-    spec = LearnerSpec(algorithm="uniform")
-    a = run_game(g, spec, hidden_arm_env(0, 100, 3), np.random.SeedSequence(1))
-    b = run_game(g, spec, hidden_arm_env(1, 100, 3), np.random.SeedSequence(2))
-    with pytest.raises(ValueError):
-        expected_regret_thm4(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +558,8 @@ def test_doubling_game_is_pinned():
     spec = LearnerSpec(algorithm="exp3g", preset="weak", mode="informed")
     out = doubling_wrapper(g, spec, env, 7)
     assert out.player_loss == 236.0
-    assert out.config["preset"] == "doubling"
+    doubling = run_game(g, replace(spec, preset="doubling"), env, 7)
+    assert np.array_equal(out.actions, doubling.actions)
 
 
 def test_doubling_regret_within_factor_of_plain_run():
@@ -705,7 +687,6 @@ def test_lockstep_transcripts_equal_single_games():
         run = batch[i]
         single = run_game(g, spec, env, i)
         assert np.array_equal(run.actions, single.actions)
-        assert np.array_equal(run.observed_counts, single.observed_counts)
         assert np.array_equal(run.incurred, single.incurred)
         assert run.player_loss == single.player_loss
 
@@ -746,10 +727,8 @@ def test_run_games_equals_run_game_game_by_game(case):
         single = run_game(graph, spec, env, seed)
         assert np.array_equal(run.actions, single.actions)
         assert np.array_equal(run.incurred, single.incurred)
-        assert np.array_equal(run.observed_counts, single.observed_counts)
-        assert np.array_equal(run.arm_totals, single.arm_totals)
-        assert (run.player_loss, run.best_fixed_loss, run.regret, run.config) == (
-            single.player_loss, single.best_fixed_loss, single.regret, single.config)
+        assert (run.player_loss, run.best_fixed_loss, run.regret, run.env) == (
+            single.player_loss, single.best_fixed_loss, single.regret, single.env)
     with pytest.raises(ValueError, match="seeds"):
         run_games(graph, spec, envs, seeds[:-1])
 
