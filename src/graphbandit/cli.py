@@ -85,19 +85,28 @@ def _learner_spec(args) -> harness.LearnerSpec:
     )
 
 
+# the environment flags, by argparse name, and the EnvSpec parameter each sets
+ENV_FLAGS = {"chi": "chi", "mu": "mu", "eps": "eps", "table": "path"}
+
+
 def _env_spec(args) -> environments.EnvSpec:
-    params = {}
-    if getattr(args, "chi", None) is not None:
-        params["chi"] = args.chi
-    if getattr(args, "mu", None):
+    given = {flag: getattr(args, flag) for flag in ENV_FLAGS if getattr(args, flag) is not None}
+    # refused here, by the flags the user typed, rather than by EnvSpec's
+    # parameter names
+    reads = environments.ENV_PARAMS[args.env]
+    unread = [f"--{flag}" for flag in given if ENV_FLAGS[flag] not in reads]
+    if unread:
+        takes = [f"--{flag}" for flag, param in ENV_FLAGS.items() if param in reads]
+        raise ValueError(
+            f"the {args.env} environment reads no {', '.join(unread)}; "
+            f"it takes {', '.join(takes)}"
+        )
+    params = {ENV_FLAGS[flag]: value for flag, value in given.items()}
+    if "mu" in params:
         try:
             params["mu"] = tuple(float(x) for x in args.mu.split(","))
         except ValueError:
             raise ValueError(f"bad --mu {args.mu!r}; expected comma-separated floats")
-    if getattr(args, "eps", None) is not None:
-        params["eps"] = args.eps
-    if getattr(args, "table", None):
-        params["path"] = args.table
     return environments.EnvSpec(kind=args.env, params=params)
 
 

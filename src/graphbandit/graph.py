@@ -170,9 +170,6 @@ class FeedbackGraph:
     def __hash__(self):
         return hash((self._k, self._out))
 
-    def __repr__(self):
-        return f"FeedbackGraph(K={self._k}, edges={sum(bin(m).count('1') for m in self._out)})"
-
 
 def _mask_to_vertices(mask: int) -> frozenset:
     out = []

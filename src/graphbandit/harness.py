@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -290,26 +290,28 @@ def _play_batch(graph, spec: LearnerSpec, games):
     (an observed vertex has P(i) >= p(a) > 0).
 
     The arithmetic is the learners module's, called with buffers allocated
-    once per batch and sliced per segment; a segment with one live row
-    passes 1 x K views, on which the row functions reduce to scalars. The
-    rates are spread to R x K arrays and Exp3.G's exploration terms
-    (1 - gamma and gamma * u) computed once per segment and epoch. A
-    segment's uniforms are viewed as one R x 1 column per round.
+    once per batch and sliced per segment. The rates are spread to R x K
+    arrays and Exp3.G's exploration terms (1 - gamma and gamma * u)
+    computed once per segment and epoch. A segment's uniforms are viewed as
+    one R x 1 column per round.
 
     Observed masks are rows of one (graph, action) table. On one graph (a
     fixed graph's cells keep id 0) a mask is its action's row and the
     estimate broadcasts the in-matrix over the rows: no round reads graph
-    ids. On several, each round picks by graph id its rows' in-matrices,
-    masks and, for informed play, gamma * u from a table of every live row
-    and graph. The update reads only the losses under the row's mask. Rows
-    are picked by `take`, but a one-row segment reads its uniforms and ids
-    as Python lists, draws an int and picks by basic indexing.
+    ids. On several, each round picks by graph id (`take`) its rows'
+    in-matrices, masks and, for informed play, gamma * u from a table of
+    every live row and graph. The update reads only the losses under the
+    row's mask.
+
+    A segment with one live row, always the last, is played by `_play_row`
+    on the row functions' one-row list form: its state is Python floats, and
+    numpy is called only for exp, the pairwise sum and the in-matrix product.
 
     The loop runs under `np.errstate(divide="raise", invalid="raise")`, so a
     zero observation probability on an observed vertex raises the
-    estimate's RuntimeError from its masked divide, before any transcript is
-    yielded, with no per-round check; numpy's error state is restored on
-    the way out.
+    estimate's RuntimeError from its masked divide (on one row, from
+    Python's ZeroDivisionError), before any transcript is yielded, with no
+    per-round check; numpy's error state is restored on the way out.
     """
     horizons = [game.horizon for game in games]
     segments = _segments(horizons)
@@ -391,11 +393,19 @@ def _play_batch(graph, spec: LearnerSpec, games):
     # the estimate turns into its RuntimeError
     with np.errstate(divide="raise", invalid="raise"):
         for first, rounds, live, base in segments:
+            cells = slice(base, base + rounds * live)
+            if live == 1:
+                _play_row(
+                    first, restart, epoch, cumulative[0], eta[0], gamma[0],
+                    explore if retarget else dist[[0] * len(graphs)], doubling, hedge,
+                    in_mats, out_masks,
+                    uniforms[cells], losses[cells], graph_ids[cells], actions[cells],
+                )
+                continue
             # the live rows, and the segment's tables as round x row views
             cum, p_out, est_out, dist_t = (
                 cumulative[:live], probs[:live], estimates[:live], dist[:live]
             )
-            cells = slice(base, base + rounds * live)
             seg_uniforms = uniforms[cells].reshape(rounds, live, 1)
             seg_losses = losses[cells].reshape(rounds, live, -1)
             seg_actions = actions[cells].reshape(rounds, live)
@@ -404,12 +414,6 @@ def _play_batch(graph, spec: LearnerSpec, games):
                 seg_rows = seg_ids * num_actions  # + the action: a row of out_rows
             if retarget:  # live row r's term on graph g is row r * G + g of the table
                 seg_keys = seg_ids + len(graphs) * np.arange(live)
-            pick = _take_rows
-            if live == 1:  # Python numbers, with which basic indexing picks a row
-                pick, seg_uniforms = operator.getitem, uniforms[cells].tolist()
-                if switching:  # row 0's term on graph g is row g of the table
-                    seg_ids, seg_rows = graph_ids[cells].tolist(), seg_rows.ravel().tolist()
-                    seg_keys = seg_ids
             for i, t in enumerate(range(first, first + rounds)):
                 if t == restart or i == 0:
                     if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
@@ -428,17 +432,17 @@ def _play_batch(graph, spec: LearnerSpec, games):
                             gamma[:live, epoch, None, None], explore
                         )[1].reshape(-1, num_actions)
                 if retarget:
-                    terms = terms[0], pick(table, seg_keys[i])
+                    terms = terms[0], table.take(seg_keys[i], axis=0)
                 p = learners.exp3g_distribution(cum, eta_t, terms, out=p_out)
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if hedge:  # full information: every loss, unweighted
                     cum += seg_losses[i]
                     continue
                 if switching:  # the actions' rows of out_rows on the round graphs
-                    in_mat = pick(in_mats, seg_ids[i])
+                    in_mat = in_mats.take(seg_ids[i], axis=0)
                     a = seg_rows[i] + a
                 cum += learners.importance_weighted_estimates(
-                    in_mat, p, pick(out_rows, a), seg_losses[i], out=est_out
+                    in_mat, p, out_rows.take(a, axis=0), seg_losses[i], out=est_out
                 )
 
     for r, (best_fixed, kind) in enumerate(setups):
@@ -456,8 +460,45 @@ def _play_batch(graph, spec: LearnerSpec, games):
         )
 
 
-def _take_rows(table, rows):
-    return table.take(rows, axis=0)
+def _play_row(
+    first, restart, epoch, cumulative, eta, gamma, explore, doubling, hedge,
+    in_mats, out_masks, uniforms, losses, graph_ids, actions,
+):
+    """Play one row's rounds from round `first` on, writing its draws into
+    `actions`, bit for bit as its row of an R x K step would.
+
+    `epoch` is the epoch the row is in and `restart` the round the next one
+    starts at. `cumulative` is the row's, `eta` and `gamma` its rates by
+    epoch, and `explore` its exploration distribution on each graph; the
+    round tables are the row's own. The cumulative, distribution and draw
+    are Python lists and floats, played through the learners module's
+    one-row list form.
+    """
+    eta, gamma, cum = eta.tolist(), gamma.tolist(), cumulative.tolist()
+    mats = list(in_mats)
+    observed = [[np.flatnonzero(mask).tolist() for mask in masks] for masks in out_masks]
+    drawn = []
+    for t, u, g, row in zip(count(first), uniforms.tolist(), graph_ids.tolist(), losses):
+        if t == restart or t == first:
+            if t == restart:  # an epoch starts: round 1, or 1, 2, 4, ... doubling
+                epoch += 1
+                restart = 2 * t + 1 if doubling else -1
+                cum = [0.0] * len(cum)
+            keep, table = learners.exploration_terms(gamma[epoch], explore)
+            terms = [(keep, term) for term in table.tolist()]  # by graph id
+            eta_t = eta[epoch]
+        p = learners.exp3g_distribution(cum, eta_t, terms[g])
+        a = learners.sample_index(p, u)
+        drawn.append(a)
+        if hedge:  # full information: every loss, unweighted
+            cum = [c + x for c, x in zip(cum, row.tolist())]
+            continue
+        seen = observed[g][a]
+        est = learners.importance_weighted_estimates(mats[g], p, seen, row.tolist())
+        # the other estimates are 0.0, and c + 0.0 is c (no entry is -0.0)
+        for i in seen:
+            cum[i] += est[i]
+    actions[:] = drawn
 
 
 def _doubling_schedule(profiles, horizons, graph_ids, segments) -> tuple:

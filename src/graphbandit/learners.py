@@ -15,15 +15,26 @@ in-matrix, a boolean mask and full loss rows for the estimates.
 `importance_weighted_estimates` take an optional `out=` array that receives
 the result and is returned. By default each allocates and returns a new
 array; the lockstep engine passes buffers it allocates once per batch. Both
-give the same bits. One row (a K-vector, or 1 x K) reduces to scalars and
-draws an int by bisecting a running sum, the bits of its row of an R x K
-call; the estimate takes one matrix-vector product per row for any R, as
-BLAS rounds a product over all rows by their count.
+give the same bits. The estimate takes one matrix-vector product per row
+for any R, as BLAS rounds a product over all rows by their count.
+
+One row also has a list form, which the engine plays a lone row in: the
+cumulative losses, rates and distribution are Python floats and lists, the
+draw an int, and the estimate reads the observed vertices as 0-based
+indices. A numpy call on K <= 10 floats costs about a microsecond (2-vCPU
+Xeon, numpy 2.4), most of it overhead, so the list form calls numpy only where its bits are numpy's
+own: `np.exp` (`math.exp` rounds some inputs otherwise), the pairwise sum
+`np.add.reduce`, and the BLAS in-matrix product. The shift, scale, mix,
+estimate and update are single IEEE operations, the same bits in Python,
+and the draw bisects a running sum, so every list result equals its row of
+an R x K call.
 
 A zero observation probability on an observed vertex is caught from
 numpy's divide flags, not by a pass over the estimates: the estimate's
 masked divide raises under `np.errstate(divide="raise", invalid="raise")`,
 which its default path enters and the engine enters once around its rounds.
+The list form catches Python's ZeroDivisionError, which x/0 and 0/0 both
+raise, and raises the same RuntimeError.
 """
 
 from __future__ import annotations
@@ -46,28 +57,29 @@ MODE_UNINFORMED = "uninformed"
 MODES = (MODE_FIXED, MODE_INFORMED, MODE_UNINFORMED)
 
 
-def exponential_weights(cumulative: np.ndarray, eta, out: np.ndarray | None = None) -> np.ndarray:
+def exponential_weights(cumulative, eta, out: np.ndarray | None = None):
     """Distribution proportional to exp(-eta * cumulative) along the trailing
     action axis: one K-vector, or R x K rows with `eta` a scalar, an R x 1
     column or an R x K array (the same bits, but no column is broadcast).
 
     Computed with a max shift in log space: the cumulative estimates can reach
     |U|/gamma per round, so the naive product underflows long before the
-    distribution itself degenerates. One row (a K-vector or 1 x K) reduces
-    to scalars, so its shift and normalisation broadcast no column; the
-    minimum and the pairwise sum are the same bits either way.
+    distribution itself degenerates.
 
-    `out`, a float array of the cumulative's shape, receives the distribution
-    and is returned; by default a new array is. Both give the same bits.
+    A list of floats is one row, with `eta` a float: the result is a list,
+    the bits of its row of an R x K call. `out`, a float array of the
+    cumulative's shape, receives an array result and is returned; by
+    default a new array is. Both give the same bits.
     """
-    if cumulative.size == cumulative.shape[-1]:  # one row
-        # the minimum is exact in any order, and Python's is the cheapest
-        low, axis, keep = min(cumulative.ravel().tolist()), None, False
-    else:
-        low, axis, keep = np.minimum.reduce(cumulative, axis=-1, keepdims=True), -1, True
+    if isinstance(cumulative, list):  # one row
+        low = min(cumulative)
+        w = np.exp([eta * (low - c) for c in cumulative])
+        total = float(np.add.reduce(w))
+        return [x / total for x in w.tolist()]
+    low = np.minimum.reduce(cumulative, axis=-1, keepdims=True)
     w = np.multiply(eta, np.subtract(low, cumulative, out=out), out=out)
     np.exp(w, out=w)
-    return np.divide(w, np.add.reduce(w, axis=axis, keepdims=keep), out=w)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
 def exploration_terms(gamma, u: np.ndarray) -> tuple:
@@ -76,18 +88,19 @@ def exploration_terms(gamma, u: np.ndarray) -> tuple:
     return 1.0 - gamma, gamma * u
 
 
-def exp3g_distribution(
-    cumulative: np.ndarray, eta, terms: tuple, out: np.ndarray | None = None
-) -> np.ndarray:
+def exp3g_distribution(cumulative, eta, terms: tuple, out: np.ndarray | None = None):
     """Exp3.G's play distribution: exponential weights mixed with a uniform
     exploration distribution, row by row like `exponential_weights`.
 
     `terms` is `exploration_terms(gamma, u)` for the exploration rate gamma
     and distribution u, computed once by a caller that plays many rounds
-    with the same gamma and u. `out` works as in `exponential_weights`.
+    with the same gamma and u; a list row takes the factor as a float and
+    the term as a list. `out` works as in `exponential_weights`.
     """
     keep, explore = terms
     p = exponential_weights(cumulative, eta, out=out)
+    if isinstance(p, list):  # one row
+        return [keep * x + e for x, e in zip(p, explore)]
     np.multiply(keep, p, out=p)
     return np.add(p, explore, out=p)
 
@@ -113,26 +126,29 @@ def informed_exploration_set(prof: GraphProfile) -> tuple:
     return tuple(range(1, prof.num_vertices + 1))
 
 
-def sample_index(dist: np.ndarray, u, out: np.ndarray | None = None):
+def sample_index(dist, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
     row; returns 0-based indices (an int for a float uniform).
 
-    A float uniform draws one row (a K-vector or 1 x K); else `u` is an
-    R-vector or an R x 1 column. A draw counts the CDF entries at or below
-    its uniform: searchsorted(side="right"), the first entry above it. One
-    row bisects (`bisect_right`) Python's running sum of its first K-1
-    probabilities, the bits of `np.add.accumulate`'s sequential sum;
-    several rows set the last column to +inf and take the first entry
-    above, an argmax over a boolean array, which needs no cast to count.
-    Either way a uniform beyond a CDF that rounds below 1 lands on the last
-    action. Fixed vertex order plus one uniform per draw keeps action
-    sequences reproducible across runs that share a generator state.
+    A float uniform draws one row: a list of floats, or an array holding
+    one row; else `u` is an R-vector or an R x 1 column. A draw counts the
+    CDF entries at or below its uniform: searchsorted(side="right"), the
+    first entry above it. One row bisects (`bisect_right`) the first K-1
+    entries of Python's running sum of its probabilities, the bits of
+    `np.add.accumulate`'s sequential sum; several rows set the last column
+    to +inf and take the first entry above, an argmax over a boolean array,
+    which needs no cast to count. Either way a uniform beyond a CDF that
+    rounds below 1 lands on the last action. Fixed vertex order plus one
+    uniform per draw keeps action sequences reproducible across runs that
+    share a generator state.
 
     `out`, an intp R-vector, receives the indices and is returned unless
     the uniform is a float; by default a new array is.
     """
     if isinstance(u, float):  # one row
-        a = bisect_right(list(accumulate(dist.ravel().tolist()[:-1])), u)
+        if not isinstance(dist, list):
+            dist = dist.ravel().tolist()
+        a = bisect_right(list(accumulate(dist)), u, 0, len(dist) - 1)
         if out is not None:
             out[0] = a
         return a
@@ -163,9 +179,8 @@ class FeedbackEvent:
 
 
 def importance_weighted_estimates(
-    in_matrix: np.ndarray, p: np.ndarray, observed: np.ndarray, losses,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+    in_matrix: np.ndarray, p, observed, losses, out: np.ndarray | None = None
+):
     """Loss estimates: observed losses divided by their observation
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
 
@@ -173,7 +188,9 @@ def importance_weighted_estimates(
     `in_matrix` is the round's in-matrix: one K x K broadcast over the rows,
     or R x K x K with one per row. `observed` is a boolean mask over the actions
     and `losses` the full loss rows, of which only the masked entries are
-    read.
+    read. A list p is one row on one K x K in-matrix: `observed` lists the
+    observed actions' 0-based indices, `losses` is the row's losses as
+    floats, and the estimates come back as a list.
 
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine: the masked divide
@@ -187,8 +204,18 @@ def importance_weighted_estimates(
     result: the default path runs under `np.errstate(divide="raise",
     invalid="raise")`, and a caller passing `out` for many rounds enters
     that state once around them, since entering it costs more than the rest
-    of the call.
+    of the call. A list row catches Python's ZeroDivisionError, which x/0
+    and 0/0 both raise.
     """
+    if isinstance(p, list):  # one row
+        prob = in_matrix.dot(p).tolist()
+        est = [0.0] * len(p)
+        try:
+            for i in observed:
+                est[i] = losses[i] / prob[i]
+        except ZeroDivisionError:
+            _zero_probability([i + 1 for i in observed if prob[i] <= 0.0])
+        return est
     if out is None:
         with np.errstate(divide="raise", invalid="raise"):
             return _estimates(in_matrix, p, observed, losses, np.zeros(p.shape))
@@ -201,11 +228,14 @@ def _estimates(in_matrix, p, observed, losses, out):
     try:
         return np.divide(losses, prob, out=out, where=observed)
     except FloatingPointError:  # x/0 is a divide flag, 0/0 an invalid one
-        bad = (np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist()
-        raise RuntimeError(
-            f"observed actions {bad} have zero observation probability; "
-            "the feedback event is inconsistent with the play distribution"
-        ) from None
+        _zero_probability((np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist())
+
+
+def _zero_probability(vertices):
+    raise RuntimeError(
+        f"observed actions {vertices} have zero observation probability; "
+        "the feedback event is inconsistent with the play distribution"
+    ) from None
 
 
 class SecondOrderBound(NamedTuple):

@@ -221,7 +221,7 @@ def test_unread_env_flags_exit_2(capsys, tmp_path):
         "--chi", "1", "--eps", "0.2", "--table", str(tmp_path / "nofile.csv"),
     )
     assert (code, out) == (2, "")
-    assert "the bernoulli environment reads no chi, eps, path" in err
+    assert "the bernoulli environment reads no --chi, --eps, --table; it takes --mu" in err
     out_csv = tmp_path / "rows.csv"
     code, out, err = run_cli(
         capsys, "sweep", "--catalog", "full", "--k", "3", "--env", "thm8", "--chi", "1",
@@ -230,6 +230,20 @@ def test_unread_env_flags_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "chi averaging" in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("env,flags,message", [
+    ("bernoulli", ("--mu", "0.3,0.5", "--table", "t.csv"), "reads no --table; it takes --mu"),
+    ("table", ("--table", "t.csv", "--mu", "0.3,0.5"), "reads no --mu; it takes --table"),
+    ("thm4", ("--eps", "0.2"), "reads no --eps; it takes --chi"),
+    ("thm7", ("--mu", "0.5"), "reads no --mu; it takes --chi, --eps"),
+], ids=["bernoulli_table", "table_mu", "thm4_eps", "thm7_mu"])
+def test_unread_env_flags_are_named_by_their_flags(capsys, env, flags, message):
+    # the refusal names the flag typed, not the parameter it would set
+    # (--table sets `path`), before any file is read
+    code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "2", "--env", env, *flags)
+    assert (code, out) == (2, "")
+    assert f"error: the {env} environment {message}\n" == err
 
 
 def test_missing_learning_rates_exit_2(capsys):

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -99,8 +100,7 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
 def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
     # the play distribution puts all mass on action 1, yet action 2 is drawn,
     # whose observed loss (1, or 0 for a 0/0) then has observation probability 0
-    monkeypatch.setattr(learners, "exp3g_distribution",
-                        lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    monkeypatch.setattr(learners, "exp3g_distribution", _point_mass)
     # a float uniform is a one-row draw, which returns an int
     monkeypatch.setattr(learners, "sample_index",
                         lambda p, u, **_: 1 if isinstance(u, float) else np.ones(len(p), np.intp))
@@ -111,12 +111,19 @@ def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
             run_game(catalog("bandit", 3), LearnerSpec(algorithm="exp3g", **MANUAL), env, 0)
 
 
+def _point_mass(cum, *_, **__):
+    # all mass on action 1 of 3: a list row (the one-row form) gets a list,
+    # R x K rows an R x 3 array
+    if isinstance(cum, list):
+        return [1.0, 0.0, 0.0]
+    return np.eye(3)[np.zeros(len(cum), dtype=np.intp)]
+
+
 def _point_mass_player(monkeypatch, draw):
     # the play distribution puts all mass on action 1; `draw(rows)` gives the
     # rows' drawn actions, 0-based, and a one-row draw (a float uniform)
     # returns its action as an int, as `sample_index` does
-    monkeypatch.setattr(learners, "exp3g_distribution",
-                        lambda cum, *_, **__: np.eye(3)[np.zeros(len(cum), dtype=np.intp)])
+    monkeypatch.setattr(learners, "exp3g_distribution", _point_mass)
     monkeypatch.setattr(learners, "sample_index", lambda p, u, **_: (
         int(draw(1)[0]) if isinstance(u, float) else draw(len(p))
     ))
@@ -159,6 +166,27 @@ def test_zero_probability_off_the_observed_set_costs_no_fallback(monkeypatch):
     assert calls == []
     assert np.geterr() == before
     assert (runs[0].regret + runs[1].regret) / 2 == 100.0
+
+
+def test_long_horizon_play_distribution_stays_normalised(monkeypatch):
+    # one game at T = 2^18 plays on the one-row list form throughout; as
+    # the cumulative estimates grow, every round's p must stay finite and
+    # sum to 1 within 1e-12 (math.fsum is exact)
+    horizon, rounds = 1 << 18, []
+    distribution = learners.exp3g_distribution
+
+    def checked(*args, **kwargs):
+        p = distribution(*args, **kwargs)
+        assert type(p) is list and all(map(math.isfinite, p))
+        assert abs(math.fsum(p) - 1.0) <= 1e-12, math.fsum(p)
+        rounds.append(None)
+        return p
+
+    monkeypatch.setattr(learners, "exp3g_distribution", checked)
+    env = bernoulli_env((0.3,) + (0.5,) * 9, horizon, seed=18)
+    run = run_game(catalog("loopy_star", 10), LearnerSpec(algorithm="exp3g", preset="strong"),
+                   env, 18)
+    assert len(rounds) == run.horizon == horizon
 
 
 def test_hedge_needs_full_feedback():

@@ -154,6 +154,17 @@ def test_estimates_zero_probability_raises_without_a_warning(loss):
             )
 
 
+@pytest.mark.parametrize("loss", [0.3, 0.0])
+def test_one_row_list_estimates_raise_the_same_error(loss):
+    # Python raises ZeroDivisionError for x/0 and 0/0 alike; the list form
+    # turns it into the array forms' RuntimeError, naming the vertex
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])
+    with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero") as caught:
+        importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0])
+    assert caught.value.__suppress_context__
+    assert importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [1], [loss, 0.5]) == [0.0, 0.5]
+
+
 def test_estimates_zero_probability_off_the_observed_set_is_no_error():
     # vertex 1 has no in-edges but is not observed: the masked divide never
     # touches it, so no flag is set even when numpy raises on every flag
@@ -246,6 +257,21 @@ def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
         assert _hex(importance_weighted_estimates(
             in_matrices[one], p[one], observed_seq[one], losses[one],
             out=np.empty((1, k)))) == _hex(est_seq[r])
+        # the list form: the row's state as Python floats, observed vertices
+        # as 0-based indices
+        cum_r, eta_r, row_losses = cum[r].tolist(), float(eta[r, 0]), losses[r].tolist()
+        q_r = exponential_weights(cum_r, eta_r)
+        assert type(q_r) is list and _hex(q_r) == _hex(q[r])
+        keep, explore = exploration_terms(float(gamma[r, 0]), u[r])
+        p_r = exp3g_distribution(cum_r, eta_r, (keep, explore.tolist()))
+        assert type(p_r) is list and _hex(p_r) == _hex(p[r])
+        assert sample_index(p_r, float(uniforms[r])) == drawn[r]
+        seen = np.flatnonzero(observed[r]).tolist()
+        est_r = importance_weighted_estimates(in_matrix, p_r, seen, row_losses)
+        assert type(est_r) is list and _hex(est_r) == _hex(est[r])
+        seen = np.flatnonzero(observed_seq[r]).tolist()
+        assert _hex(importance_weighted_estimates(
+            in_matrices[r], p_r, seen, row_losses)) == _hex(est_seq[r])
 
     # a CDF that rounds below 1, and a uniform above its last compared entry
     # and above its total: both forms put the draw on the last action
