@@ -14,8 +14,7 @@ A statement counts as executed when a line event reached one of its own
 lines: its first line through its last, less the lines of the statements
 nested in it, plus a function's or class's decorator lines. Bare constant
 expressions (docstrings) and `global`/`nonlocal` compile to no code and are
-not counted. Code run in another process, such as a sweep's process pool,
-is not seen.
+not counted. Code run in another process is not seen.
 """
 
 from __future__ import annotations

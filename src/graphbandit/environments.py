@@ -46,11 +46,10 @@ def _draw(rng: np.random.Generator, horizon: int, means) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Environment:
     """An oblivious loss source: a realized T x K table plus, for
-    time-varying play, the per-round feedback graphs."""
+    time-varying play, the per-round feedback graphs. The horizon T and the
+    action count K are the table's shape."""
 
     kind: str
-    num_actions: int
-    horizon: int
     losses: np.ndarray
     means: np.ndarray | None = None
     graphs: tuple = ()
@@ -58,14 +57,19 @@ class Environment:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.losses.shape != (self.horizon, self.num_actions):
-            raise ValueError(
-                f"loss table shape {self.losses.shape} does not match "
-                f"(T={self.horizon}, K={self.num_actions})"
-            )
+        if self.losses.ndim != 2:
+            raise ValueError(f"loss table must be two-dimensional, got shape {self.losses.shape}")
         if not ((self.losses >= 0) & (self.losses <= 1)).all():  # NaN fails too
             raise ValueError("losses must lie in [0, 1]")
         self.losses.setflags(write=False)
+
+    @property
+    def horizon(self) -> int:
+        return self.losses.shape[0]
+
+    @property
+    def num_actions(self) -> int:
+        return self.losses.shape[1]
 
     @property
     def time_varying(self) -> bool:
@@ -80,11 +84,7 @@ class Environment:
 
 def table_env(table) -> Environment:
     """Replay a fixed T x K loss table verbatim."""
-    arr = np.array(table, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("loss table must be two-dimensional")
-    horizon, num_actions = arr.shape
-    return Environment("table", num_actions, horizon, arr)
+    return Environment("table", np.array(table, dtype=float))
 
 
 def bernoulli_env(mu, horizon: int, seed) -> Environment:
@@ -93,9 +93,7 @@ def bernoulli_env(mu, horizon: int, seed) -> Environment:
     if not ((mu >= 0) & (mu <= 1)).all():  # NaN fails too
         raise ValueError("means must lie in [0, 1]")
     table = _draw(np.random.default_rng(seed), horizon, mu)
-    return Environment(
-        "bernoulli", len(mu), horizon, table, means=mu.copy(), params={"mu": tuple(mu)}
-    )
+    return Environment("bernoulli", table, means=mu.copy(), params={"mu": tuple(mu)})
 
 
 def hidden_arm_env(chi: int, horizon: int, num_actions: int) -> Environment:
@@ -112,9 +110,7 @@ def hidden_arm_env(chi: int, horizon: int, num_actions: int) -> Environment:
     means = np.full(num_actions, 0.5)
     means[0] = float(chi)
     table = np.tile(means, (horizon, 1))
-    return Environment(
-        "thm4", num_actions, horizon, table, means=means, params={"chi": chi}
-    )
+    return Environment("thm4", table, means=means, params={"chi": chi})
 
 
 def simple_weak_env(
@@ -137,10 +133,7 @@ def simple_weak_env(
     means[0] = 0.5 - eps * chi
     means[1] = 0.5
     table = _draw(np.random.default_rng(seed), horizon, means)
-    return Environment(
-        "thm8", num_actions, horizon, table, means=means,
-        params={"chi": chi, "eps": eps},
-    )
+    return Environment("thm8", table, means=means, params={"chi": chi, "eps": eps})
 
 
 def weak_lower_env(
@@ -179,8 +172,7 @@ def weak_lower_env(
     means[chi - 1] = 0.5 - eps
     table = _draw(rng, horizon, means)
     return Environment(
-        "thm5", k, horizon, table, means=means,
-        params={"chi": chi, "eps": eps, "support": tuple(support)},
+        "thm5", table, means=means, params={"chi": chi, "eps": eps, "support": tuple(support)}
     )
 
 
@@ -214,8 +206,7 @@ def uninformed_separation_env(
     )
     graph_index = (revealers - 3).astype(np.int64)
     return Environment(
-        "thm7", num_actions, horizon, table, means=means,
-        graphs=graphs, graph_index=graph_index,
+        "thm7", table, means=means, graphs=graphs, graph_index=graph_index,
         params={"chi": chi, "eps": eps},
     )
 

@@ -10,11 +10,14 @@ so each equals its game played alone.
 
 Live-prefix rule: a batch's games are sorted by decreasing horizon, so the
 games still running at round t are rows 0..live-1. A segment is a run of
-rounds with the same live rows; the batch's per-round tables (uniforms,
-losses, graph ids, actions) are laid out segment-major, each segment's
-rounds one after another and each round its live rows in order, so a step
-reads and writes basic slices of them and of the R x K state. The graph
-ids index one table of the batch's graphs, a fixed graph its only entry.
+rounds with the same live rows in one epoch: the doubling preset's restarts
+at rounds 1, 2, 4, ... cut segments too, so the learning rates, exploration
+terms and restarts are set once per segment, never checked per round. The
+batch's per-round tables (uniforms, losses, graph ids, actions) are laid
+out segment-major, each segment's rounds one after another and each round
+its live rows in order, so a step reads and writes basic slices of them and
+of the R x K state. The graph ids index one table of the batch's graphs, a
+fixed graph its only entry.
 
 Information hiding is structural: a player's update divides only the losses
 under its row's observed mask, the out-neighborhood of the action it played
@@ -35,7 +38,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,6 +92,8 @@ class LearnerSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.preset == "doubling" and (self.algorithm, self.mode) != ("exp3g", MODE_INFORMED):
             raise ValueError("the doubling preset drives exp3g in informed mode")
+        if self.algorithm == "constant":
+            _integer(self.constant_action, "constant_action")
         # only hedge and the manual exp3g preset read eta and gamma
         if self.algorithm == "hedge":
             if self.eta is None:
@@ -111,20 +115,27 @@ def _check_rates(eta, gamma):
 @dataclass
 class GameTranscript:
     """What one game's play produced: the actions (1-based), the loss each
-    incurred, and the regret against the best arm in hindsight. `env` is the
-    kind of environment built, which a thm5 request that falls back to the
-    two-arm construction reports as thm8."""
+    incurred, and the best arm's total loss in hindsight; the player's total
+    and the regret are read from them. `env` is the kind of environment
+    built, which a thm5 request that falls back to the two-arm construction
+    reports as thm8."""
 
     actions: np.ndarray
     incurred: np.ndarray
-    player_loss: float
     best_fixed_loss: float
-    regret: float
     env: str
 
     @property
     def horizon(self) -> int:
         return len(self.actions)
+
+    @property
+    def player_loss(self) -> float:
+        return float(self.incurred.sum())
+
+    @property
+    def regret(self) -> float:
+        return self.player_loss - self.best_fixed_loss
 
 
 def _resolve_preset(spec: LearnerSpec, base_graph, num_actions, horizon) -> Preset:
@@ -233,17 +244,24 @@ def _play(graph: FeedbackGraph | None, spec: LearnerSpec, games):
             rounds += games[i].horizon
 
 
-def _segments(horizons) -> list:
-    """The runs of rounds with the same live rows, in round order, for games
-    sorted by decreasing horizon: (first round, rounds, live rows, offset of
-    the segment's first cell in a segment-major table)."""
+def _segments(horizons, doubling: bool) -> list:
+    """The runs of rounds with the same live rows and epoch, in round order,
+    for games sorted by decreasing horizon: (first round, rounds, live rows,
+    offset of the segment's first cell in a segment-major table, epoch).
+
+    Without `doubling` the whole game is epoch 0. With it, epoch e is the
+    rounds 2^e .. 2^(e+1) - 1 (1-based) between the doubling trick's
+    restarts, so a segment starts an epoch iff its first round (0-based)
+    is 2^e - 1; splitting a segment leaves the table layout as it was."""
     segments, start, base = [], 0, 0
     for live in range(len(horizons), 0, -1):
         end = horizons[live - 1]
-        if end > start:
-            segments.append((start, end - start, live, base))
-            base += (end - start) * live
-            start = end
+        while end > start:
+            epoch = (start + 1).bit_length() - 1 if doubling else 0
+            stop = min(end, (2 << epoch) - 1) if doubling else end
+            segments.append((start, stop - start, live, base, epoch))
+            base += (stop - start) * live
+            start = stop
     return segments
 
 
@@ -252,7 +270,7 @@ def _cells(segments, r) -> list:
     where a segment-major table holds them, in round order."""
     return [
         (slice(first, first + rounds), slice(base + r, base + rounds * live, live))
-        for first, rounds, live, base in segments if r < live
+        for first, rounds, live, base, _ in segments if r < live
     ]
 
 
@@ -273,7 +291,8 @@ def _play_batch(graph, spec: LearnerSpec, games):
 
     Round t of every game still running is one step over R x K arrays (one
     row per game). The rows alive are always a prefix, so each segment (a
-    run of rounds with the same live rows) plays on views of the first rows.
+    run of rounds with the same live rows in one epoch, see `_segments`)
+    plays on views of the first rows.
     Uniforms, losses, graph ids and actions live in flat tables laid out
     segment-major: a segment's cells are its rounds one after another, each
     round its live rows in order, so round t of a segment is one basic slice
@@ -290,10 +309,12 @@ def _play_batch(graph, spec: LearnerSpec, games):
     (an observed vertex has P(i) >= p(a) > 0).
 
     The arithmetic is the learners module's, called with buffers allocated
-    once per batch and sliced per segment. The rates are spread to R x K
+    once per batch and sliced per segment. A segment that starts an epoch
+    (round 1, and with the doubling preset rounds 2, 4, 8, ...) zeroes its
+    rows' cumulative losses; then its epoch's rates are spread to R x K
     arrays and Exp3.G's exploration terms (1 - gamma and gamma * u)
-    computed once per segment and epoch. A segment's uniforms are viewed as
-    one R x 1 column per round.
+    computed, once per segment. A segment's uniforms are viewed as one
+    R x 1 column per round.
 
     Observed masks are rows of one (graph, action) table. On one graph (a
     fixed graph's cells keep id 0) a mask is its action's row and the
@@ -303,9 +324,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
     every live row and graph. The update reads only the losses under the
     row's mask.
 
-    A segment with one live row, always the last, is played by `_play_row`
-    on the row functions' one-row list form: its state is Python floats, and
-    numpy is called only for exp, the pairwise sum and the in-matrix product.
+    A segment with one live row (the last row's rounds once it plays alone)
+    is played by `_play_row` on the row functions' one-row list form: its
+    state is Python floats, and numpy is called only for exp, the pairwise
+    sum and the in-matrix product. Its per-graph in-matrices and observed
+    vertices are lists built once per batch.
 
     The loop runs under `np.errstate(divide="raise", invalid="raise")`, so a
     zero observation probability on an observed vertex raises the
@@ -314,7 +337,8 @@ def _play_batch(graph, spec: LearnerSpec, games):
     per-round check; numpy's error state is restored on the way out.
     """
     horizons = [game.horizon for game in games]
-    segments = _segments(horizons)
+    doubling = spec.preset == "doubling"
+    segments = _segments(horizons, doubling)
     total = sum(horizons)
     uniforms = np.empty(total)
     graph_ids = np.zeros(total, dtype=np.intp)
@@ -363,7 +387,6 @@ def _play_batch(graph, spec: LearnerSpec, games):
     hedge = spec.algorithm == "hedge"
     if hedge and not out_masks.all():
         raise ValueError("Hedge needs full feedback; some action does not observe every loss")
-    doubling = spec.preset == "doubling"
     eta, gamma, dist = zip(*players)
     dist = np.stack(dist)
     eta = np.array(eta)[:, None]
@@ -387,53 +410,52 @@ def _play_batch(graph, spec: LearnerSpec, games):
     probs, estimates = np.empty_like(dist), np.empty_like(dist)
     out_rows = out_masks.reshape(-1, num_actions)  # [g * K + a] is out_masks[g, a]
     in_mat = in_mats[0]  # one graph's, which the estimate broadcasts over the rows
-    restart, epoch = 0, -1
+    # a lone row's graphs, by graph id: in-matrices, and observed vertices by action
+    mats = list(in_mats)
+    observed = [[np.flatnonzero(mask).tolist() for mask in masks] for masks in out_masks]
     # a zero observation probability on an observed vertex sets the divide
     # flag (invalid for a loss of 0) in the estimate's masked divide, which
     # the estimate turns into its RuntimeError
     with np.errstate(divide="raise", invalid="raise"):
-        for first, rounds, live, base in segments:
+        for first, rounds, live, base, epoch in segments:
             cells = slice(base, base + rounds * live)
+            if first + 1 == 1 << epoch:  # an epoch starts: round 1, or 1, 2, 4, ... doubling
+                cumulative[:live] = 0.0
             if live == 1:
+                keep, table = learners.exploration_terms(
+                    float(gamma[0, epoch]), explore if retarget else dist[[0] * len(graphs)]
+                )
                 _play_row(
-                    first, restart, epoch, cumulative[0], eta[0], gamma[0],
-                    explore if retarget else dist[[0] * len(graphs)], doubling, hedge,
-                    in_mats, out_masks,
+                    cumulative[0], float(eta[0, epoch]), [(keep, term) for term in table.tolist()],
+                    hedge, mats, observed,
                     uniforms[cells], losses[cells], graph_ids[cells], actions[cells],
                 )
                 continue
             # the live rows, and the segment's tables as round x row views
-            cum, p_out, est_out, dist_t = (
-                cumulative[:live], probs[:live], estimates[:live], dist[:live]
-            )
+            cum, p_out, est_out = cumulative[:live], probs[:live], estimates[:live]
             seg_uniforms = uniforms[cells].reshape(rounds, live, 1)
             seg_losses = losses[cells].reshape(rounds, live, -1)
             seg_actions = actions[cells].reshape(rounds, live)
+            # the rates as R x K arrays: a product that broadcasts a column
+            # costs about twice one that does not
+            eta_t, gamma_t = (
+                np.repeat(rate[:live, epoch:epoch + 1], num_actions, axis=1)
+                for rate in (eta, gamma)
+            )
+            keep, terms = learners.exploration_terms(gamma_t, dist[:live])
             if switching:
                 seg_ids = graph_ids[cells].reshape(rounds, live)
                 seg_rows = seg_ids * num_actions  # + the action: a row of out_rows
-            if retarget:  # live row r's term on graph g is row r * G + g of the table
+            if retarget:  # informed play explores where the round graph says
+                table = learners.exploration_terms(
+                    gamma[:live, epoch, None, None], explore
+                )[1].reshape(-1, num_actions)
+                # live row r's term on graph g is row r * G + g of the table
                 seg_keys = seg_ids + len(graphs) * np.arange(live)
-            for i, t in enumerate(range(first, first + rounds)):
-                if t == restart or i == 0:
-                    if t == restart:  # all rows start an epoch: round 1, or 1, 2, 4, ... doubling
-                        epoch += 1
-                        restart = 2 * t + 1 if doubling else -1
-                        cum[:] = 0.0
-                    # the rates as R x K arrays: a product that broadcasts
-                    # a column costs about twice one that does not
-                    eta_t, gamma_t = (
-                        np.repeat(rate[:live, epoch:epoch + 1], num_actions, axis=1)
-                        for rate in (eta, gamma)
-                    )
-                    terms = learners.exploration_terms(gamma_t, dist_t)
-                    if retarget:  # informed play explores where the round graph says
-                        table = learners.exploration_terms(
-                            gamma[:live, epoch, None, None], explore
-                        )[1].reshape(-1, num_actions)
+            for i in range(rounds):
                 if retarget:
-                    terms = terms[0], table.take(seg_keys[i], axis=0)
-                p = learners.exp3g_distribution(cum, eta_t, terms, out=p_out)
+                    terms = table.take(seg_keys[i], axis=0)
+                p = learners.exp3g_distribution(cum, eta_t, (keep, terms), out=p_out)
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if hedge:  # full information: every loss, unweighted
                     cum += seg_losses[i]
@@ -449,45 +471,26 @@ def _play_batch(graph, spec: LearnerSpec, games):
         cells = _cells(segments, r)
         played = _gather(actions, cells)
         incurred = _gather(losses, cells)[np.arange(len(played)), played].astype(float)
-        player_loss = float(incurred.sum())
         yield GameTranscript(
-            actions=played + 1,
-            incurred=incurred,
-            player_loss=player_loss,
-            best_fixed_loss=best_fixed,
-            regret=player_loss - best_fixed,
-            env=kind,
+            actions=played + 1, incurred=incurred, best_fixed_loss=best_fixed, env=kind
         )
 
 
-def _play_row(
-    first, restart, epoch, cumulative, eta, gamma, explore, doubling, hedge,
-    in_mats, out_masks, uniforms, losses, graph_ids, actions,
-):
-    """Play one row's rounds from round `first` on, writing its draws into
-    `actions`, bit for bit as its row of an R x K step would.
+def _play_row(cumulative, eta, terms, hedge, mats, observed, uniforms, losses, graph_ids, actions):
+    """Play one row's segment, all in one epoch, writing its draws into
+    `actions` and its cumulative losses back into `cumulative`, bit for bit
+    as its row of an R x K step would.
 
-    `epoch` is the epoch the row is in and `restart` the round the next one
-    starts at. `cumulative` is the row's, `eta` and `gamma` its rates by
-    epoch, and `explore` its exploration distribution on each graph; the
-    round tables are the row's own. The cumulative, distribution and draw
-    are Python lists and floats, played through the learners module's
-    one-row list form.
+    `eta` is the epoch's learning rate and `terms[g]` its exploration terms
+    on graph g, `mats[g]` graph g's in-matrix and `observed[g][a]` the
+    0-based vertices action a observes there; the round tables are the
+    segment's. The cumulative, distribution and draw are Python lists and
+    floats, played through the learners module's one-row list form.
     """
-    eta, gamma, cum = eta.tolist(), gamma.tolist(), cumulative.tolist()
-    mats = list(in_mats)
-    observed = [[np.flatnonzero(mask).tolist() for mask in masks] for masks in out_masks]
+    cum = cumulative.tolist()
     drawn = []
-    for t, u, g, row in zip(count(first), uniforms.tolist(), graph_ids.tolist(), losses):
-        if t == restart or t == first:
-            if t == restart:  # an epoch starts: round 1, or 1, 2, 4, ... doubling
-                epoch += 1
-                restart = 2 * t + 1 if doubling else -1
-                cum = [0.0] * len(cum)
-            keep, table = learners.exploration_terms(gamma[epoch], explore)
-            terms = [(keep, term) for term in table.tolist()]  # by graph id
-            eta_t = eta[epoch]
-        p = learners.exp3g_distribution(cum, eta_t, terms[g])
+    for u, g, row in zip(uniforms.tolist(), graph_ids.tolist(), losses):
+        p = learners.exp3g_distribution(cum, eta, terms[g])
         a = learners.sample_index(p, u)
         drawn.append(a)
         if hedge:  # full information: every loss, unweighted
@@ -499,6 +502,7 @@ def _play_row(
         for i in seen:
             cum[i] += est[i]
     actions[:] = drawn
+    cumulative[:] = cum
 
 
 def _doubling_schedule(profiles, horizons, graph_ids, segments) -> tuple:
@@ -581,8 +585,8 @@ class ExperimentReport:
 
 def cell_streams(seed: int, horizon_index: int, rep: int):
     """The documented stream rule: one root per (horizon, rep) cell, spawned
-    into (environment stream, player stream); the seed is >= 0."""
-    if seed < 0:
+    into (environment stream, player stream); the seed is an integer >= 0."""
+    if _integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(entropy=seed, spawn_key=(horizon_index, rep))
     return root.spawn(2)

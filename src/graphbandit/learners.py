@@ -162,22 +162,6 @@ def sample_index(dist, u, out: np.ndarray | None = None):
     return np.greater(c, u).argmax(-1, out)
 
 
-@dataclass(frozen=True, eq=False)
-class FeedbackEvent:
-    """What the player gets to see after one round.
-
-    `observed_actions` holds the 1-indexed vertices whose losses were revealed
-    (exactly the out-neighborhood of the chosen action in the round's graph),
-    aligned with `observed_losses`. In the uninformed time-varying model the
-    round's graph rides along in `graph`.
-    """
-
-    action: int
-    observed_actions: np.ndarray
-    observed_losses: np.ndarray
-    graph: FeedbackGraph | None = None
-
-
 def importance_weighted_estimates(
     in_matrix: np.ndarray, p, observed, losses, out: np.ndarray | None = None
 ):
@@ -373,7 +357,7 @@ class Exp3G:
 
     def set_round_graph(self, g: FeedbackGraph, prof: GraphProfile | None = None):
         """Supply round t's graph before acting, in the informed model; the
-        uninformed model gets its graph with the feedback event. `prof` is
+        uninformed model gets its graph with the feedback. `prof` is
         the graph's profile when the caller has it already."""
         if g.num_vertices != self.num_actions:
             raise ValueError("graph size does not match num_actions")
@@ -390,20 +374,25 @@ class Exp3G:
             raise RuntimeError("informed mode needs set_round_graph before acting")
         return sample_index(self.p, rng.random()) + 1
 
-    def update(self, event: FeedbackEvent):
-        g = event.graph if event.graph is not None else self._round_graph
+    def update(
+        self, action: int, observed_actions, observed_losses, graph: FeedbackGraph | None = None
+    ):
+        """Take one round's feedback: the 1-indexed vertices whose losses were
+        revealed (exactly the out-neighborhood of `action` in the round's
+        graph) and those losses, aligned. In the uninformed model the
+        round's graph comes with them as `graph`."""
+        g = graph if graph is not None else self._round_graph
         if g is None:
             raise RuntimeError("no graph available for the update")
         if self._p is None:
             raise RuntimeError("update before any action was drawn")
-        expected = g.out_index[event.action - 1]
-        got = np.asarray(event.observed_actions, dtype=np.int64)
+        expected = g.out_index[action - 1]
+        got = np.asarray(observed_actions, dtype=np.int64)
         if not np.array_equal(got, expected):
             raise ValueError(
-                "observed set does not match the out-neighborhood of "
-                f"action {event.action}"
+                f"observed set does not match the out-neighborhood of action {action}"
             )
-        losses = np.asarray(event.observed_losses, dtype=float)
+        losses = np.asarray(observed_losses, dtype=float)
         if len(losses) and (losses.min() < -1e-12 or losses.max() > 1 + 1e-12):
             raise ValueError("observed losses must lie in [0, 1]")
         observed = np.zeros(self.num_actions, dtype=bool)

@@ -66,9 +66,12 @@ class PMInstance:
     integers per row). Keeps the source graph for edge checks."""
 
     graph: object
-    num_actions: int
     loss_matrix: np.ndarray
     symbol_matrix: np.ndarray
+
+    @property
+    def num_actions(self) -> int:
+        return self.loss_matrix.shape[0]
 
     @property
     def num_columns(self) -> int:
@@ -138,7 +141,7 @@ def encode(g) -> PMInstance:
     symbols = place @ loss
     loss.setflags(write=False)
     symbols.setflags(write=False)
-    return PMInstance(g, k, loss, symbols)
+    return PMInstance(g, loss, symbols)
 
 
 def claim_c1_check(instance: PMInstance, i: int, j: int) -> bool:

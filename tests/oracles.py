@@ -604,7 +604,8 @@ def signature_families(instance) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# single-game protocol players: act(rng) -> action, update(FeedbackEvent)
+# single-game protocol players: act(rng) -> action,
+# update(action, observed_actions, observed_losses, graph=None)
 
 
 class Hedge:
@@ -644,14 +645,14 @@ class HedgePlayer(Hedge):
     def act(self, rng) -> int:
         return learners.sample_index(self.distribution, rng.random()) + 1
 
-    def update(self, event: learners.FeedbackEvent):
-        if len(event.observed_actions) != self.num_actions:
+    def update(self, action, observed_actions, observed_losses, graph=None):
+        if len(observed_actions) != self.num_actions:
             raise ValueError(
                 "Hedge needs full feedback; got "
-                f"{len(event.observed_actions)} of {self.num_actions} losses"
+                f"{len(observed_actions)} of {self.num_actions} losses"
             )
         losses = np.empty(self.num_actions)
-        losses[np.asarray(event.observed_actions) - 1] = event.observed_losses
+        losses[np.asarray(observed_actions) - 1] = observed_losses
         self.step(losses)
 
 
@@ -694,8 +695,8 @@ class DoublingExp3G:
     def act(self, rng) -> int:
         return self._learner.act(rng)
 
-    def update(self, event: learners.FeedbackEvent):
-        self._learner.update(event)
+    def update(self, action, observed_actions, observed_losses, graph=None):
+        self._learner.update(action, observed_actions, observed_losses, graph)
 
 
 class UniformRandom:
@@ -707,7 +708,7 @@ class UniformRandom:
     def act(self, rng) -> int:
         return learners.sample_index(self._dist, rng.random()) + 1
 
-    def update(self, event: learners.FeedbackEvent):
+    def update(self, action, observed_actions, observed_losses, graph=None):
         pass
 
 
@@ -720,5 +721,5 @@ class ConstantAction:
     def act(self, rng) -> int:
         return self.action
 
-    def update(self, event: learners.FeedbackEvent):
+    def update(self, action, observed_actions, observed_losses, graph=None):
         pass

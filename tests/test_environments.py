@@ -312,9 +312,9 @@ NAN = float("nan")
 THM4 = EnvSpec("thm4")
 
 
-def _sweep(env=THM4, horizons=(64,), reps=1, chi_average=False):
+def _sweep(env=THM4, horizons=(64,), reps=1, chi_average=False, seed=0):
     return sweep(SweepConfig(catalog("bandit", 3), "bandit", LearnerSpec(algorithm="uniform"),
-                             env, horizons, reps, chi_average=chi_average))
+                             env, horizons, reps, seed=seed, chi_average=chi_average))
 
 
 REFUSALS = {
@@ -341,10 +341,13 @@ REFUSALS = {
     "sweep_float_horizon": (lambda: _sweep(horizons=(64.5,)), "horizon must be an integer"),
     "sweep_bool_horizon": (lambda: _sweep(horizons=(True,)), "horizon must be an integer"),
     "sweep_float_reps": (lambda: _sweep(reps=2.0), "reps must be an integer"),
+    "sweep_bool_seed": (lambda: _sweep(seed=True), "seed must be an integer"),
+    "sweep_float_seed": (lambda: _sweep(seed=2.0), "seed must be an integer"),
+    "sweep_str_seed": (lambda: _sweep(seed="3"), "seed must be an integer"),
     "float_action_count": (lambda: build_environment(EnvSpec("thm7"), 10, 0, 8.0),
                            "num_actions must be an integer"),
     # the constructions' own checks
-    "shape": (lambda: Environment("table", 3, 2, np.zeros((2, 2))), "does not match"),
+    "shape": (lambda: Environment("table", np.zeros((2, 2, 1))), "two-dimensional"),
     "no_sequence": (lambda: table_env([[0.5]]).graph_at(0), "no graph sequence"),
     "one_dim_table": (lambda: table_env([0.5, 0.5]), "two-dimensional"),
     "hidden_arm_k1": (lambda: hidden_arm_env(0, 10, 1), "at least 2 actions"),

@@ -26,7 +26,7 @@ from graphbandit.harness import (
     run_games,
     sweep,
 )
-from graphbandit.learners import Exp3G, FeedbackEvent
+from graphbandit.learners import Exp3G
 
 from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom
 
@@ -47,7 +47,7 @@ def play_learner(learner, env, seed, graph=None, mode="fixed"):
         obs = g.out_index[a - 1]
         row = env.losses[t]
         shown = g if mode == "uninformed" else None
-        learner.update(FeedbackEvent(a, obs, row[obs - 1], graph=shown))
+        learner.update(a, obs, row[obs - 1], graph=shown)
         actions.append(a)
     return np.array(actions)
 
@@ -90,7 +90,7 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
     for t in range(horizon):
         a = learner.act(rng)
         obs = g.out_index[a - 1]
-        learner.update(FeedbackEvent(a, obs, table[t][obs - 1]))
+        learner.update(a, obs, table[t][obs - 1])
         hedge.step(table[t])
         assert np.allclose(learner.q, hedge.distribution, atol=1e-6)
 
@@ -244,6 +244,12 @@ BAD_PLAYERS = {
     "gamma_above_one": (dict(MANUAL, gamma=1.5), r"gamma must lie in \[0, 1\]"),
     "constant_zero": (dict(algorithm="constant", constant_action=0), "action out of range"),
     "constant_past_k": (dict(algorithm="constant", constant_action=5), "action out of range"),
+    "constant_float": (dict(algorithm="constant", constant_action=1.5),
+                       "constant_action must be an integer"),
+    "constant_integral_float": (dict(algorithm="constant", constant_action=2.0),
+                                "constant_action must be an integer"),
+    "constant_bool": (dict(algorithm="constant", constant_action=True),
+                      "constant_action must be an integer"),
     "hedge_without_eta": (dict(algorithm="hedge"), "hedge needs an explicit eta"),
     "hedge_eta_zero": (dict(algorithm="hedge", eta=0.0), "eta must be positive"),
 }
@@ -717,6 +723,33 @@ def test_lockstep_transcripts_equal_single_games():
         assert np.array_equal(run.actions, single.actions)
         assert np.array_equal(run.incurred, single.incurred)
         assert run.player_loss == single.player_loss
+
+
+@pytest.mark.parametrize("doubling", [False, True], ids=["plain", "doubling"])
+def test_segments_tile_the_rounds(doubling):
+    rng = np.random.default_rng(22)
+    draws = [rng.integers(1, 70, size=rng.integers(1, 8)) for _ in range(200)]
+    # ties, single rounds and powers of two (games that end on a restart)
+    draws += [[1], [1, 1], [2, 1], [16, 8, 8, 4, 2, 1], [15, 7, 3, 1], [64, 63, 33, 32]]
+    for draw in draws:
+        horizons = sorted((int(h) for h in draw), reverse=True)
+        segments = harness._segments(horizons, doubling)
+        cells, starts = [], set()
+        for first, rounds, live, base, epoch in segments:
+            assert base == len(cells) and rounds > 0  # contiguous, segment-major
+            cells += [(r, t) for t in range(first, first + rounds) for r in range(live)]
+            last = first + rounds
+            assert live == sum(h > first for h in horizons) == sum(h >= last for h in horizons)
+            starts.add(first)
+            if doubling:  # inside one epoch: 1-based rounds 2^e .. 2^(e+1) - 1
+                assert epoch == (first + 1).bit_length() - 1 == last.bit_length() - 1
+            else:
+                assert epoch == 0
+        assert sorted(cells) == sorted((r, t) for r, h in enumerate(horizons) for t in range(h))
+        assert len(cells) == sum(horizons)
+        ends = set(horizons) - {horizons[0]}
+        restarts = {(1 << e) - 1 for e in range(horizons[0].bit_length())} if doubling else {0}
+        assert starts == {0} | ends | restarts
 
 
 RUN_GAMES_CASES = {

@@ -7,7 +7,6 @@ import pytest
 from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 from graphbandit.learners import (
     Exp3G,
-    FeedbackEvent,
     doubling_rates,
     exp3g_distribution,
     exploration_terms,
@@ -25,9 +24,11 @@ from graphbandit.learners import (
 from oracles import hedge_distribution_highprec, random_distribution, random_graph
 
 
-def full_feedback_event(g, action, row):
+def full_feedback(g, action, row):
+    """`Exp3G.update`'s arguments for a round on graph g: the action, its
+    out-neighborhood and the losses there."""
     obs = g.out_index[action - 1]
-    return FeedbackEvent(action, obs, row[obs - 1])
+    return action, obs, row[obs - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +498,7 @@ def test_exp3g_seeded_determinism():
         for t in range(40):
             a = learner.act(rng)
             actions.append(a)
-            learner.update(full_feedback_event(g, a, rows[t]))
+            learner.update(*full_feedback(g, a, rows[t]))
         return actions
 
     assert play(123) == play(123)
@@ -524,8 +525,7 @@ def test_exp3g_probability_invariants():
                 assert p[v - 1] >= gamma / len(u_set) - 1e-15
             a = learner.act(rng)
             row = rng.uniform(0, 1, size=k)
-            event = full_feedback_event(g, a, row)
-            learner.update(event)
+            learner.update(*full_feedback(g, a, row))
             # estimator bounds: nonnegative, and capped for vertices with an
             # in-neighbor inside the exploration set
             est = learner.cumulative
@@ -541,7 +541,7 @@ def test_exp3g_estimator_cap_inside_exploration():
     for _ in range(200):
         a = learner.act(rng)
         row = rng.uniform(0, 1, size=6)
-        learner.update(full_feedback_event(g, a, row))
+        learner.update(*full_feedback(g, a, row))
         step = learner.cumulative - prev
         prev = learner.cumulative.copy()
         # every vertex has a self-loop, hence an in-neighbor in U = V
@@ -553,7 +553,7 @@ def test_exp3g_update_requires_act():
     g = catalog("bandit", 2)
     learner = Exp3G(2, eta=0.1, gamma=0.1, graph=g)
     with pytest.raises(RuntimeError):
-        learner.update(FeedbackEvent(1, np.array([1]), np.array([0.5])))
+        learner.update(1, np.array([1]), np.array([0.5]))
 
 
 def test_exp3g_rejects_inconsistent_observed_set():
@@ -562,7 +562,7 @@ def test_exp3g_rejects_inconsistent_observed_set():
     rng = np.random.default_rng(10)
     a = learner.act(rng)
     with pytest.raises(ValueError):
-        learner.update(FeedbackEvent(a, np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3])))
+        learner.update(a, np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3]))
 
 
 def test_exp3g_round_graph_timing_enforced():
@@ -576,7 +576,7 @@ def test_exp3g_round_graph_timing_enforced():
         informed.act(rng)
     informed.set_round_graph(g)
     informed.act(rng)
-    # the uninformed model gets its graph with the feedback event
+    # the uninformed model gets its graph with the feedback
     uninformed = Exp3G(4, eta=0.1, gamma=0.1, mode="uninformed")
     with pytest.raises(ValueError):
         uninformed.set_round_graph(g)
@@ -592,7 +592,7 @@ def test_exp3g_informed_retargets_exploration():
         a = learner.act(rng)
         row = np.full(5, 0.5)
         obs = star.out_index[a - 1]
-        learner.update(FeedbackEvent(a, obs, row[obs - 1]))
+        learner.update(a, obs, row[obs - 1])
 
 
 def test_exp3g_uninformed_uses_event_graph():
@@ -603,13 +603,13 @@ def test_exp3g_uninformed_uses_event_graph():
     learner.act(rng)
     row = np.array([0.9, 0.1, 0.5])
     obs = full.out_index[0]
-    learner.update(FeedbackEvent(1, obs, row[obs - 1], graph=full))
+    learner.update(1, obs, row[obs - 1], graph=full)
     # full-feedback estimates are the raw losses: all three arms moved
     assert np.all(learner.cumulative > 0)
     learner2 = Exp3G(3, eta=0.5, gamma=0.1, mode="uninformed")
     learner2.act(rng)
     obs2 = bandit.out_index[0]
-    learner2.update(FeedbackEvent(1, obs2, row[obs2 - 1], graph=bandit))
+    learner2.update(1, obs2, row[obs2 - 1], graph=bandit)
     assert learner2.cumulative[1] == 0 and learner2.cumulative[2] == 0
 
 

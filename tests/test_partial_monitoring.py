@@ -121,7 +121,7 @@ def test_claim_fails_on_corrupted_symbols():
     inst = encode(g)
     corrupted = inst.symbol_matrix.copy()
     corrupted[0, 0] = corrupted[0, 3]  # merge two signature classes
-    bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
+    bad = PMInstance(g, inst.loss_matrix, corrupted)
     assert not claim_c1_check(bad, 1, 1)
 
 
@@ -302,12 +302,12 @@ def test_certificate_counts_equal_the_reference_table_on_corrupted_symbols():
             cells = rng.integers(0, k * m, size=int(rng.integers(1, k * m + 1)))
             corrupted.flat[cells] = rng.integers(0, int(corrupted.max()) + 3, size=len(cells))
             _assert_certificates_equal(
-                PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted))
+                PMInstance(g, inst.loss_matrix, corrupted))
     g = catalog("bandit", 2)
     inst = encode(g)
     corrupted = inst.symbol_matrix.copy()
     corrupted[0, 0] = corrupted[0, 3]  # the corruption of test_claim_fails_on_corrupted_symbols
-    _assert_certificates_equal(PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted))
+    _assert_certificates_equal(PMInstance(g, inst.loss_matrix, corrupted))
 
 
 def _first_pair_with_an_unseen_vertex(g, sources):
@@ -347,7 +347,7 @@ def test_checks_raise_when_neither_certificate_verifies():
     inst = encode(g)
     corrupted = inst.symbol_matrix.copy()
     corrupted[0, 0] = corrupted[0, 3]  # vertex 1's classes no longer fix or free y_1
-    bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
+    bad = PMInstance(g, inst.loss_matrix, corrupted)
     member, orthogonal = bad.certificates
     assert not member[:, 0].any() and not orthogonal[:, 0].all()
     with pytest.raises(ValueError, match="neither certificate verifies for vertex 1"):
@@ -395,7 +395,7 @@ def test_bitmask_verdicts_equal_the_table_verdicts_on_corrupted_symbols():
         corrupted = inst.symbol_matrix.copy()
         cells = rng.integers(0, k * m, size=int(rng.integers(1, k * m // 2 + 2)))
         corrupted.flat[cells] = rng.integers(0, int(corrupted.max()) + 3, size=len(cells))
-        bad = PMInstance(g, inst.num_actions, inst.loss_matrix, corrupted)
+        bad = PMInstance(g, inst.loss_matrix, corrupted)
         for check, reference in ((global_witness, reference_global_witness),
                                  (local_witness, reference_local_witness)):
             assert _verdict(check, bad) == _verdict(reference, bad)
