@@ -63,8 +63,8 @@ def _vertex_count(num_vertices) -> int:
 
 class FeedbackGraph:
     """Immutable directed graph over actions 1..K with self-loops allowed,
-    kept as per-vertex bitmasks; the edge set is rebuilt from them on each
-    read."""
+    kept as per-vertex bitmasks; `edges` rebuilds the edge set from the
+    out-masks on each read."""
 
     __slots__ = ("_k", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
 
@@ -98,9 +98,15 @@ class FeedbackGraph:
 
     @property
     def edges(self) -> frozenset:
-        return frozenset(
-            (u, v) for u in range(1, self._k + 1) for v in _mask_to_vertices(self._out[u - 1])
-        )
+        """Every (u, v) pair, from one walk over each out-mask's set bits into
+        one list, made a frozenset once."""
+        out = []
+        for u, mask in enumerate(self._out, start=1):
+            while mask:
+                b = mask & -mask
+                out.append((u, b.bit_length()))
+                mask ^= b
+        return frozenset(out)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 1 <= u <= self._k and 1 <= v <= self._k and bool(self._out[u - 1] >> (v - 1) & 1)

@@ -199,14 +199,23 @@ def run_games(graph: FeedbackGraph | None, spec: LearnerSpec, envs, seeds) -> li
     `envs`, equal those of `run_game` on each (environment, seed) pair."""
     if len(envs) != len(seeds):
         raise ValueError(f"{len(envs)} environments but {len(seeds)} seeds")
-    bad = [seed for seed in seeds if isinstance(seed, (int, np.integer)) and seed < 0]
-    if bad:  # numpy's own error does not name the seed
-        raise ValueError(f"seed must be >= 0, got {bad[0]}")
+    seeds = [_game_seed(seed) for seed in seeds]
     games = [_Game(env.horizon, lambda env=env: env, seed) for env, seed in zip(envs, seeds)]
     runs = [None] * len(games)
     for i, run in _play(graph, spec, games):
         runs[i] = run
     return runs
+
+
+def _game_seed(seed):
+    """A player's seed: a SeedSequence as given, anything else an integer
+    >= 0 by the `_integer` rule; numpy's own errors do not name the seed,
+    and it would read True as 1."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if _integer(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,14 @@ columns of the class where L_i is 1, and size, all its columns.
   is orthogonal to S_a's span iff 2 hits == size for every class of every
   a in A, while <L_i - L_j, z> = 2^(K-1) != 0 rules the difference out.
 
+So for K >= 2 the verdicts are the graph's class. Pair {i, j} is locally
+observable iff i and j each have an in-neighbour among {i, j}. A vertex
+with no self-loop that some j does not see fails its pair with j, which is
+exactly where strong observability fails: local iff strongly observable.
+The global check asks only that every vertex have some in-neighbour:
+global iff observable. (At K = 1 there is no pair, and both checks pass
+even for a loopless vertex.)
+
 The K x K table of both certificates, per (source, vertex), is computed
 once per instance. A vertex for which neither certificate verifies means H
 does not encode a feedback graph; the checks then raise rather than guess.

@@ -178,15 +178,19 @@ def hedge_distribution_highprec(losses, eta, upto):
 
 
 def random_graph(rng, num_vertices, edge_prob, self_loop_prob=None) -> FeedbackGraph:
+    """Edge (u, v) with probability `edge_prob`, self-loop (v, v) with
+    probability `self_loop_prob` (default: `edge_prob`).
+
+    Stream contract: one `rng.random((K, K))` draw, compared row-major, so
+    (u, v) reads the ((u-1)K + v)-th double. These are the same K^2 numbers,
+    in the same order, as K^2 scalar `rng.random()` calls, and leave `rng`
+    at the same position, so seeded callers keep their graphs."""
     if self_loop_prob is None:
         self_loop_prob = edge_prob
-    edges = []
-    for u in range(1, num_vertices + 1):
-        for v in range(1, num_vertices + 1):
-            p = self_loop_prob if u == v else edge_prob
-            if rng.random() < p:
-                edges.append((u, v))
-    return FeedbackGraph(num_vertices, edges)
+    bound = np.full((num_vertices, num_vertices), edge_prob, dtype=float)
+    np.fill_diagonal(bound, self_loop_prob)
+    tails, heads = np.nonzero(rng.random((num_vertices, num_vertices)) < bound)
+    return FeedbackGraph(num_vertices, zip((tails + 1).tolist(), (heads + 1).tolist()))
 
 
 def random_weakly_observable_graph(rng, max_vertices=14) -> FeedbackGraph:

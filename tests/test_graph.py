@@ -88,6 +88,28 @@ def test_neighborhoods_are_consistent():
                 assert (j in g.out_neighbors(i)) == g.has_edge(i, j)
 
 
+def _scalar_draw_graph(rng, num_vertices, edge_prob, self_loop_prob=None):
+    # one rng.random() per vertex pair, row-major: the stream that seeded
+    # tests and the bench corpus were drawn from
+    if self_loop_prob is None:
+        self_loop_prob = edge_prob
+    edges = []
+    for u in range(1, num_vertices + 1):
+        for v in range(1, num_vertices + 1):
+            if rng.random() < (self_loop_prob if u == v else edge_prob):
+                edges.append((u, v))
+    return FeedbackGraph(num_vertices, edges)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_random_graph_equals_the_scalar_draw_reference(k):
+    probs = (0.0, 0.05, 0.3, 0.5, 0.9, 1.0)
+    for seed, (p, q) in enumerate([(p, q) for p in probs for q in probs + (None,)]):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_graph(new, k, p, q) == _scalar_draw_graph(old, k, p, q), (p, q)
+        assert new.random() == old.random()  # the generator is left where it was
+
+
 def test_duplicate_edges_collapse():
     g = FeedbackGraph(2, [(1, 2), (1, 2), (2, 2)])
     assert len(g.edges) == 2

@@ -545,6 +545,18 @@ def test_negative_game_seed_refused_by_name(seed):
     assert run_game(catalog("bandit", 3), spec, env, 0).horizon == 10
 
 
+@pytest.mark.parametrize("seed", [True, 2.0, "3"], ids=["bool", "float", "str"])
+def test_non_integer_game_seed_refused_by_name(seed):
+    # numpy would play True as seed 1 and raise a TypeError naming no seed
+    # for the others
+    env = bernoulli_env([0.5, 0.5, 0.5], 10, seed=0)
+    spec = LearnerSpec(algorithm="exp3g", **MANUAL)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        run_game(catalog("bandit", 3), spec, env, seed)
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        harness.run_games(catalog("bandit", 3), spec, [env, env], [0, seed])
+
+
 def test_sweep_repeats_identically():
     config = bandit_sweep_config()
     first = sweep(config)

@@ -165,6 +165,23 @@ def test_forward_preservation_on_random_graphs():
             assert check_global_observability(inst)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_verdicts_equal_the_class_on_every_small_graph(k):
+    # all 2^(K^2) edge sets, self-loops included: 16 + 512 graphs. At K = 1
+    # there is no pair to check, so the loopless vertex is the one exception
+    want = {
+        GraphClass.STRONGLY_OBSERVABLE: (True, True),
+        GraphClass.WEAKLY_OBSERVABLE: (False, True),
+        GraphClass.NOT_OBSERVABLE: (False, False),
+    }
+    cells = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
+    for mask in range(1 << len(cells)):
+        g = FeedbackGraph(k, [cell for n, cell in enumerate(cells) if mask >> n & 1])
+        inst = encode(g)
+        verdicts = (check_local_observability(inst), check_global_observability(inst))
+        assert verdicts == want[classify_graph(g)], sorted(g.edges)
+
+
 def test_identical_signature_families_encode_identically():
     rng = np.random.default_rng(3)
     for _ in range(30):
