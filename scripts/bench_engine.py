@@ -145,8 +145,12 @@ def host() -> dict:
                     if line.startswith("model name")), "")
     import numpy
 
+    # without bytecode every set-up interpreter compiles src/ first, which
+    # moves set-up times (PYTHONDONTWRITEBYTECODE, or a fresh checkout)
     return {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "src_bytecode": (ROOT / "src" / "graphbandit" / "__pycache__").is_dir()}
 
 
 def main():

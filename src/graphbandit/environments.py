@@ -79,6 +79,8 @@ class Environment:
         """Round t's feedback graph (t is 0-based)."""
         if not self.graphs:
             raise ValueError("environment has no graph sequence")
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"round t={t} out of range 0..{self.horizon - 1}")
         return self.graphs[int(self.graph_index[t])]
 
 

@@ -66,7 +66,7 @@ class FeedbackGraph:
     kept as per-vertex bitmasks; `edges` rebuilds the edge set from the
     out-masks on each read."""
 
-    __slots__ = ("_k", "_in", "_out", "_in_matrix", "_out_index", "_sym", "_tags")
+    __slots__ = ("_k", "_in", "_out", "_in_matrix", "_sym", "_tags")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         k = _vertex_count(num_vertices)
@@ -88,7 +88,6 @@ class FeedbackGraph:
         self._in = tuple(in_masks)
         self._out = tuple(out_masks)
         self._in_matrix = None
-        self._out_index = None
         self._sym = None
         self._tags = None
 
@@ -146,18 +145,6 @@ class FeedbackGraph:
             m.setflags(write=False)
             self._in_matrix = m
         return self._in_matrix
-
-    @property
-    def out_index(self) -> tuple:
-        """Per vertex, the ascending array of observed actions (1-indexed)."""
-        if self._out_index is None:
-            idx = []
-            for i in range(self._k):
-                arr = np.array(sorted(_mask_to_vertices(self._out[i])), dtype=np.int64)
-                arr.setflags(write=False)
-                idx.append(arr)
-            self._out_index = tuple(idx)
-        return self._out_index
 
     @property
     def symmetric_masks(self) -> tuple:

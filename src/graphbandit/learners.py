@@ -3,38 +3,37 @@
 presets, and the single-game `Exp3G` reference. Hedge is exponential weights
 over cumulative losses; `hedge_second_order_bound` evaluates its regret bound.
 
-Actions are the graph's vertices, 1-indexed; probability vectors are numpy
-arrays whose entry i-1 belongs to action i. The weight, draw and estimate
-functions work along a trailing action axis, so the same code serves one
-game's K-vector and the harness's R x K rows of games played in lockstep.
-Each takes its inputs in the form the engine plays: uniforms for the draw
-(a float for one row, an R-vector or the R x 1 column viewed per round), an
-in-matrix, a boolean mask and full loss rows for the estimates.
+Actions are the graph's vertices, 1-indexed; entry i-1 of a probability
+vector belongs to action i. The row functions work along a trailing action
+axis, in the two forms the lockstep engine plays them:
+- one row as Python floats and lists: the cumulative losses, rates and
+  distribution are lists and floats, the draw takes a float uniform and
+  returns an int, and the estimate reads the observed vertices as 0-based
+  indices. The engine plays a lone row so, and so does the single-game
+  `Exp3G` reference;
+- R x K rows of games in lockstep, as numpy arrays written into buffers the
+  engine allocates once per batch (`out=`): the draw takes the R x 1 column
+  of uniforms, the estimate an in-matrix, a boolean mask and full loss rows.
+`exponential_weights` and `exp3g_distribution` also allocate a new array
+when no `out=` is given, the same bits; `hedge_second_order_bound` plays
+Hedge so over all T rounds at once. The estimate takes one matrix-vector
+product per row for any R, as BLAS rounds a product over all rows by their
+count.
 
-`exponential_weights`, `exp3g_distribution`, `sample_index` and
-`importance_weighted_estimates` take an optional `out=` array that receives
-the result and is returned. By default each allocates and returns a new
-array; the lockstep engine passes buffers it allocates once per batch. Both
-give the same bits. The estimate takes one matrix-vector product per row
-for any R, as BLAS rounds a product over all rows by their count.
-
-One row also has a list form, which the engine plays a lone row in: the
-cumulative losses, rates and distribution are Python floats and lists, the
-draw an int, and the estimate reads the observed vertices as 0-based
-indices. A numpy call on K <= 10 floats costs about a microsecond (2-vCPU
-Xeon, numpy 2.4), most of it overhead, so the list form calls numpy only where its bits are numpy's
-own: `np.exp` (`math.exp` rounds some inputs otherwise), the pairwise sum
-`np.add.reduce`, and the BLAS in-matrix product. The shift, scale, mix,
-estimate and update are single IEEE operations, the same bits in Python,
-and the draw bisects a running sum, so every list result equals its row of
-an R x K call.
+A numpy call on K <= 10 floats costs about a microsecond (2-vCPU Xeon,
+numpy 2.4), most of it overhead, so the list form calls numpy only where its
+bits are numpy's own: `np.exp` (`math.exp` rounds some inputs otherwise),
+the pairwise sum `np.add.reduce`, and the BLAS in-matrix product. The shift,
+scale, mix, estimate and update are single IEEE operations, the same bits in
+Python, and the draw bisects a running sum, so every list result equals its
+row of an R x K call.
 
 A zero observation probability on an observed vertex is caught from
 numpy's divide flags, not by a pass over the estimates: the estimate's
 masked divide raises under `np.errstate(divide="raise", invalid="raise")`,
-which its default path enters and the engine enters once around its rounds.
-The list form catches Python's ZeroDivisionError, which x/0 and 0/0 both
-raise, and raises the same RuntimeError.
+which the engine enters once around its rounds. The list form catches
+Python's ZeroDivisionError, which x/0 and 0/0 both raise, and raises the
+same RuntimeError.
 """
 
 from __future__ import annotations
@@ -128,68 +127,51 @@ def informed_exploration_set(prof: GraphProfile) -> tuple:
 
 def sample_index(dist, u, out: np.ndarray | None = None):
     """Inverse-CDF draws along the trailing action axis, one uniform per
-    row; returns 0-based indices (an int for a float uniform).
+    row; returns 0-based indices.
 
-    A float uniform draws one row: a list of floats, or an array holding
-    one row; else `u` is an R-vector or an R x 1 column. A draw counts the
-    CDF entries at or below its uniform: searchsorted(side="right"), the
-    first entry above it. One row bisects (`bisect_right`) the first K-1
-    entries of Python's running sum of its probabilities, the bits of
-    `np.add.accumulate`'s sequential sum; several rows set the last column
-    to +inf and take the first entry above, an argmax over a boolean array,
-    which needs no cast to count. Either way a uniform beyond a CDF that
-    rounds below 1 lands on the last action. Fixed vertex order plus one
-    uniform per draw keeps action sequences reproducible across runs that
-    share a generator state.
-
-    `out`, an intp R-vector, receives the indices and is returned unless
-    the uniform is a float; by default a new array is.
+    Two forms, the two the engine plays. One row is a list of floats with a
+    float uniform, and returns an int. R x K rows take the R x 1 column of
+    uniforms and write the indices into `out`, an intp R-vector, which is
+    returned. A draw counts the CDF entries at or below its uniform:
+    searchsorted(side="right"), the first entry above it. One row bisects
+    (`bisect_right`) the first K-1 entries of Python's running sum of its
+    probabilities, the bits of `np.add.accumulate`'s sequential sum; R rows
+    set the last column to +inf and take the first entry above, an argmax
+    over a boolean array, which needs no cast to count. Either way a uniform
+    beyond a CDF that rounds below 1 lands on the last action. Fixed vertex
+    order plus one uniform per draw keeps action sequences reproducible
+    across runs that share a generator state.
     """
     if isinstance(u, float):  # one row
-        if not isinstance(dist, list):
-            dist = dist.ravel().tolist()
-        a = bisect_right(list(accumulate(dist)), u, 0, len(dist) - 1)
-        if out is not None:
-            out[0] = a
-        return a
-    if out is None:
-        out = np.empty(len(dist), dtype=np.intp)
-    u = np.asarray(u)
-    if u.ndim == 1:
-        u = u[:, None]
+        return bisect_right(list(accumulate(dist)), u, 0, len(dist) - 1)
     c = np.add.accumulate(dist, axis=-1)
     c[:, -1] = np.inf
     return np.greater(c, u).argmax(-1, out)
 
 
-def importance_weighted_estimates(
-    in_matrix: np.ndarray, p, observed, losses, out: np.ndarray | None = None
-):
+def importance_weighted_estimates(in_matrix: np.ndarray, p, observed, losses, out=None):
     """Loss estimates: observed losses divided by their observation
     probability P(i) = in-neighborhood mass under p; zero elsewhere.
 
-    Works along the trailing action axis like `exponential_weights`.
-    `in_matrix` is the round's in-matrix: one K x K broadcast over the rows,
-    or R x K x K with one per row. `observed` is a boolean mask over the actions
+    Two forms, the two the engine plays. One row: p is a list of floats on
+    one K x K in-matrix, `observed` lists the observed actions' 0-based
+    indices, `losses` is the row's losses as floats, and the estimates come
+    back as a list. R x K rows: `in_matrix` is one K x K broadcast over the
+    rows, or R x K x K with one per row; `observed` is a boolean R x K mask
     and `losses` the full loss rows, of which only the masked entries are
-    read. A list p is one row on one K x K in-matrix: `observed` lists the
-    observed actions' 0-based indices, `losses` is the row's losses as
-    floats, and the estimates come back as a list.
+    read; `out`, a float array of p's shape, is zero-filled, receives the
+    estimates and is returned.
 
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine: the masked divide
     never touches those entries and sets no floating-point flag. P(i)=0 on
     the observed set means the event is inconsistent with p and signals a
-    harness bug; it raises a RuntimeError naming the vertices.
-
-    `out`, a float array of p's shape, is zero-filled, receives the
-    estimates and is returned; by default a new array is. The zero
-    probability is caught from numpy's divide flags, with no pass over the
-    result: the default path runs under `np.errstate(divide="raise",
-    invalid="raise")`, and a caller passing `out` for many rounds enters
-    that state once around them, since entering it costs more than the rest
-    of the call. A list row catches Python's ZeroDivisionError, which x/0
-    and 0/0 both raise.
+    harness bug; it raises a RuntimeError naming the vertices. The rows
+    catch it from numpy's divide flags, with no pass over the result, so
+    the caller calls them under `np.errstate(divide="raise",
+    invalid="raise")`, entered once around its rounds, since entering it
+    costs more than the rest of the call. The list row catches Python's
+    ZeroDivisionError, which x/0 and 0/0 both raise.
     """
     if isinstance(p, list):  # one row
         prob = in_matrix.dot(p).tolist()
@@ -200,14 +182,7 @@ def importance_weighted_estimates(
         except ZeroDivisionError:
             _zero_probability([i + 1 for i in observed if prob[i] <= 0.0])
         return est
-    if out is None:
-        with np.errstate(divide="raise", invalid="raise"):
-            return _estimates(in_matrix, p, observed, losses, np.zeros(p.shape))
     out.fill(0.0)
-    return _estimates(in_matrix, p, observed, losses, out)
-
-
-def _estimates(in_matrix, p, observed, losses, out):
     prob = np.matmul(in_matrix, p[..., None])[..., 0]
     try:
         return np.divide(losses, prob, out=out, where=observed)
@@ -296,8 +271,10 @@ class Exp3G:
     graph feedback, mixed with uniform exploration over a set U.
 
     This is the single-game reference, played one round at a time through
-    `act` and `update`; the harness's lockstep engine never calls it, and
-    plays the same arithmetic on R x K rows through the functions above.
+    `act` and `update` on the row functions' one-row list form: its
+    cumulative losses, `p` and `q` are Python lists. The harness's lockstep
+    engine never calls it, and plays the same arithmetic through the same
+    functions.
 
     Modes: `fixed` plays one graph for the whole game; `informed` receives
     each round's graph before acting (and re-targets exploration at its
@@ -331,7 +308,7 @@ class Exp3G:
         self.gamma = gamma
         self.mode = mode
         self.graph = graph
-        self.cumulative = np.zeros(num_actions)
+        self.cumulative = [0.0] * num_actions
         self.round = 1
         self._set_exploration(
             exploration_set if exploration_set is not None else range(1, num_actions + 1)
@@ -340,19 +317,19 @@ class Exp3G:
         self._p = None
 
     def _set_exploration(self, vertices):
-        self._u = exploration_vector(self.num_actions, vertices)
-        self.exploration_set = tuple(int(v) + 1 for v in np.flatnonzero(self._u))
+        u = exploration_vector(self.num_actions, vertices)
+        self.exploration_set = tuple(int(v) + 1 for v in np.flatnonzero(u))
+        keep, explore = exploration_terms(self.gamma, u)
+        self._terms = (keep, explore.tolist())
 
     @property
-    def q(self) -> np.ndarray:
+    def q(self) -> list:
         return exponential_weights(self.cumulative, self.eta)
 
     @property
-    def p(self) -> np.ndarray:
+    def p(self) -> list:
         if self._p is None:
-            self._p = exp3g_distribution(
-                self.cumulative, self.eta, exploration_terms(self.gamma, self._u)
-            )
+            self._p = exp3g_distribution(self.cumulative, self.eta, self._terms)
         return self._p
 
     def set_round_graph(self, g: FeedbackGraph, prof: GraphProfile | None = None):
@@ -386,21 +363,24 @@ class Exp3G:
             raise RuntimeError("no graph available for the update")
         if self._p is None:
             raise RuntimeError("update before any action was drawn")
-        expected = g.out_index[action - 1]
-        got = np.asarray(observed_actions, dtype=np.int64)
-        if not np.array_equal(got, expected):
+        expected = sorted(g.out_neighbors(action))  # refuses an action outside 1..K
+        if list(observed_actions) != expected:
             raise ValueError(
                 f"observed set does not match the out-neighborhood of action {action}"
             )
-        losses = np.asarray(observed_losses, dtype=float)
-        if len(losses) and (losses.min() < -1e-12 or losses.max() > 1 + 1e-12):
+        losses = [float(x) for x in observed_losses]
+        if len(losses) != len(expected):
+            raise ValueError("need one loss per observed vertex")
+        if not all(-1e-12 <= x <= 1 + 1e-12 for x in losses):  # NaN fails too
             raise ValueError("observed losses must lie in [0, 1]")
-        observed = np.zeros(self.num_actions, dtype=bool)
-        observed[got - 1] = True
-        full = np.zeros(self.num_actions)
-        full[got - 1] = losses
-        est = importance_weighted_estimates(g.in_matrix, self.p, observed, full)
-        self.cumulative = self.cumulative + est
+        seen = [v - 1 for v in expected]
+        row = [0.0] * self.num_actions
+        for i, x in zip(seen, losses):
+            row[i] = x
+        est = importance_weighted_estimates(g.in_matrix, self.p, seen, row)
+        # the other estimates are 0.0, and c + 0.0 is c (no entry is -0.0)
+        for i in seen:
+            self.cumulative[i] += est[i]
         self.round += 1
         self._p = None
         if self.mode != MODE_FIXED:

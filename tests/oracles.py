@@ -647,7 +647,7 @@ class HedgePlayer(Hedge):
     """Hedge as a protocol player; it needs full feedback."""
 
     def act(self, rng) -> int:
-        return learners.sample_index(self.distribution, rng.random()) + 1
+        return learners.sample_index(self.distribution.tolist(), rng.random()) + 1
 
     def update(self, action, observed_actions, observed_losses, graph=None):
         if len(observed_actions) != self.num_actions:
@@ -707,7 +707,7 @@ class UniformRandom:
     """Plays uniformly at random and ignores all feedback."""
 
     def __init__(self, num_actions: int):
-        self._dist = np.full(num_actions, 1.0 / num_actions)
+        self._dist = [1.0 / num_actions] * num_actions
 
     def act(self, rng) -> int:
         return learners.sample_index(self._dist, rng.random()) + 1

@@ -349,6 +349,11 @@ REFUSALS = {
     # the constructions' own checks
     "shape": (lambda: Environment("table", np.zeros((2, 2, 1))), "two-dimensional"),
     "no_sequence": (lambda: table_env([[0.5]]).graph_at(0), "no graph sequence"),
+    # t = -1 once read round T-1's graph, and t = T died in numpy's IndexError
+    "graph_at_before_start": (lambda: uninformed_separation_env(5, 10, 0).graph_at(-1),
+                              r"round t=-1 out of range 0\.\.9"),
+    "graph_at_horizon": (lambda: uninformed_separation_env(5, 10, 0).graph_at(10),
+                         r"round t=10 out of range 0\.\.9"),
     "one_dim_table": (lambda: table_env([0.5, 0.5]), "two-dimensional"),
     "hidden_arm_k1": (lambda: hidden_arm_env(0, 10, 1), "at least 2 actions"),
     "thm8_chi": (lambda: simple_weak_env(10, 3, 0, 0), "chi must be -1 or \\+1"),

@@ -44,10 +44,10 @@ def play_learner(learner, env, seed, graph=None, mode="fixed"):
         if mode == "informed":
             learner.set_round_graph(g)
         a = learner.act(rng)
-        obs = g.out_index[a - 1]
+        obs = sorted(g.out_neighbors(a))
         row = env.losses[t]
         shown = g if mode == "uninformed" else None
-        learner.update(a, obs, row[obs - 1], graph=shown)
+        learner.update(a, obs, [row[v - 1] for v in obs], graph=shown)
         actions.append(a)
     return np.array(actions)
 
@@ -89,8 +89,8 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
     rng = np.random.default_rng(4)
     for t in range(horizon):
         a = learner.act(rng)
-        obs = g.out_index[a - 1]
-        learner.update(a, obs, table[t][obs - 1])
+        obs = sorted(g.out_neighbors(a))
+        learner.update(a, obs, [table[t][v - 1] for v in obs])
         hedge.step(table[t])
         assert np.allclose(learner.q, hedge.distribution, atol=1e-6)
 
