@@ -152,6 +152,31 @@ def test_one_row_list_estimates_raise_the_same_error(loss):
     assert importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [1], [loss, 0.5]) == [0.0, 0.5]
 
 
+@pytest.mark.parametrize("loss", [0.3, 0.0])
+def test_estimates_zero_probability_raises_without_a_warning(loss):
+    # vertex 1 has no in-edges; a loss of 0 there would be 0/0. The one-row
+    # form raises before any warning, under numpy's default errstate
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="zero observation probability"):
+            importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0])
+
+
+def test_estimates_zero_probability_on_observed_set_raises():
+    # rows with a graph each: only the row whose observed vertex has no
+    # in-edges is named, by its 1-based vertex
+    g = FeedbackGraph(2, [(1, 2), (2, 2)])  # vertex 1 has no in-edges
+    full = FeedbackGraph(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+    in_matrices = np.stack([full.in_matrix, g.in_matrix])
+    with np.errstate(divide="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero"):
+            importance_weighted_estimates(
+                in_matrices, np.full((2, 2), 0.5), np.array([[True, True], [True, False]]),
+                np.array([[0.3, 0.0], [0.3, 0.0]]), out=np.empty((2, 2)),
+            )
+
+
 def test_estimates_zero_probability_off_the_observed_set_is_no_error():
     # vertex 1 has no in-edges but is not observed: the masked divide never
     # touches it, so no flag is set even when numpy raises on every flag
