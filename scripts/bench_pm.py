@@ -48,22 +48,20 @@ OPS = ("encode", "global", "local")
 def _graphs():
     import numpy as np
 
-    from graphbandit.graph import FeedbackGraph
+    from oracles import random_graph
 
     rng = np.random.default_rng(SEED)
     out = []
     for k in KS:
         for _ in range(GRAPHS_PER_K):
             p, q = rng.uniform(0.1, 0.9), rng.uniform(0.0, 1.0)
-            draws = rng.random((k, k))
-            edges = [(u + 1, v + 1) for u in range(k) for v in range(k)
-                     if draws[u, v] < (q if u == v else p)]
-            out.append(FeedbackGraph(k, edges))
+            out.append(random_graph(rng, k, p, q))
     return out
 
 
 def worker_per_k(repeats):
     """Runs inside the measured tree: ms per operation by K, and verdicts."""
+    sys.path[:0] = [str(ROOT / "tests")]
     from graphbandit import partial_monitoring as pm
 
     times = {k: {op: [] for op in OPS} for k in KS}

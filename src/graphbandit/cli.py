@@ -48,7 +48,7 @@ def _add_graph_source(parser, positional: bool):
     parser.add_argument("--k", type=int, help="vertex count for --catalog")
 
 
-def _resolve_graph(args, required=True) -> FeedbackGraph | None:
+def _resolve_graph(args) -> FeedbackGraph:
     path = getattr(args, "graphfile", None) or getattr(args, "graph", None)
     if path and args.catalog:
         raise ValueError("give either a graph file or --catalog, not both")
@@ -62,9 +62,7 @@ def _resolve_graph(args, required=True) -> FeedbackGraph | None:
             else:
                 raise ValueError("--catalog needs --k")
         return catalog(args.catalog, k)
-    if required:
-        raise ValueError("no graph source; give a graph file or --catalog NAME --k K")
-    return None
+    raise ValueError("no graph source; give a graph file or --catalog NAME --k K")
 
 
 def _parse_horizons(text: str):
@@ -102,6 +100,8 @@ def _env_spec(args) -> environments.EnvSpec:
             f"it takes {', '.join(takes)}"
         )
     params = {ENV_FLAGS[flag]: value for flag, value in given.items()}
+    if args.env == "thm7" and args.k is not None:  # --k sizes the sequence
+        params["k"] = args.k
     if "mu" in params:
         try:
             params["mu"] = tuple(float(x) for x in args.mu.split(","))
@@ -148,15 +148,13 @@ def cmd_profile(args) -> int:
 
 def _game_graph(args, env_spec) -> FeedbackGraph | None:
     """The fixed graph of `run` and `sweep`, or None for thm7, whose own
-    graph sequence needs --k to size it and a mode that follows it."""
+    graph sequence, sized by --k, needs a mode that follows it."""
     if env_spec.kind != "thm7":
         return _resolve_graph(args)
-    if _resolve_graph(args, required=False) is not None:
+    if args.graph or args.catalog:  # refused unread
         raise ValueError("the thm7 environment provides its own graph sequence")
     if args.mode == "fixed":
         raise ValueError("the thm7 environment needs --mode informed or uninformed")
-    if args.k is None:
-        raise ValueError("need --k to size the thm7 environment")
     return None
 
 
@@ -165,10 +163,7 @@ def cmd_run(args) -> int:
     graph = _game_graph(args, env_spec)
     spec = _learner_spec(args)
     env_ss, player_ss = harness.cell_streams(args.seed, 0, 0)
-    env = environments.build_environment(
-        env_spec, args.T, env_ss, num_actions=args.k if graph is None else graph.num_vertices,
-        graph=graph,
-    )
+    env = environments.build_environment(env_spec, args.T, env_ss, graph=graph)
     transcript = harness.run_game(graph, spec, env, player_ss)
     pairs = [
         ("env", env.kind),
@@ -198,11 +193,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     env_spec = _env_spec(args)
     graph = _game_graph(args, env_spec)
-    if env_spec.kind == "thm7":
-        env_spec = environments.EnvSpec("thm7", {**env_spec.params, "k": args.k})
-        graph_name = "thm7-sequence"
-    else:
-        graph_name = args.catalog or getattr(args, "graph", None) or "graph"
+    graph_name = "thm7-sequence" if graph is None else (args.catalog or args.graph or "graph")
     config = harness.SweepConfig(
         graph=graph,
         graph_name=str(graph_name),
@@ -256,9 +247,8 @@ def cmd_lowerbound(args) -> int:
         # columns, which refuses K > 40, while this demo plays any K
         spec = harness.LearnerSpec(algorithm="exp3g", preset="uninformed", mode="uninformed")
         streams = [harness.cell_streams(args.seed, 1, rep) for rep in range(args.reps)]
-        envs = [environments.build_environment(environments.EnvSpec("thm7"), horizon, env_ss,
-                                               num_actions=args.k)
-                for env_ss, _ in streams]
+        thm7 = environments.EnvSpec("thm7", {"k": args.k})
+        envs = [environments.build_environment(thm7, horizon, env_ss) for env_ss, _ in streams]
         runs = harness.run_games(None, spec, envs, [player_ss for _, player_ss in streams])
         pairs += [
             ("thm7_measured", float(np.mean([run.regret for run in runs]))),

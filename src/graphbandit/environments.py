@@ -16,8 +16,8 @@ import numpy as np
 from .graph import FeedbackGraph, weak_domination_number, weakly_observable_set
 from .graph import _integer, _mask_to_vertices
 
-# each kind and the EnvSpec parameters it reads; a sweep sizes thm7, which
-# has no fixed graph, by its `k`
+# each kind and the EnvSpec parameters it reads; thm7, which has no fixed
+# graph, is sized by its `k`
 ENV_PARAMS = {
     "table": ("table", "path"),
     "bernoulli": ("mu",),
@@ -27,6 +27,16 @@ ENV_PARAMS = {
     "thm7": ("chi", "eps", "k"),
 }
 ENV_KINDS = tuple(ENV_PARAMS)
+
+# the two adversary branches of each construction that takes them; a
+# chi-averaged sweep plays both
+CHI_PAIRS = {"thm4": (0, 1), "thm8": (-1, 1), "thm7": (-1, 1)}
+
+
+def _check_chi(kind: str, chi) -> None:
+    low, high = CHI_PAIRS[kind]
+    if chi not in (low, high):
+        raise ValueError(f"chi must be {low} or {high:+d}")
 
 
 def _gap(eps: float) -> float:
@@ -105,8 +115,7 @@ def hidden_arm_env(chi: int, horizon: int, num_actions: int) -> Environment:
     never learn chi, and averaging over chi in {0, 1} makes any strategy's
     expected regret exactly T/4.
     """
-    if chi not in (0, 1):
-        raise ValueError("chi must be 0 or 1")
+    _check_chi("thm4", chi)
     if num_actions < 2:
         raise ValueError("need at least 2 actions")
     means = np.full(num_actions, 0.5)
@@ -128,8 +137,7 @@ def simple_weak_env(
     """
     if num_actions < 3:
         raise ValueError("construction needs K >= 3")
-    if chi not in (-1, 1):
-        raise ValueError("chi must be -1 or +1")
+    _check_chi("thm8", chi)
     eps = _gap(0.5 * horizon ** (-1.0 / 3.0) if eps is None else eps)
     means = np.ones(num_actions)
     means[0] = 0.5 - eps * chi
@@ -157,7 +165,7 @@ def weak_lower_env(
     support = sorted(result.vertices)
     if len(support) < 2:
         return simple_weak_env(
-            horizon, g.num_vertices, chi if chi in (-1, 1) else 1, draw_ss, eps=eps
+            horizon, g.num_vertices, chi if chi in CHI_PAIRS["thm8"] else 1, draw_ss, eps=eps
         )
     rng = np.random.default_rng(draw_ss)
     if chi is None:
@@ -195,8 +203,7 @@ def uninformed_separation_env(
     rng = np.random.default_rng(seed)
     if chi is None:
         chi = 1 if rng.random() < 0.5 else -1
-    if chi not in (-1, 1):
-        raise ValueError("chi must be -1 or +1")
+    _check_chi("thm7", chi)
     eps = _gap(0.25 * (num_actions / horizon) ** (1.0 / 3.0) if eps is None else eps)
     revealers = rng.integers(3, num_actions + 1, size=horizon)
     means = np.ones(num_actions)
@@ -401,7 +408,14 @@ def build_environment(
     graph: FeedbackGraph | None = None, chi=None,
 ) -> Environment:
     """Instantiate an EnvSpec. `chi` overrides the spec's own chi parameter,
-    which is how matched-seed chi pairs are produced."""
+    which is how matched-seed chi pairs are produced.
+
+    The action count is decided here and nowhere else: the graph's vertex
+    count when a graph is given, else the spec's `k` (thm7), else
+    `num_actions`. Beside either of the first two, `num_actions` is only a
+    cross-check: two counts that disagree are refused, naming both. A table
+    or bernoulli environment is as wide as its table or `mu`, which a count
+    given beside it must equal too."""
     if _integer(horizon, "horizon") < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     params = spec.params
@@ -409,12 +423,15 @@ def build_environment(
         chi = params.get("chi")
     if chi is not None:
         chi = _integer(chi, "chi")
-    if num_actions is None and graph is not None:
-        num_actions = graph.num_vertices
+    counts = {"the graph's vertex count": None if graph is None else graph.num_vertices,
+              "k": params.get("k"), "num_actions": num_actions}
+    counts = [(name, _integer(count, name)) for name, count in counts.items() if count is not None]
+    source, num_actions = counts[0] if counts else (None, None)
+    for name, count in counts[1:]:
+        if count != num_actions:
+            raise ValueError(f"{source} is {num_actions} but {name} is {count}")
     if num_actions is None and spec.kind in ("thm4", "thm8", "thm7"):
         raise ValueError(f"{spec.kind} environment needs the action count")
-    if num_actions is not None:  # thm7's `k` comes here from a sweep's spec unchecked
-        num_actions = _integer(num_actions, "num_actions")
     if spec.kind == "table":
         table = params.get("table")
         if table is None:
@@ -425,22 +442,26 @@ def build_environment(
         env = table_env(table)
         if env.horizon != horizon:
             raise ValueError(f"table has {env.horizon} rows but horizon is {horizon}")
-        return env
-    if spec.kind == "bernoulli":
+    elif spec.kind == "bernoulli":
         mu = params.get("mu")
         if mu is None:
             raise ValueError("bernoulli environment needs `mu`")
-        return bernoulli_env(mu, horizon, seed)
-    if spec.kind == "thm4":
-        return hidden_arm_env(1 if chi is None else chi, horizon, num_actions)
-    if spec.kind == "thm8":
-        return simple_weak_env(
+        env = bernoulli_env(mu, horizon, seed)
+    elif spec.kind == "thm4":
+        env = hidden_arm_env(1 if chi is None else chi, horizon, num_actions)
+    elif spec.kind == "thm8":
+        env = simple_weak_env(
             horizon, num_actions, 1 if chi is None else chi, seed, eps=params.get("eps"),
         )
-    if spec.kind == "thm5":
+    elif spec.kind == "thm5":
         if graph is None:
             raise ValueError("thm5 environment needs the feedback graph")
-        return weak_lower_env(graph, horizon, seed, chi=chi, eps=params.get("eps"))
-    if spec.kind == "thm7":
-        return uninformed_separation_env(num_actions, horizon, seed, chi=chi, eps=params.get("eps"))
-    raise AssertionError(f"unhandled kind {spec.kind}")
+        env = weak_lower_env(graph, horizon, seed, chi=chi, eps=params.get("eps"))
+    else:  # thm7, the last kind an EnvSpec admits
+        env = uninformed_separation_env(num_actions, horizon, seed, chi=chi, eps=params.get("eps"))
+    if num_actions is not None and env.num_actions != num_actions:
+        raise ValueError(
+            f"{source} is {num_actions} but the {spec.kind} environment has "
+            f"{env.num_actions} actions"
+        )
+    return env

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import learners
-from .environments import Environment, EnvSpec, build_environment
+from .environments import CHI_PAIRS, Environment, EnvSpec, build_environment
 from .graph import FeedbackGraph, GraphClass, _integer
 from .graph import profile as graph_profile
 from .learners import (
@@ -51,6 +51,7 @@ from .learners import (
     MODE_INFORMED,
     MODES,
     Preset,
+    _check_rates,
     doubling_rates,
     exploration_vector,
     informed_exploration_set,
@@ -67,8 +68,6 @@ CSV_COLUMNS = (
     "graph", "K", "class", "alpha", "delta", "learner", "preset", "mode",
     "env", "T", "rep", "seed", "player_loss", "best_fixed_loss", "regret",
 )
-
-CHI_PAIRS = {"thm4": (0, 1), "thm8": (-1, 1), "thm7": (-1, 1)}
 
 
 @dataclass(frozen=True)
@@ -103,27 +102,15 @@ class LearnerSpec:
             _check_rates(self.eta, self.gamma)
 
 
-def _check_rates(eta, gamma):
-    """Refuse a learning rate that is not positive or an exploration rate
-    outside [0, 1]; None stands for a rate not yet set."""
-    if eta is not None and not eta > 0:
-        raise ValueError("eta must be positive")
-    if gamma is not None and not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-
-
 @dataclass
 class GameTranscript:
     """What one game's play produced: the actions (1-based), the loss each
     incurred, and the best arm's total loss in hindsight; the player's total
-    and the regret are read from them. `env` is the kind of environment
-    built, which a thm5 request that falls back to the two-arm construction
-    reports as thm8."""
+    and the regret are read from them."""
 
     actions: np.ndarray
     incurred: np.ndarray
     best_fixed_loss: float
-    env: str
 
     @property
     def horizon(self) -> int:
@@ -353,7 +340,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     graph_ids = np.zeros(total, dtype=np.intp)
     graph_table = {} if graph is None else {graph: 0}
     losses = None
-    players, setups = [], []
+    players, best_fixed = [], []
     for r, game in enumerate(games):
         env = game.build()
         num_actions = env.num_actions
@@ -386,7 +373,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
             spec, num_actions, graph if graph is not None else env.graph_at(0), env.horizon
         ))
         _fill(uniforms, cells, np.random.default_rng(game.seed).random(env.horizon))
-        setups.append((float(env.losses.sum(axis=0).min()), env.kind))
+        best_fixed.append(float(env.losses.sum(axis=0).min()))
     del env
 
     graphs = list(graph_table)
@@ -476,13 +463,11 @@ def _play_batch(graph, spec: LearnerSpec, games):
                     in_mat, p, out_rows.take(a, axis=0), seg_losses[i], out=est_out
                 )
 
-    for r, (best_fixed, kind) in enumerate(setups):
+    for r, best in enumerate(best_fixed):
         cells = _cells(segments, r)
         played = _gather(actions, cells)
         incurred = _gather(losses, cells)[np.arange(len(played)), played].astype(float)
-        yield GameTranscript(
-            actions=played + 1, incurred=incurred, best_fixed_loss=best_fixed, env=kind
-        )
+        yield GameTranscript(actions=played + 1, incurred=incurred, best_fixed_loss=best)
 
 
 def _play_row(cumulative, eta, terms, hedge, mats, observed, uniforms, losses, graph_ids, actions):
@@ -604,6 +589,7 @@ def cell_streams(seed: int, horizon_index: int, rep: int):
 def _profile_columns(graph: FeedbackGraph) -> dict:
     prof = graph_profile(graph)
     return {
+        "K": prof.num_vertices,
         "class": prof.graph_class.value,
         "alpha": prof.alpha,
         "delta": prof.delta,
@@ -633,22 +619,17 @@ def sweep(config: SweepConfig) -> ExperimentReport:
         chis = (None,)
     # a fixed graph is profiled once, up front, and a graph sequence by each
     # cell's first graph as the cell's batch is set up, so a graph beyond the
-    # exact solvers' reach is refused before any round is played
-    if config.graph is not None:
-        num_actions = config.graph.num_vertices
-        columns = _profile_columns(config.graph)
-    else:
-        num_actions = config.env.params.get("k")
-        columns = None
-    cell_columns = {}
+    # exact solvers' reach is refused before any round is played; a cell's
+    # `env` is the kind its first environment built (a thm5 request that
+    # falls back to the two-arm construction is thm8)
+    columns = None if config.graph is None else _profile_columns(config.graph)
+    cell_columns, cell_kinds = {}, {}
 
     def build(cell, horizon, env_ss, chi):
-        env = build_environment(
-            config.env, horizon, env_ss, num_actions=num_actions,
-            graph=config.graph, chi=chi,
-        )
-        if columns is None and cell not in cell_columns:
-            cell_columns[cell] = _profile_columns(env.graph_at(0))
+        env = build_environment(config.env, horizon, env_ss, graph=config.graph, chi=chi)
+        if cell not in cell_kinds:
+            cell_kinds[cell] = env.kind
+            cell_columns[cell] = columns or _profile_columns(env.graph_at(0))
         return env
 
     cells = [(hi, rep) for hi in range(len(config.horizons)) for rep in range(config.reps)]
@@ -663,19 +644,18 @@ def sweep(config: SweepConfig) -> ExperimentReport:
     # keep only what a row needs of each transcript
     runs = [None] * len(games)
     for i, run in _play(config.graph, config.learner, games):
-        runs[i] = (run.env, run.player_loss, run.best_fixed_loss, run.regret)
+        runs[i] = (run.player_loss, run.best_fixed_loss, run.regret)
 
     rows = []
     for cell, i in zip(cells, range(0, len(runs), len(chis))):
-        env, player, best, regret = zip(*runs[i:i + len(chis)])
+        player, best, regret = zip(*runs[i:i + len(chis)])
         rows.append({
             "graph": config.graph_name,
-            "K": num_actions,
-            **(columns or cell_columns[cell]),
+            **cell_columns[cell],
             "learner": config.learner.algorithm,
             "preset": config.learner.preset,
             "mode": config.learner.mode,
-            "env": env[0],
+            "env": cell_kinds[cell],
             "T": config.horizons[cell[0]],
             "rep": cell[1],
             "seed": config.seed,

@@ -56,6 +56,15 @@ MODE_UNINFORMED = "uninformed"
 MODES = (MODE_FIXED, MODE_INFORMED, MODE_UNINFORMED)
 
 
+def _check_rates(eta, gamma):
+    """Refuse a learning rate that is not positive (NaN included) or an
+    exploration rate outside [0, 1]; None stands for a rate not yet set."""
+    if eta is not None and not eta > 0:
+        raise ValueError("eta must be positive")
+    if gamma is not None and not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+
+
 def exponential_weights(cumulative, eta, out: np.ndarray | None = None):
     """Distribution proportional to exp(-eta * cumulative) along the trailing
     action axis: one K-vector, or R x K rows with `eta` a scalar, an R x 1
@@ -220,8 +229,7 @@ def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) 
     horizon, num_actions = losses.shape
     if np.any(losses < 0):
         raise ValueError("losses must be nonnegative")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _check_rates(eta, None)
     if subsets is None:
         subsets = [()] * horizon
     if len(subsets) != horizon:
@@ -293,10 +301,7 @@ class Exp3G:
     ):
         if num_actions < 1:
             raise ValueError("need at least one action")
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        _check_rates(eta, gamma)
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if mode == MODE_FIXED and graph is None:
@@ -356,8 +361,10 @@ class Exp3G:
     ):
         """Take one round's feedback: the 1-indexed vertices whose losses were
         revealed (exactly the out-neighborhood of `action` in the round's
-        graph) and those losses, aligned. In the uninformed model the
-        round's graph comes with them as `graph`."""
+        graph) and those losses, aligned. In the uninformed model, and only
+        there, the round's graph comes with them as `graph`."""
+        if graph is not None and self.mode != MODE_UNINFORMED:
+            raise ValueError("a graph comes with the feedback only in uninformed mode")
         g = graph if graph is not None else self._round_graph
         if g is None:
             raise RuntimeError("no graph available for the update")

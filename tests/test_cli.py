@@ -246,6 +246,18 @@ def test_unread_env_flags_are_named_by_their_flags(capsys, env, flags, message):
     assert f"error: the {env} environment {message}\n" == err
 
 
+@pytest.mark.parametrize("flags,message", [
+    ((), "thm7 environment needs the action count"),
+    (("--catalog", "full", "--k", "5"), "the thm7 environment provides its own graph sequence"),
+    # refused before the file is read
+    (("--graph", "missing.txt"), "the thm7 environment provides its own graph sequence"),
+], ids=["no_k", "catalog", "graph_file"])
+def test_thm7_sequence_source_refused_at_the_boundary(capsys, flags, message):
+    code, out, err = run_cli(capsys, "run", "--env", "thm7", "--mode", "uninformed", *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_missing_learning_rates_exit_2(capsys):
     game = ["run", "--catalog", "full", "--k", "3", "--env", "bernoulli",
             "--mu", "0.3,0.5,0.5", "--T", "16"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphbandit.environments import (
+    CHI_PAIRS,
     Environment,
     EnvSpec,
     bernoulli_env,
@@ -288,6 +289,23 @@ def test_build_environment_refuses_a_horizon_below_one(kind, params, horizon):
                           graph=catalog("revealing_action", 3))
 
 
+def test_thm7_is_sized_by_its_k_alone():
+    env = build_environment(EnvSpec("thm7", {"k": 8}), 64, 0)
+    want = uninformed_separation_env(8, 64, 0)
+    assert env.num_actions == 8
+    assert np.array_equal(env.losses, want.losses)
+    assert np.array_equal(env.graph_index, want.graph_index)
+
+
+@pytest.mark.parametrize("kind", sorted(CHI_PAIRS))
+def test_chi_pairs_are_the_branches_each_construction_takes(kind):
+    for chi in CHI_PAIRS[kind]:
+        env = build_environment(EnvSpec(kind, {"chi": chi}), 16, 0, num_actions=4)
+        assert env.params["chi"] == chi
+    with pytest.raises(ValueError, match="chi must be"):
+        build_environment(EnvSpec(kind, {"chi": 2}), 16, 0, num_actions=4)
+
+
 def test_thm5_environment_needs_the_graph():
     with pytest.raises(ValueError, match="thm5 environment needs the feedback graph"):
         build_environment(EnvSpec("thm5"), 64, 0, num_actions=6)
@@ -346,6 +364,25 @@ REFUSALS = {
     "sweep_str_seed": (lambda: _sweep(seed="3"), "seed must be an integer"),
     "float_action_count": (lambda: build_environment(EnvSpec("thm7"), 10, 0, 8.0),
                            "num_actions must be an integer"),
+    "float_k": (lambda: build_environment(EnvSpec("thm7", {"k": 8.0}), 10, 0),
+                "k must be an integer"),
+    # the action count has one source; a second one that disagrees is refused
+    "k_against_num_actions": (
+        lambda: build_environment(EnvSpec("thm7", {"k": 8}), 64, 0, num_actions=6),
+        "k is 8 but num_actions is 6"),
+    "graph_against_num_actions": (
+        lambda: build_environment(EnvSpec("thm8"), 64, 0, 4, graph=catalog("clique_minus", 5)),
+        "the graph's vertex count is 5 but num_actions is 4"),
+    "mu_against_num_actions": (
+        lambda: build_environment(EnvSpec("bernoulli", {"mu": (0.5,) * 3}), 64, 0, 5),
+        "num_actions is 5 but the bernoulli environment has 3 actions"),
+    "table_against_graph": (
+        lambda: build_environment(EnvSpec("table", {"table": [[0.5, 0.5]]}), 1, 0,
+                                  graph=catalog("full", 3)),
+        "the graph's vertex count is 3 but the table environment has 2 actions"),
+    "graph_against_k": (
+        lambda: build_environment(EnvSpec("thm7", {"k": 8}), 64, 0, graph=catalog("full", 5)),
+        "the graph's vertex count is 5 but k is 8"),
     # the constructions' own checks
     "shape": (lambda: Environment("table", np.zeros((2, 2, 1))), "two-dimensional"),
     "no_sequence": (lambda: table_env([[0.5]]).graph_at(0), "no graph sequence"),

@@ -603,6 +603,18 @@ def test_parse_malformed_edge_reports_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("2 3\n1 2\n", 1, "expected a single vertex count"),
+    ("two\n1 2\n", 1, "vertex count 'two' is not an integer"),
+    ("# K\n0\n", 2, "vertex count must be >= 1, got 0"),
+    ("2\n1 x\n", 2, "edge endpoints must be integers"),
+], ids=["two_counts", "word_count", "zero_count", "word_endpoint"])
+def test_parse_malformed_line_reports_line(text, line, message):
+    with pytest.raises(GraphFormatError, match=f"line {line}: {message}") as err:
+        parse_graph(text)
+    assert err.value.line == line
+
+
 def test_parse_empty_is_error():
     with pytest.raises(GraphFormatError):
         parse_graph("# nothing\n")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphbandit.environments import (
+    CHI_PAIRS,
     EnvSpec,
     bernoulli_env,
     build_environment,
@@ -252,6 +253,10 @@ BAD_PLAYERS = {
                       "constant_action must be an integer"),
     "hedge_without_eta": (dict(algorithm="hedge"), "hedge needs an explicit eta"),
     "hedge_eta_zero": (dict(algorithm="hedge", eta=0.0), "eta must be positive"),
+    "eta_nan": (dict(MANUAL, eta=float("nan")), "eta must be positive"),
+    "unknown_algorithm": (dict(algorithm="exp4"), "unknown algorithm 'exp4'"),
+    "unknown_preset": (dict(preset="lucky"), "unknown preset 'lucky'"),
+    "unknown_mode": (dict(MANUAL, mode="psychic"), "unknown mode 'psychic'"),
 }
 
 
@@ -705,18 +710,17 @@ def test_lockstep_rows_never_mix(case):
     config = SweepConfig(**LOCKSTEP_CASES[case], horizons=(37, 100, 256), reps=3, seed=5)
     rows = sweep(config).rows
     cells = [(hi, rep) for hi in range(3) for rep in range(3)]
-    chis = harness.CHI_PAIRS["thm8"] if config.chi_average else (None,)
-    k = config.graph.num_vertices if config.graph is not None else config.env.params["k"]
+    chis = CHI_PAIRS["thm8"] if config.chi_average else (None,)
     for (hi, rep), row in zip(cells, rows):
         horizon = config.horizons[hi]
         env_ss, player_ss = harness.cell_streams(config.seed, hi, rep)
         runs = []
         for chi in chis:
-            env = build_environment(
-                config.env, horizon, env_ss, num_actions=k, graph=config.graph, chi=chi
-            )
+            env = build_environment(config.env, horizon, env_ss, graph=config.graph, chi=chi)
             runs.append(run_game(config.graph, config.learner, env, player_ss))
         assert (row["T"], row["rep"]) == (horizon, rep)
+        # the cell's action count and environment kind are its environment's
+        assert (row["K"], row["env"]) == (env.num_actions, env.kind)
         assert row["player_loss"] == float(np.mean([r.player_loss for r in runs]))
         assert row["best_fixed_loss"] == float(np.mean([r.best_fixed_loss for r in runs]))
         assert row["regret"] == float(np.mean([r.regret for r in runs]))
@@ -800,8 +804,8 @@ def test_run_games_equals_run_game_game_by_game(case):
         single = run_game(graph, spec, env, seed)
         assert np.array_equal(run.actions, single.actions)
         assert np.array_equal(run.incurred, single.incurred)
-        assert (run.player_loss, run.best_fixed_loss, run.regret, run.env) == (
-            single.player_loss, single.best_fixed_loss, single.regret, single.env)
+        assert (run.player_loss, run.best_fixed_loss, run.regret) == (
+            single.player_loss, single.best_fixed_loss, single.regret)
     with pytest.raises(ValueError, match="seeds"):
         run_games(graph, spec, envs, seeds[:-1])
 

@@ -422,6 +422,24 @@ def test_second_order_subset_precondition_enforced():
         hedge_second_order_bound(losses, eta=1.0, subsets=[(2,)])
 
 
+BOUND_REFUSALS = {
+    "one_dim_losses": (dict(losses=[0.5, 0.5]), "T x K array"),
+    "eta_zero": (dict(eta=0.0), "eta must be positive"),
+    # NaN once passed `eta <= 0` and returned lhs = rhs = nan
+    "eta_nan": (dict(eta=float("nan")), "eta must be positive"),
+    "one_subset_for_two_rounds": (dict(subsets=[()]), "one subset per round"),
+    "subset_member_past_k": (dict(subsets=[(3,), ()]), "subset member 3 out of range"),
+    "comparator_past_k": (dict(comparator=3), "comparator 3 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_REFUSALS))
+def test_second_order_bound_refusals(case):
+    args, match = BOUND_REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        hedge_second_order_bound(**{"losses": [[0.5, 0.0], [0.0, 0.5]], "eta": 0.5, **args})
+
+
 def test_second_order_comparator():
     losses = np.array([[1.0, 0.0], [1.0, 0.0]])
     lhs_best, _ = hedge_second_order_bound(losses, eta=0.5)
@@ -584,6 +602,58 @@ def test_exp3g_update_refuses_losses_that_do_not_fit(losses, match):
     learner.act(np.random.default_rng(15))
     with pytest.raises(ValueError, match=match):
         learner.update(1, [1, 2, 3], losses)
+    assert learner.cumulative == [0.0] * 3
+
+
+BANDIT3 = catalog("bandit", 3)
+EXP3G_REFUSALS = {
+    # the constructor
+    "no_actions": (lambda: Exp3G(0, 0.1, 0.1, mode="uninformed"), "at least one action"),
+    "eta_zero": (lambda: Exp3G(3, 0.0, 0.1, graph=BANDIT3), "eta must be positive"),
+    # NaN once passed `eta <= 0` and played p = [nan, nan, nan]
+    "eta_nan": (lambda: Exp3G(3, float("nan"), 0.1, graph=BANDIT3), "eta must be positive"),
+    "gamma_above_one": (lambda: Exp3G(3, 0.1, 1.5, graph=BANDIT3), r"gamma must lie in \[0, 1\]"),
+    "gamma_nan": (lambda: Exp3G(3, 0.1, float("nan"), graph=BANDIT3),
+                  r"gamma must lie in \[0, 1\]"),
+    "unknown_mode": (lambda: Exp3G(3, 0.1, 0.1, graph=BANDIT3, mode="psychic"),
+                     "mode must be one of"),
+    "fixed_without_graph": (lambda: Exp3G(3, 0.1, 0.1), "fixed mode needs a graph"),
+    "graph_of_another_size": (lambda: Exp3G(4, 0.1, 0.1, graph=BANDIT3),
+                              "graph size does not match"),
+    "empty_exploration_set": (lambda: Exp3G(3, 0.1, 0.1, exploration_set=(), graph=BANDIT3),
+                              "exploration set must be nonempty"),
+    "exploration_set_past_k": (lambda: Exp3G(3, 0.1, 0.1, exploration_set=(4,), graph=BANDIT3),
+                               "exploration set out of range"),
+    "round_graph_of_another_size": (
+        lambda: Exp3G(4, 0.1, 0.1, mode="informed").set_round_graph(BANDIT3),
+        "graph size does not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXP3G_REFUSALS))
+def test_exp3g_refusals(case):
+    make, match = EXP3G_REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_exp3g_uninformed_update_needs_the_round_graph():
+    learner = Exp3G(3, eta=0.1, gamma=0.1, mode="uninformed")
+    learner.act(np.random.default_rng(16))
+    with pytest.raises(RuntimeError, match="no graph available for the update"):
+        learner.update(1, [1], [0.5])
+
+
+@pytest.mark.parametrize("mode", ["fixed", "informed"])
+def test_exp3g_update_takes_a_graph_only_in_uninformed_mode(mode):
+    # a fixed-mode learner once took the full graph's feedback on a bandit
+    # game and moved every cumulative entry
+    learner = Exp3G(3, eta=0.1, gamma=0.1, graph=BANDIT3 if mode == "fixed" else None, mode=mode)
+    if mode == "informed":
+        learner.set_round_graph(BANDIT3)
+    a = learner.act(np.random.default_rng(17))
+    with pytest.raises(ValueError, match="only in uninformed mode"):
+        learner.update(a, [1, 2, 3], [0.5, 0.5, 0.5], graph=catalog("full", 3))
     assert learner.cumulative == [0.0] * 3
 
 
