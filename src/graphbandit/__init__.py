@@ -6,8 +6,7 @@ The package splits into:
   classification, and the independence / weak-domination solvers;
 - :mod:`graphbandit.learners` -- exponential weights and Exp3.G's row
   functions (play distribution, draw, importance-weighted estimates) with
-  its parameter presets, Hedge's second-order regret bound, and the
-  single-game `Exp3G` reference;
+  its parameter presets and the single-game `Exp3G` reference;
 - :mod:`graphbandit.environments` -- loss-table generators, including the
   adversarial lower-bound constructions;
 - :mod:`graphbandit.harness` -- game loop, regret accounting, seeded sweeps;

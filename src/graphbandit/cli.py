@@ -270,6 +270,7 @@ def cmd_pm_check(args) -> int:
     for name, w in witnesses.items():
         if w is not None:
             _emit([(f"{name}_pair", f"{w.i},{w.j}"), (f"{name}_unseen", w.unseen)])
+    _emit([("class", classify_graph(g).value)])
     if args.dump:
         environments.save_loss_table(f"{args.dump}_L.csv", instance.loss_matrix)
         np.savetxt(f"{args.dump}_H.csv", instance.symbol_matrix, delimiter=",", fmt="%d")

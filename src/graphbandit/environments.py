@@ -164,9 +164,7 @@ def weak_lower_env(
     result = domination_capped_independent_set(g, seed=set_ss)
     support = sorted(result.vertices)
     if len(support) < 2:
-        return simple_weak_env(
-            horizon, g.num_vertices, chi if chi in CHI_PAIRS["thm8"] else 1, draw_ss, eps=eps
-        )
+        return simple_weak_env(horizon, g.num_vertices, 1 if chi is None else chi, draw_ss, eps=eps)
     rng = np.random.default_rng(draw_ss)
     if chi is None:
         chi = support[rng.integers(len(support))]
@@ -328,43 +326,6 @@ def domination_capped_independent_set(
     return CappedIndependentSet(
         _mask_to_vertices(chosen), cap, chosen.bit_count() >= target, probabilistic
     )
-
-
-# ---------------------------------------------------------------------------
-# adversarial-style loss tables
-
-
-def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: int = 0):
-    """Named deterministic and seeded loss tables that stress exponential
-    weights: constants, alternation, single good arms, a mid-game switch,
-    drifting phases, and random Bernoulli fills.
-
-    Returns `count` (name, table) pairs; tables are T x K with entries in
-    [0, 1] and are a pure function of (num_actions, horizon, count, seed).
-    """
-    k, t = num_actions, horizon
-    rng = np.random.default_rng(seed)
-    rounds = np.arange(t)
-    named = []
-    named.append(("const_half", np.full((t, k), 0.5)))
-    ramp = np.broadcast_to(np.linspace(0.0, 1.0, k)[None, :], (t, k)).copy()
-    named.append(("const_ramp", ramp))
-    named.append(("alt_all", np.repeat((rounds % 2).astype(float)[:, None], k, axis=1)))
-    named.append(("alt_phase", ((rounds[:, None] + np.arange(k)[None, :]) % 2).astype(float)))
-    good_first = np.ones((t, k)); good_first[:, 0] = 0.0
-    named.append(("single_good_first", good_first))
-    good_last = np.ones((t, k)); good_last[:, -1] = 0.0
-    named.append(("single_good_last", good_last))
-    switch = np.ones((t, k))
-    switch[: t // 2, 0] = 0.0
-    switch[t // 2:, min(1, k - 1)] = 0.0
-    named.append(("switch_half", switch))
-    phases = 2.0 * np.pi * np.arange(k) / k
-    wave = 0.5 * (1.0 + np.sin(2.0 * np.pi * rounds[:, None] / 64.0 + phases[None, :]))
-    named.append(("sine_drift", wave))
-    while len(named) < count:
-        named.append((f"bernoulli_{len(named)}", _draw(rng, t, rng.uniform(0.0, 1.0, size=k))))
-    return named[:count]
 
 
 # ---------------------------------------------------------------------------

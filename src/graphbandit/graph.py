@@ -114,10 +114,6 @@ class FeedbackGraph:
         if not 1 <= i <= self._k:
             raise ValueError(f"vertex {i} out of range 1..{self._k}")
 
-    def in_neighbors(self, i: int) -> frozenset:
-        self._check_vertex(i)
-        return _mask_to_vertices(self._in[i - 1])
-
     def out_neighbors(self, i: int) -> frozenset:
         self._check_vertex(i)
         return _mask_to_vertices(self._out[i - 1])
@@ -547,35 +543,6 @@ def catalog(name: str, num_vertices: int) -> FeedbackGraph:
 
 
 # ---------------------------------------------------------------------------
-# weighted in-neighborhood ratio and its independence bound
-
-
-def weight_ratio_sum(g: FeedbackGraph, weights, eps: float) -> float:
-    """Sum over vertices of w_i / (w_i + total weight of the in-neighborhood).
-
-    Preconditions: all weights positive and >= eps, their sum <= 1, and
-    0 < eps < 1/2. A self-loop puts a vertex inside its own in-neighborhood,
-    so its weight then appears twice in the denominator.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (g.num_vertices,):
-        raise ValueError(f"expected {g.num_vertices} weights, got shape {w.shape}")
-    if not 0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    if np.any(w < eps):
-        raise ValueError("every weight must be >= eps")
-    if w.sum() > 1 + 1e-12:
-        raise ValueError("weights must sum to at most 1")
-    in_weight = g.in_matrix @ w
-    return float(np.sum(w / (w + in_weight)))
-
-
-def weight_ratio_bound(alpha: int, num_vertices: int, eps: float) -> float:
-    """Companion bound 4 * alpha * ln(4K / (alpha * eps))."""
-    return 4.0 * alpha * math.log(4.0 * num_vertices / (alpha * eps))
-
-
-# ---------------------------------------------------------------------------
 # text format
 
 
@@ -620,9 +587,3 @@ def parse_graph(text: str) -> FeedbackGraph:
 def load_graph(path) -> FeedbackGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def format_graph(g: FeedbackGraph) -> str:
-    lines = [str(g.num_vertices)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"

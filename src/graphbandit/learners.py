@@ -1,7 +1,7 @@
 """Exponential-weights learners with graph feedback: Exp3.G's row functions
 (play distribution, draw, importance-weighted estimates), its parameter
 presets, and the single-game `Exp3G` reference. Hedge is exponential weights
-over cumulative losses; `hedge_second_order_bound` evaluates its regret bound.
+over cumulative losses.
 
 Actions are the graph's vertices, 1-indexed; entry i-1 of a probability
 vector belongs to action i. The row functions work along a trailing action
@@ -15,8 +15,7 @@ axis, in the two forms the lockstep engine plays them:
   engine allocates once per batch (`out=`): the draw takes the R x 1 column
   of uniforms, the estimate an in-matrix, a boolean mask and full loss rows.
 `exponential_weights` and `exp3g_distribution` also allocate a new array
-when no `out=` is given, the same bits; `hedge_second_order_bound` plays
-Hedge so over all T rounds at once. The estimate takes one matrix-vector
+when no `out=` is given, the same bits. The estimate takes one matrix-vector
 product per row for any R, as BLAS rounds a product over all rows by their
 count.
 
@@ -43,7 +42,6 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,70 +204,6 @@ def _zero_probability(vertices):
     ) from None
 
 
-class SecondOrderBound(NamedTuple):
-    lhs: float
-    rhs: float
-
-
-def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) -> SecondOrderBound:
-    """Play Hedge (exponential weights over cumulative losses) on a loss
-    sequence and evaluate both sides of its refined second-order regret
-    bound; the caller asserts lhs <= rhs.
-
-    `losses` is a T x K array of nonnegative values. `subsets` gives, per
-    round, the set of actions (1-indexed) granted the sharper q(1-q) variance
-    factor; membership requires that round's loss to be at most 1/eta. With
-    empty subsets the right-hand side is the standard second-order bound,
-    which dominates any refined one pointwise. `comparator` is the fixed
-    action on the left-hand side; by default the best action in hindsight.
-    """
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2:
-        raise ValueError("losses must be a T x K array")
-    horizon, num_actions = losses.shape
-    if np.any(losses < 0):
-        raise ValueError("losses must be nonnegative")
-    _check_rates(eta, None)
-    if subsets is None:
-        subsets = [()] * horizon
-    if len(subsets) != horizon:
-        raise ValueError("need one subset per round")
-
-    masks = np.zeros((horizon, num_actions), dtype=bool)
-    for t, subset in enumerate(subsets):
-        for i in subset:
-            if not 1 <= i <= num_actions:
-                raise ValueError(f"subset member {i} out of range")
-            if losses[t, i - 1] > 1.0 / eta + 1e-12:
-                raise ValueError(
-                    f"round {t + 1}: action {i} is in the subset but its loss "
-                    f"{losses[t, i - 1]} exceeds 1/eta"
-                )
-            masks[t, i - 1] = True
-
-    # round t plays exponential weights over the losses of rounds before t
-    cumulative = np.zeros(losses.shape)
-    np.cumsum(losses[:-1], axis=0, out=cumulative[1:])
-    q = exponential_weights(cumulative, eta)
-    sq = q * losses * losses
-    sq = np.where(masks, sq * (1.0 - q), sq)
-    player = 0.0
-    variance = 0.0
-    for t in range(horizon):
-        player += float(q[t] @ losses[t])
-        variance += float(sq[t].sum())
-
-    totals = losses.sum(axis=0)
-    if comparator is None:
-        comp_loss = float(totals.min())
-    else:
-        if not 1 <= comparator <= num_actions:
-            raise ValueError(f"comparator {comparator} out of range")
-        comp_loss = float(totals[comparator - 1])
-    log_k = math.log(num_actions)
-    return SecondOrderBound(player - comp_loss, log_k / eta + eta * variance)
-
-
 # ---------------------------------------------------------------------------
 # graph-feedback learner
 
@@ -301,6 +235,8 @@ class Exp3G:
     ):
         if num_actions < 1:
             raise ValueError("need at least one action")
+        if eta is None or gamma is None:  # `_check_rates` reads None as a rate not yet set
+            raise ValueError(f"{'eta' if eta is None else 'gamma'} must be set, got None")
         _check_rates(eta, gamma)
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -378,7 +314,7 @@ class Exp3G:
         losses = [float(x) for x in observed_losses]
         if len(losses) != len(expected):
             raise ValueError("need one loss per observed vertex")
-        if not all(-1e-12 <= x <= 1 + 1e-12 for x in losses):  # NaN fails too
+        if not all(0.0 <= x <= 1.0 for x in losses):  # NaN fails too
             raise ValueError("observed losses must lie in [0, 1]")
         seen = [v - 1 for v in expected]
         row = [0.0] * self.num_actions

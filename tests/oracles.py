@@ -1,18 +1,23 @@
 """Independent references used to check the package.
 
 The solver references enumerate rather than search, and share no code with
-the implementations under test. The protocol players at the end are the
+the implementations under test. The analysis oracles evaluate the paper's
+inequalities that criteria 02 and 09 check (the weighted in-neighborhood
+ratio and Hedge's second-order regret bound), and `adversarial_tables` gives
+criterion 06 its loss tables; nothing in the package calls them. The
+protocol players at the end are the
 single-game form of the engine's learners: one object per game, acting and
 updating one round at a time, which the lockstep engine must reproduce.
 """
 
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from graphbandit import learners
-from graphbandit.environments import CappedIndependentSet
+from graphbandit.environments import CappedIndependentSet, _draw
 from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
 from graphbandit.graph import profile as graph_profile
 from graphbandit.graph import weak_domination_number, weakly_observable_set
@@ -605,6 +610,159 @@ def signature_families(instance) -> tuple:
             groups.setdefault(int(s), []).append(y)
         families.append(frozenset(frozenset(v) for v in groups.values()))
     return tuple(families)
+
+
+# ---------------------------------------------------------------------------
+# graph reads and the text format's writer
+
+
+def in_neighbors(g: FeedbackGraph, i: int) -> frozenset:
+    """The vertices with an edge into i, read from the graph's in-mask."""
+    mask = g.in_mask(i)
+    return frozenset(v for v in range(1, g.num_vertices + 1) if mask >> (v - 1) & 1)
+
+
+def format_graph(g: FeedbackGraph) -> str:
+    """The text `parse_graph` reads: K, then one sorted `u v` line per edge."""
+    lines = [str(g.num_vertices)]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the analysis inequalities the criteria check: the weighted
+# in-neighborhood ratio with its independence bound, and Hedge's refined
+# second-order regret bound
+
+
+def weight_ratio_sum(g: FeedbackGraph, weights, eps: float) -> float:
+    """Sum over vertices of w_i / (w_i + total weight of the in-neighborhood).
+
+    Preconditions: all weights positive and >= eps, their sum <= 1, and
+    0 < eps < 1/2. A self-loop puts a vertex inside its own in-neighborhood,
+    so its weight then appears twice in the denominator.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (g.num_vertices,):
+        raise ValueError(f"expected {g.num_vertices} weights, got shape {w.shape}")
+    if not 0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 1/2)")
+    if np.any(w < eps):
+        raise ValueError("every weight must be >= eps")
+    if w.sum() > 1 + 1e-12:
+        raise ValueError("weights must sum to at most 1")
+    in_weight = g.in_matrix @ w
+    return float(np.sum(w / (w + in_weight)))
+
+
+def weight_ratio_bound(alpha: int, num_vertices: int, eps: float) -> float:
+    """Companion bound 4 * alpha * ln(4K / (alpha * eps))."""
+    return 4.0 * alpha * math.log(4.0 * num_vertices / (alpha * eps))
+
+
+class SecondOrderBound(NamedTuple):
+    lhs: float
+    rhs: float
+
+
+def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) -> SecondOrderBound:
+    """Play Hedge (exponential weights over cumulative losses) on a loss
+    sequence and evaluate both sides of its refined second-order regret
+    bound; the caller asserts lhs <= rhs.
+
+    `losses` is a T x K array of nonnegative values. `subsets` gives, per
+    round, the set of actions (1-indexed) granted the sharper q(1-q) variance
+    factor; membership requires that round's loss to be at most 1/eta. With
+    empty subsets the right-hand side is the standard second-order bound,
+    which dominates any refined one pointwise. `comparator` is the fixed
+    action on the left-hand side; by default the best action in hindsight.
+    Hedge is played over all T rounds at once, as T rows of
+    `learners.exponential_weights`.
+    """
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2:
+        raise ValueError("losses must be a T x K array")
+    horizon, num_actions = losses.shape
+    if np.any(losses < 0):
+        raise ValueError("losses must be nonnegative")
+    learners._check_rates(eta, None)
+    if subsets is None:
+        subsets = [()] * horizon
+    if len(subsets) != horizon:
+        raise ValueError("need one subset per round")
+
+    masks = np.zeros((horizon, num_actions), dtype=bool)
+    for t, subset in enumerate(subsets):
+        for i in subset:
+            if not 1 <= i <= num_actions:
+                raise ValueError(f"subset member {i} out of range")
+            if losses[t, i - 1] > 1.0 / eta + 1e-12:
+                raise ValueError(
+                    f"round {t + 1}: action {i} is in the subset but its loss "
+                    f"{losses[t, i - 1]} exceeds 1/eta"
+                )
+            masks[t, i - 1] = True
+
+    # round t plays exponential weights over the losses of rounds before t
+    cumulative = np.zeros(losses.shape)
+    np.cumsum(losses[:-1], axis=0, out=cumulative[1:])
+    q = learners.exponential_weights(cumulative, eta)
+    sq = q * losses * losses
+    sq = np.where(masks, sq * (1.0 - q), sq)
+    player = 0.0
+    variance = 0.0
+    for t in range(horizon):
+        player += float(q[t] @ losses[t])
+        variance += float(sq[t].sum())
+
+    totals = losses.sum(axis=0)
+    if comparator is None:
+        comp_loss = float(totals.min())
+    else:
+        if not 1 <= comparator <= num_actions:
+            raise ValueError(f"comparator {comparator} out of range")
+        comp_loss = float(totals[comparator - 1])
+    log_k = math.log(num_actions)
+    return SecondOrderBound(player - comp_loss, log_k / eta + eta * variance)
+
+
+# ---------------------------------------------------------------------------
+# adversarial-style loss tables
+
+
+def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: int = 0):
+    """Named deterministic and seeded loss tables that stress exponential
+    weights: constants, alternation, single good arms, a mid-game switch,
+    drifting phases, and random Bernoulli fills.
+
+    Returns `count` (name, table) pairs; tables are T x K with entries in
+    [0, 1] and are a pure function of (num_actions, horizon, count, seed).
+    The Bernoulli fills are drawn by `environments._draw`, the package's
+    own table draw.
+    """
+    k, t = num_actions, horizon
+    rng = np.random.default_rng(seed)
+    rounds = np.arange(t)
+    named = []
+    named.append(("const_half", np.full((t, k), 0.5)))
+    ramp = np.broadcast_to(np.linspace(0.0, 1.0, k)[None, :], (t, k)).copy()
+    named.append(("const_ramp", ramp))
+    named.append(("alt_all", np.repeat((rounds % 2).astype(float)[:, None], k, axis=1)))
+    named.append(("alt_phase", ((rounds[:, None] + np.arange(k)[None, :]) % 2).astype(float)))
+    good_first = np.ones((t, k)); good_first[:, 0] = 0.0
+    named.append(("single_good_first", good_first))
+    good_last = np.ones((t, k)); good_last[:, -1] = 0.0
+    named.append(("single_good_last", good_last))
+    switch = np.ones((t, k))
+    switch[: t // 2, 0] = 0.0
+    switch[t // 2:, min(1, k - 1)] = 0.0
+    named.append(("switch_half", switch))
+    phases = 2.0 * np.pi * np.arange(k) / k
+    wave = 0.5 * (1.0 + np.sin(2.0 * np.pi * rounds[:, None] / 64.0 + phases[None, :]))
+    named.append(("sine_drift", wave))
+    while len(named) < count:
+        named.append((f"bernoulli_{len(named)}", _draw(rng, t, rng.uniform(0.0, 1.0, size=k))))
+    return named[:count]
 
 
 # ---------------------------------------------------------------------------

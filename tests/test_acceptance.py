@@ -14,7 +14,6 @@ import pytest
 
 from graphbandit.environments import (
     EnvSpec,
-    adversarial_tables,
     domination_capped_independent_set,
     table_env,
 )
@@ -26,8 +25,6 @@ from graphbandit.graph import (
     independence_number,
     profile,
     weak_domination_number,
-    weight_ratio_bound,
-    weight_ratio_sum,
 )
 from graphbandit.harness import (
     LearnerSpec,
@@ -36,7 +33,7 @@ from graphbandit.harness import (
     run_games,
     sweep,
 )
-from graphbandit.learners import hedge_second_order_bound, importance_weighted_estimates
+from graphbandit.learners import importance_weighted_estimates
 from graphbandit.partial_monitoring import (
     check_global_observability,
     check_local_observability,
@@ -46,13 +43,17 @@ from graphbandit.partial_monitoring import (
 
 from oracles import (
     Hedge,
+    adversarial_tables,
     brute_force_alpha,
     brute_force_delta_fast,
     domination_counts,
+    hedge_second_order_bound,
     is_independent,
     random_distribution,
     random_graph,
     random_weakly_observable_graph,
+    weight_ratio_bound,
+    weight_ratio_sum,
 )
 
 RATE_GRID = tuple(2**k for k in range(9, 15))

@@ -5,7 +5,8 @@ import pytest
 
 from graphbandit import environments, harness
 from graphbandit.cli import main
-from graphbandit.graph import catalog, format_graph
+from graphbandit.graph import catalog
+from oracles import format_graph
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,19 @@ def test_thm7_sequence_source_refused_at_the_boundary(capsys, flags, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--catalog", "full"), "--catalog needs --k"),
+    (("sweep", "--catalog", "bandit", "--k", "2", "--env", "bernoulli", "--mu", "0.3,0.5",
+      "--T", "64,x"), "bad horizon grid '64,x'; expected comma-separated integers"),
+    (("run", "--catalog", "full", "--k", "3", "--env", "bernoulli", "--mu", "0.5,x"),
+     "bad --mu '0.5,x'; expected comma-separated floats"),
+], ids=["catalog_without_k", "horizon_grid", "mu"])
+def test_malformed_flags_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_missing_learning_rates_exit_2(capsys):
     game = ["run", "--catalog", "full", "--k", "3", "--env", "bernoulli",
             "--mu", "0.3,0.5,0.5", "--T", "16"]
@@ -371,7 +385,10 @@ def test_sweep_rejects_decreasing_grid(capsys):
 def test_pm_check_apple_tasting(capsys):
     code, out, _ = run_cli(capsys, "pm-check", "--catalog", "apple_tasting")
     assert code == 0
-    assert out.strip() == "global=true local=true claimC1=true"
+    assert out.splitlines() == [
+        "global=true local=true claimC1=true",
+        "class=strongly_observable",
+    ]
 
 
 def test_pm_check_prints_the_witness_of_a_failing_verdict(capsys):
@@ -383,6 +400,7 @@ def test_pm_check_prints_the_witness_of_a_failing_verdict(capsys):
         "global=true local=false claimC1=true",
         "local_pair=1,2",
         "local_unseen=1",
+        "class=weakly_observable",
     ]
 
 

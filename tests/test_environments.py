@@ -24,6 +24,7 @@ from graphbandit.harness import LearnerSpec, SweepConfig, sweep
 
 from oracles import (
     domination_counts,
+    in_neighbors,
     is_independent,
     random_weakly_observable_graph,
     reference_capped_independent_set,
@@ -236,7 +237,7 @@ def test_uninformed_separation_only_revealer_sees_arm_one():
     env = uninformed_separation_env(6, 200, seed=1)
     for t in range(200):
         g = env.graph_at(t)
-        watchers = g.in_neighbors(1)
+        watchers = in_neighbors(g, 1)
         assert len(watchers) == 1
         revealer = next(iter(watchers))
         assert 3 <= revealer <= 6
@@ -256,7 +257,7 @@ def test_uninformed_separation_needs_four_actions():
 
 def test_uninformed_separation_revealers_cover_range():
     env = uninformed_separation_env(8, 2000, seed=2)
-    seen = {next(iter(env.graph_at(t).in_neighbors(1))) for t in range(2000)}
+    seen = {next(iter(in_neighbors(env.graph_at(t), 1))) for t in range(2000)}
     assert seen == set(range(3, 9))
 
 
@@ -396,6 +397,11 @@ REFUSALS = {
     "thm8_chi": (lambda: simple_weak_env(10, 3, 0, 0), "chi must be -1 or \\+1"),
     "thm5_chi": (lambda: weak_lower_env(catalog("revealing_action", 8), 100, 5, chi=1),
                  "support vertices"),
+    # the two-arm fallback once swapped a chi it could not use for +1
+    "thm5_fallback_chi": (
+        lambda: build_environment(EnvSpec("thm5", {"chi": 7}), 64, 0,
+                                  graph=catalog("clique_minus", 5)),
+        "chi must be -1 or \\+1"),
     "thm7_chi": (lambda: uninformed_separation_env(5, 10, 0, chi=0), "chi must be -1 or \\+1"),
     "unknown_kind": (lambda: EnvSpec("thm9"), "unknown environment kind"),
     "no_action_count": (lambda: build_environment(THM4, 10, 0), "needs the action count"),

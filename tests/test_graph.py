@@ -14,15 +14,12 @@ from graphbandit.graph import (
     catalog,
     classify_graph,
     classify_vertex,
-    format_graph,
     independence_number,
     parse_graph,
     predict_rate,
     profile,
     weak_domination_number,
     weakly_observable_set,
-    weight_ratio_bound,
-    weight_ratio_sum,
 )
 
 from oracles import (
@@ -30,11 +27,15 @@ from oracles import (
     all_minimum_dominating_sets,
     brute_force_alpha,
     brute_force_delta,
+    format_graph,
+    in_neighbors,
     is_independent,
     random_graph,
     reference_independence_number,
     reference_weak_domination_number,
     weakly_observable_vertices,
+    weight_ratio_bound,
+    weight_ratio_sum,
 )
 
 
@@ -84,7 +85,7 @@ def test_neighborhoods_are_consistent():
         g = random_graph(rng, 8, 0.3)
         for i in range(1, 9):
             for j in range(1, 9):
-                assert (j in g.out_neighbors(i)) == (i in g.in_neighbors(j))
+                assert (j in g.out_neighbors(i)) == (i in in_neighbors(g, j))
                 assert (j in g.out_neighbors(i)) == g.has_edge(i, j)
 
 
@@ -147,7 +148,7 @@ def test_classify_vertex_isolated_is_unobservable():
 
 def test_classify_vertex_revealing_action_leaf_is_weak():
     g = catalog("revealing_action", 5)
-    assert g.in_neighbors(2) == frozenset({1})
+    assert in_neighbors(g, 2) == frozenset({1})
     assert classify_vertex(g, 2) is VertexClass.WEAK
 
 
@@ -172,7 +173,7 @@ def test_vertex_tags_partition_and_imply_in_edges():
         for i in range(1, g.num_vertices + 1):
             tag = classify_vertex(g, i)
             if tag in (VertexClass.STRONG, VertexClass.WEAK):
-                assert g.in_neighbors(i)
+                assert in_neighbors(g, i)
         assert weakly_observable_set(g) == weakly_observable_vertices(g)
 
 
@@ -192,6 +193,17 @@ def test_catalog_bandit_edges():
 
 def test_catalog_apple_tasting_edges():
     assert catalog("apple_tasting", 2).edges == frozenset({(1, 1), (1, 2)})
+
+
+def test_catalog_refuses_a_loopless_clique_of_one_vertex():
+    with pytest.raises(ValueError, match="loopless_clique needs K >= 2"):
+        catalog("loopless_clique", 1)
+
+
+def test_graph_never_equals_another_type():
+    g = catalog("bandit", 3)
+    assert g.__eq__(3) is NotImplemented
+    assert (g == 3) is False and g != 3
 
 
 def test_catalog_loopy_star_edges():
@@ -523,6 +535,11 @@ def test_predict_rate_examples():
 def test_predict_rate_needs_two_actions():
     with pytest.raises(ValueError):
         predict_rate(profile(FeedbackGraph(1, [(1, 1)])), 100)
+
+
+def test_predict_rate_refuses_horizon_zero():
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        predict_rate(profile(catalog("bandit", 2)), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphbandit
 from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 from graphbandit.learners import (
     Exp3G,
@@ -12,7 +15,6 @@ from graphbandit.learners import (
     exploration_terms,
     exploration_vector,
     exponential_weights,
-    hedge_second_order_bound,
     importance_weighted_estimates,
     preset_loopless_clique,
     preset_strong,
@@ -21,7 +23,12 @@ from graphbandit.learners import (
     sample_index,
 )
 
-from oracles import hedge_distribution_highprec, random_distribution, random_graph
+from oracles import (
+    hedge_distribution_highprec,
+    hedge_second_order_bound,
+    random_distribution,
+    random_graph,
+)
 
 
 def full_feedback(g, action, row):
@@ -596,13 +603,30 @@ def test_exp3g_update_refuses_an_action_out_of_range(action):
 @pytest.mark.parametrize("losses,match", [
     ([0.5], "one loss per observed vertex"),
     ([0.5, float("nan"), 0.5], r"must lie in \[0, 1\]"),
-], ids=["one_loss_for_three", "nan"])
+    # a loss a hair past either end was once let through by a 1e-12 slack
+    ([0.5, 1 + 1e-13, 0.5], r"must lie in \[0, 1\]"),
+    ([0.5, -1e-13, 0.5], r"must lie in \[0, 1\]"),
+], ids=["one_loss_for_three", "nan", "just_above_one", "just_below_zero"])
 def test_exp3g_update_refuses_losses_that_do_not_fit(losses, match):
     learner = Exp3G(3, eta=0.1, gamma=0.1, graph=catalog("full", 3))
     learner.act(np.random.default_rng(15))
     with pytest.raises(ValueError, match=match):
         learner.update(1, [1, 2, 3], losses)
     assert learner.cumulative == [0.0] * 3
+
+
+def test_no_float_tolerance_in_the_package():
+    # every range check in the package is exact: a slack such as 1e-12 once
+    # let a loss past 1 into `Exp3G.update`
+    package = Path(graphbandit.__file__).parent
+    tiny = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < 1e-3
+    ]
+    assert tiny == []
 
 
 BANDIT3 = catalog("bandit", 3)
@@ -615,6 +639,9 @@ EXP3G_REFUSALS = {
     "gamma_above_one": (lambda: Exp3G(3, 0.1, 1.5, graph=BANDIT3), r"gamma must lie in \[0, 1\]"),
     "gamma_nan": (lambda: Exp3G(3, 0.1, float("nan"), graph=BANDIT3),
                   r"gamma must lie in \[0, 1\]"),
+    # None once passed, and the first act died multiplying None
+    "eta_none": (lambda: Exp3G(3, None, 0.1, graph=BANDIT3), "eta must be set"),
+    "gamma_none": (lambda: Exp3G(3, 0.1, None, graph=BANDIT3), "gamma must be set"),
     "unknown_mode": (lambda: Exp3G(3, 0.1, 0.1, graph=BANDIT3, mode="psychic"),
                      "mode must be one of"),
     "fixed_without_graph": (lambda: Exp3G(3, 0.1, 0.1), "fixed mode needs a graph"),
