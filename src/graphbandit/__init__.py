@@ -22,7 +22,6 @@ from .graph import (
     VertexClass,
     catalog,
     classify_graph,
-    classify_vertex,
     independence_number,
     load_graph,
     parse_graph,
@@ -38,7 +37,6 @@ __all__ = [
     "VertexClass",
     "catalog",
     "classify_graph",
-    "classify_vertex",
     "independence_number",
     "load_graph",
     "parse_graph",

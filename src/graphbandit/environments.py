@@ -243,9 +243,10 @@ class CappedIndependentSet:
     used_fallback: bool
 
 
-def domination_capped_independent_set(
-    g: FeedbackGraph, seed=0, max_attempts: int = 64
-) -> CappedIndependentSet:
+CAPPED_SET_ATTEMPTS = 64  # samples the probabilistic construction tries before its fallback
+
+
+def domination_capped_independent_set(g: FeedbackGraph, seed=0) -> CappedIndependentSet:
     """Find an independent set U inside the weakly observable vertices with
     every vertex of the graph dominating at most ceil(ln K) members of U.
 
@@ -255,11 +256,11 @@ def domination_capped_independent_set(
     m = floor(1/(10 beta)) elements of R with replacement, verify the sample
     is large, domination-capped, and sparse, then extract an independent set
     greedily. The target size floor(k / (50 ln n)) holds with positive
-    probability per attempt; after `max_attempts` failures a greedy pass
-    returns a set that honors the domination cap but is flagged as missing
-    the size bound. For small k the target degenerates to 1 and the greedy
-    pass is used directly. Sets are vertex bitmasks (bit v-1 for vertex v)
-    and every count is a popcount against the graph's out- and in-masks.
+    probability per attempt; after `CAPPED_SET_ATTEMPTS` failures a greedy
+    pass returns a set that honors the domination cap but is flagged as
+    missing the size bound. For small k the target is 1 and the greedy pass
+    runs directly. Sets are vertex bitmasks (bit v-1 for vertex v) and
+    every count is a popcount against the graph's out- and in-masks.
     """
     w = weakly_observable_set(g)
     if not w:
@@ -303,7 +304,7 @@ def domination_capped_independent_set(
             r &= ~hit
         m = math.floor(1.0 / (10.0 * beta))
         r_list = sorted(_mask_to_vertices(r))
-        for _ in range(max_attempts):
+        for _ in range(CAPPED_SET_ATTEMPTS):
             if m < 1 or not r_list:
                 break
             sample = sorted(set(rng.choice(r_list, size=m, replace=True).tolist()))

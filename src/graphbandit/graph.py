@@ -173,15 +173,10 @@ def _mask_to_vertices(mask: int) -> frozenset:
 # observability classification
 
 
-def classify_vertex(g: FeedbackGraph, i: int) -> VertexClass:
-    """Tag a vertex: unobservable (no in-edges), strong (self-loop or in-edges
-    from all other vertices), weak otherwise."""
-    g._check_vertex(i)
-    return _vertex_tags(g)[i - 1]
-
-
 def _vertex_tags(g: FeedbackGraph) -> tuple:
-    """Every vertex's tag, computed once per graph and kept on it."""
+    """Every vertex's tag, computed once per graph and kept on it: unobservable
+    (no in-edges), strong (self-loop or in-edges from all other vertices),
+    weak otherwise."""
     if g._tags is None:
         full = (1 << g.num_vertices) - 1
         g._tags = tuple(
@@ -303,7 +298,7 @@ def _degree_ordered(adj) -> list:
     return np.packbits(bits, bitorder="little").view("<u8").tolist()
 
 
-def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
+def independence_number(g: FeedbackGraph):
     """Largest set of vertices with no directed edge between distinct members.
 
     Returns (alpha, witness) where the witness is the lexicographically
@@ -319,13 +314,13 @@ def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
     from the highest vertex down (`_clique_heads`); after the vertices
     below b are left out, the candidates are those >= b, and the heads
     >= b count the cliques that can still contribute a member, so every
-    leave-out step is bounded by a popcount. Graphs beyond `exact_cap`
-    vertices, or beyond the 64 that a uint64 mask holds, are rejected
-    rather than solved approximately.
+    leave-out step is bounded by a popcount. Graphs beyond `ALPHA_EXACT_CAP`
+    vertices (read at each call), or beyond the 64 that a uint64 mask holds,
+    are rejected rather than solved approximately.
     """
     k = g.num_vertices
-    if k > exact_cap:
-        raise ValueError(f"K={k} exceeds the exact independence-solver cap {exact_cap}")
+    if k > ALPHA_EXACT_CAP:
+        raise ValueError(f"K={k} exceeds the exact independence-solver cap {ALPHA_EXACT_CAP}")
     if k > 64:
         raise ValueError(f"K={k} exceeds 64, the most vertices the size search packs")
     adj = g.symmetric_masks
@@ -353,16 +348,16 @@ def independence_number(g: FeedbackGraph, exact_cap: int = ALPHA_EXACT_CAP):
 # weak domination number
 
 
-def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
+def weak_domination_number(g: FeedbackGraph):
     """Size of the smallest set whose out-neighborhoods cover all weakly
     observable vertices.
 
     Returns (delta, witness, exact). When W is empty the answer is 0 with an
-    empty witness. Up to `exact_cap` vertices the cover size grows one at a
-    time, and at each size a depth-first search picks dominators in
-    increasing index order, so the first cover it finds is the
-    lexicographically smallest optimum. It branches only up to the last
-    dominator of the lowest uncovered weak vertex, and prunes when more
+    empty witness. Up to `DELTA_EXACT_CAP` vertices (read at each call) the
+    cover size grows one at a time, and at each size a depth-first search
+    picks dominators in increasing index order, so the first cover it finds
+    is the lexicographically smallest optimum. It branches only up to the
+    last dominator of the lowest uncovered weak vertex, and prunes when more
     uncovered weak vertices have pairwise disjoint dominator sets than picks
     are left. Beyond the cap a greedy set cover runs and `exact` is False:
     each pick is the first vertex, in index order, whose out-mask covers the
@@ -380,7 +375,7 @@ def weak_domination_number(g: FeedbackGraph, exact_cap: int = DELTA_EXACT_CAP):
     if union != wmask:
         # cannot happen: every observable vertex has an in-neighbor
         raise RuntimeError("weakly observable vertex without a dominator")
-    if k <= exact_cap:
+    if k <= DELTA_EXACT_CAP:
         dominators = g._in  # a weak vertex's in-neighbors are all candidates
 
         def packing(uncovered: int, allowed: int) -> int:

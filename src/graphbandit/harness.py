@@ -281,6 +281,16 @@ def _gather(table, cells):
     return np.concatenate([table[where] for _, where in cells] + [table[:0]])
 
 
+def _set_bits(mask: int) -> list:
+    """The 0-based positions of `mask`'s set bits, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
 def _play_batch(graph, spec: LearnerSpec, games):
     """Play games sorted by decreasing horizon in lockstep; yields their
     transcripts in order.
@@ -408,7 +418,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
     in_mat = in_mats[0]  # one graph's, which the estimate broadcasts over the rows
     # a lone row's graphs, by graph id: in-matrices, and observed vertices by action
     mats = list(in_mats)
-    observed = [[np.flatnonzero(mask).tolist() for mask in masks] for masks in out_masks]
+    observed = [[_set_bits(g.out_mask(a)) for a in range(1, num_actions + 1)] for g in graphs]
     # a zero observation probability on an observed vertex sets the divide
     # flag (invalid for a loss of 0) in the estimate's masked divide, which
     # the estimate turns into its RuntimeError

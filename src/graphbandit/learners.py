@@ -55,10 +55,10 @@ MODES = (MODE_FIXED, MODE_INFORMED, MODE_UNINFORMED)
 
 
 def _check_rates(eta, gamma):
-    """Refuse a learning rate that is not positive (NaN included) or an
-    exploration rate outside [0, 1]; None stands for a rate not yet set."""
-    if eta is not None and not eta > 0:
-        raise ValueError("eta must be positive")
+    """Refuse a learning rate that is not positive and finite (NaN included)
+    or an exploration rate outside [0, 1]; None stands for a rate not yet set."""
+    if eta is not None and not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     if gamma is not None and not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
 

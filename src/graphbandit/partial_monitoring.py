@@ -78,10 +78,6 @@ class PMInstance:
     symbol_matrix: np.ndarray
 
     @property
-    def num_actions(self) -> int:
-        return self.loss_matrix.shape[0]
-
-    @property
     def num_columns(self) -> int:
         return self.loss_matrix.shape[1]
 

@@ -19,6 +19,7 @@ import numpy as np
 from graphbandit import learners
 from graphbandit.environments import CappedIndependentSet, _draw
 from graphbandit.graph import ALPHA_EXACT_CAP, DELTA_EXACT_CAP, FeedbackGraph, GraphClass
+from graphbandit.graph import VertexClass, _vertex_tags
 from graphbandit.graph import profile as graph_profile
 from graphbandit.graph import weak_domination_number, weakly_observable_set
 from graphbandit.partial_monitoring import Certificates, Witness
@@ -604,7 +605,7 @@ def signature_families(instance) -> tuple:
     """Per vertex, the partition of columns induced by its symbols; two
     graphs encode identically exactly when these partitions coincide."""
     families = []
-    for i in range(instance.num_actions):
+    for i in range(len(instance.loss_matrix)):
         groups = {}
         for y, s in enumerate(instance.symbol_matrix[i]):
             groups.setdefault(int(s), []).append(y)
@@ -620,6 +621,13 @@ def in_neighbors(g: FeedbackGraph, i: int) -> frozenset:
     """The vertices with an edge into i, read from the graph's in-mask."""
     mask = g.in_mask(i)
     return frozenset(v for v in range(1, g.num_vertices + 1) if mask >> (v - 1) & 1)
+
+
+def classify_vertex(g: FeedbackGraph, i: int) -> VertexClass:
+    """Vertex i's tag under the package's rule (`graph._vertex_tags`), after
+    `in_mask` refuses a vertex out of range."""
+    g.in_mask(i)
+    return _vertex_tags(g)[i - 1]
 
 
 def format_graph(g: FeedbackGraph) -> str:

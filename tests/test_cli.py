@@ -1,4 +1,7 @@
 import csv
+import runpy
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -200,11 +203,24 @@ def test_run_eps_sets_the_adversary_gap(capsys):
 @pytest.mark.parametrize("flags,message", [
     (("--env", "bernoulli", "--mu", "0.5,nan,0.5"), "means must lie in"),
     (("--env", "thm8", "--eps", "nan"), "eps must be positive"),
-], ids=["mu", "eps"])
+    (("--mu", "0.1,0.2,0.3", "--preset", "manual", "--eta", "inf", "--gamma", "0.1"),
+     "eta must be positive"),
+], ids=["mu", "eps", "eta_inf"])
 def test_nan_parameters_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "3", *flags, "--T", "10")
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_sweep_infinite_eta_exits_2(capsys):
+    # it once played NaN distributions until numpy raised FloatingPointError
+    code, out, err = run_cli(
+        capsys, "sweep", "--catalog", "full", "--k", "3", "--env", "bernoulli",
+        "--mu", "0.1,0.2,0.3", "--learner", "hedge", "--eta", "inf", "--reps", "2",
+        "--T", "8,16",
+    )
+    assert (code, out) == (2, "")
+    assert "eta must be positive" in err
 
 
 def test_nan_loss_table_exits_2(capsys, tmp_path):
@@ -465,6 +481,17 @@ def test_lowerbound_output_is_pinned(capsys, flags):
                            "--reps", reps, "--k", k, "--seed", seed)
     assert code == 0
     assert out.splitlines() == LOWERBOUND_PINS[flags]
+
+
+def test_module_entry_exits_with_the_status_of_main(capsys, monkeypatch):
+    # `python -m graphbandit.cli` runs `entry`, as the installed script does
+    monkeypatch.setattr(sys, "argv", ["graphbandit", "classify", "--catalog", "full", "--k", "3"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as err:
+        warnings.filterwarnings("ignore", "'graphbandit.cli' found in sys.modules",
+                                RuntimeWarning)
+        runpy.run_module("graphbandit.cli", run_name="__main__")
+    assert err.value.code == 0
+    assert "strongly_observable" in capsys.readouterr().out
 
 
 def test_help_lists_flags(capsys):

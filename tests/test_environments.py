@@ -455,18 +455,24 @@ def test_capped_set_probabilistic_regime():
     assert max(domination_counts(g, sorted(result.vertices))) <= result.cap
 
 
-def test_capped_set_equals_reference():
+def test_capped_set_equals_reference(monkeypatch):
     # small random graphs take the greedy path; the long cycles, with and
     # without chords, are in the probabilistic regime (delta >= 50 ln K) or
-    # close to it, and max_attempts=0 forces the fallback there
+    # close to it, and no attempts (CAPPED_SET_ATTEMPTS = 0) forces the
+    # fallback there. The last graph, a 300-cycle plus a vertex 301 that
+    # sees vertices 1..15, has delta = 287 >= 50 ln 301, and vertex 301
+    # dominates more than the beta fraction, so the shrink step drops its 15
     rng = np.random.default_rng(1206)
     graphs = [random_weakly_observable_graph(rng, max_vertices=14) for _ in range(60)]
     graphs += [_chorded_cycle(n, chords, rng)
                for n, chords in ((300, 0), (300, 30), (550, 55), (800, 0))]
+    graphs.append(FeedbackGraph(301, [(v, v % 300 + 1) for v in range(1, 301)]
+                                + [(301, v) for v in range(1, 16)] + [(1, 301)]))
     for g in graphs:
         seed = int(rng.integers(1 << 30))
         for max_attempts in (64, 0):
-            got = domination_capped_independent_set(g, seed=seed, max_attempts=max_attempts)
+            monkeypatch.setattr("graphbandit.environments.CAPPED_SET_ATTEMPTS", max_attempts)
+            got = domination_capped_independent_set(g, seed=seed)
             want = reference_capped_independent_set(g, seed=seed, max_attempts=max_attempts)
             assert got == want, (g, max_attempts)
 

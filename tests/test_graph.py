@@ -13,7 +13,6 @@ from graphbandit.graph import (
     _mis_size,
     catalog,
     classify_graph,
-    classify_vertex,
     independence_number,
     parse_graph,
     predict_rate,
@@ -27,6 +26,7 @@ from oracles import (
     all_minimum_dominating_sets,
     brute_force_alpha,
     brute_force_delta,
+    classify_vertex,
     format_graph,
     in_neighbors,
     is_independent,
@@ -332,12 +332,14 @@ def test_degree_ordered_copy_is_a_renaming_by_ascending_degree():
         assert _degree_ordered(adj) == expected
 
 
-def test_alpha_refuses_more_than_64_vertices():
+def test_alpha_refuses_more_than_64_vertices(monkeypatch):
     # a perfect matching on 64 vertices uses every bit of the packed rows
     g = FeedbackGraph(64, [(2 * i + 1, 2 * i + 2) for i in range(32)])
-    assert independence_number(g, exact_cap=64) == (32, frozenset(range(1, 64, 2)))
+    monkeypatch.setattr("graphbandit.graph.ALPHA_EXACT_CAP", 64)
+    assert independence_number(g) == (32, frozenset(range(1, 64, 2)))
+    monkeypatch.setattr("graphbandit.graph.ALPHA_EXACT_CAP", 100)
     with pytest.raises(ValueError, match="exceeds 64"):
-        independence_number(FeedbackGraph(65, []), exact_cap=100)
+        independence_number(FeedbackGraph(65, []))
 
 
 @pytest.mark.parametrize("low,high", [(0.05, 0.15), (0.3, 0.6)], ids=["sparse", "dense"])
@@ -420,12 +422,14 @@ def test_delta_witness_is_lexicographically_smallest():
             assert tuple(sorted(witness)) == min(optima)
 
 
-def test_delta_greedy_fallback_bounds():
+def test_delta_greedy_fallback_bounds(monkeypatch):
     rng = np.random.default_rng(6)
     for _ in range(40):
         g = random_graph(rng, int(rng.integers(3, 11)), float(rng.uniform(0.1, 0.6)))
         exact_delta, _, _ = weak_domination_number(g)
-        greedy_delta, greedy_witness, flag = weak_domination_number(g, exact_cap=0)
+        with monkeypatch.context() as m:
+            m.setattr("graphbandit.graph.DELTA_EXACT_CAP", 0)
+            greedy_delta, greedy_witness, flag = weak_domination_number(g)
         w = weakly_observable_set(g)
         if not w:
             assert greedy_delta == 0
@@ -436,7 +440,7 @@ def test_delta_greedy_fallback_bounds():
             assert any(v in g.out_neighbors(d) for d in greedy_witness)
 
 
-def test_delta_greedy_cover_equals_the_reference_greedy_cover():
+def test_delta_greedy_cover_equals_the_reference_greedy_cover(monkeypatch):
     # whole tuples past the exact cap: the tie-break (the first max-gain
     # candidate in vertex order) is pinned, not just the size bounds
     rng = np.random.default_rng(11)
@@ -448,10 +452,11 @@ def test_delta_greedy_cover_equals_the_reference_greedy_cover():
             assert result == reference_weak_domination_number(g)
             greedy += not result[2]
     assert greedy >= 60
+    monkeypatch.setattr("graphbandit.graph.DELTA_EXACT_CAP", 0)
     for _ in range(200):
         g = random_graph(rng, int(rng.integers(1, 13)), float(rng.uniform(0.05, 0.6)),
                          float(rng.uniform(0, 1)))
-        result = weak_domination_number(g, exact_cap=0)
+        result = weak_domination_number(g)
         assert result == reference_weak_domination_number(g, exact_cap=0)
         assert result[2] is not bool(weakly_observable_set(g))
 

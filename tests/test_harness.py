@@ -254,6 +254,9 @@ BAD_PLAYERS = {
     "hedge_without_eta": (dict(algorithm="hedge"), "hedge needs an explicit eta"),
     "hedge_eta_zero": (dict(algorithm="hedge", eta=0.0), "eta must be positive"),
     "eta_nan": (dict(MANUAL, eta=float("nan")), "eta must be positive"),
+    # infinity once passed `eta > 0` and played p = [nan, nan, nan]
+    "eta_inf": (dict(MANUAL, eta=float("inf")), "eta must be positive"),
+    "hedge_eta_inf": (dict(algorithm="hedge", eta=float("inf")), "eta must be positive"),
     "unknown_algorithm": (dict(algorithm="exp4"), "unknown algorithm 'exp4'"),
     "unknown_preset": (dict(preset="lucky"), "unknown preset 'lucky'"),
     "unknown_mode": (dict(MANUAL, mode="psychic"), "unknown mode 'psychic'"),

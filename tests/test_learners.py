@@ -434,6 +434,7 @@ BOUND_REFUSALS = {
     "eta_zero": (dict(eta=0.0), "eta must be positive"),
     # NaN once passed `eta <= 0` and returned lhs = rhs = nan
     "eta_nan": (dict(eta=float("nan")), "eta must be positive"),
+    "eta_inf": (dict(eta=float("inf")), "eta must be positive"),
     "one_subset_for_two_rounds": (dict(subsets=[()]), "one subset per round"),
     "subset_member_past_k": (dict(subsets=[(3,), ()]), "subset member 3 out of range"),
     "comparator_past_k": (dict(comparator=3), "comparator 3 out of range"),
@@ -636,6 +637,8 @@ EXP3G_REFUSALS = {
     "eta_zero": (lambda: Exp3G(3, 0.0, 0.1, graph=BANDIT3), "eta must be positive"),
     # NaN once passed `eta <= 0` and played p = [nan, nan, nan]
     "eta_nan": (lambda: Exp3G(3, float("nan"), 0.1, graph=BANDIT3), "eta must be positive"),
+    # infinity once passed `eta > 0` the same way
+    "eta_inf": (lambda: Exp3G(3, float("inf"), 0.1, graph=BANDIT3), "eta must be positive"),
     "gamma_above_one": (lambda: Exp3G(3, 0.1, 1.5, graph=BANDIT3), r"gamma must lie in \[0, 1\]"),
     "gamma_nan": (lambda: Exp3G(3, 0.1, float("nan"), graph=BANDIT3),
                   r"gamma must lie in \[0, 1\]"),
