@@ -10,12 +10,15 @@ the wall time goes to stdout only, so a faster engine changes no file.
 
 import argparse
 import math
+import sys
 import time
 from pathlib import Path
 
-from graphbandit.environments import EnvSpec
-from graphbandit.graph import catalog
-from graphbandit.harness import LearnerSpec, SweepConfig, sweep
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this tree's package
+
+from graphbandit.environments import EnvSpec  # noqa: E402
+from graphbandit.graph import catalog  # noqa: E402
+from graphbandit.harness import LearnerSpec, SweepConfig, sweep  # noqa: E402
 
 RATE_GRID = tuple(2**k for k in range(9, 15))
 RATE_SEED = 2025

@@ -52,6 +52,9 @@ def _resolve_graph(args) -> FeedbackGraph:
     path = getattr(args, "graphfile", None) or getattr(args, "graph", None)
     if path and args.catalog:
         raise ValueError("give either a graph file or --catalog, not both")
+    if path and args.k is not None:  # refused unread, even when it equals the file's K
+        raise ValueError("--k sizes a --catalog graph or the thm7 sequence; "
+                         "a graph file gives its own K")
     if path:
         return load_graph(path)
     if args.catalog:

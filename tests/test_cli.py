@@ -78,6 +78,22 @@ def test_two_graph_sources_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "{}"), ("profile", "{}"), ("pm-check", "{}"),
+    ("run", "--graph", "{}", "--mu", "0.2,0.5,0.5", "--T", "10"),
+], ids=["classify", "profile", "pm_check", "run"])
+def test_k_beside_a_graph_file_exits_2(capsys, tmp_path, argv):
+    # --k sizes a --catalog graph or the thm7 sequence, so it is refused even
+    # when it equals the file's K
+    path = tmp_path / "g3.graph"
+    path.write_text(format_graph(catalog("full", 3)))
+    for k in ("7", "3"):
+        code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv), "--k", k)
+        assert (code, out) == (2, "")
+        assert err == ("error: --k sizes a --catalog graph or the thm7 sequence; "
+                       "a graph file gives its own K\n")
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         main(["classify", "--catalog", "bandit", "--k", "2", "--frobnicate"])
