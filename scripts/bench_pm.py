@@ -8,13 +8,14 @@ The parent and the working tree are measured as `scripts/paired.py` says:
 fresh interpreters, BLAS on one thread, `--repeats` rounds that alternate
 which tree goes first.
 
-- per_K: milliseconds of `partial_monitoring.encode`,
-  `check_global_observability` and `check_local_observability` on
-  GRAPHS_PER_K seeded random graphs for each K = 4..9 (edge probability
-  uniform in [0.1, 0.9], self-loop probability uniform in [0, 1], as in the
-  benchmark's analysis corpus), one call per graph in each round: per graph
-  the median over rounds, per K the median and the sum over its graphs. The
-  verdicts and symbol counts of every round of both trees must agree;
+- per_K: milliseconds of `partial_monitoring.encode`, `global_witness`
+  and `local_witness` on GRAPHS_PER_K seeded random graphs for each
+  K = 4..9 (edge probability uniform in [0.1, 0.9], self-loop probability
+  uniform in [0, 1], as in the benchmark's analysis corpus), one call per
+  graph in each round: per graph the median over rounds, per K the median
+  and the sum over its graphs. The verdicts (a game is observable when its
+  witness is None) and each vertex's symbol count of every round of both
+  trees must agree;
 - analysis_pairs: `bench/run.py --workload analysis --seconds 20 --trace 0`
   at each of `--seeds`, the trees taking turns; each run's items_per_s,
   wall_s, peak_rss_mb and correctness. The summary (median, quartiles,
@@ -64,13 +65,14 @@ def worker_per_k():
         start = time.perf_counter()
         instance = pm.encode(g)
         mid = time.perf_counter()
-        glob = pm.check_global_observability(instance)
+        glob = pm.global_witness(instance) is None
         end = time.perf_counter()
-        loc = pm.check_local_observability(instance)
+        loc = pm.local_witness(instance) is None
         spent = {"encode": mid - start, "global": end - mid, "local": time.perf_counter() - end}
         for op in OPS:
             times[str(g.num_vertices)][op].append(1e3 * spent[op])
-        verdicts.append([glob, loc, [s.shape[0] for s in instance.signal_matrices]])
+        # vertex i's symbol count: the rows of its signal matrix S_i
+        verdicts.append([glob, loc, (instance.symbol_matrix.max(axis=1) + 1).tolist()])
     return {"per_K": times, "verdicts": verdicts}
 
 

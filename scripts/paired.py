@@ -7,6 +7,11 @@ new temporary directory). Every measurement runs in a fresh interpreter
 with BLAS pinned to one thread, in the measured tree and with its own
 `src/` first on the path: the recorder calls itself as
 `SCRIPT --worker NAME ARG...`, and the worker prints one JSON object last.
+No interpreter a recorder starts writes bytecode (PYTHONDONTWRITEBYTECODE),
+so each compiles the package as it imports it, and a recorder refuses to
+start while the working tree's `src/`, `tests/` or `bench/` holds a
+`__pycache__`, which the extracted parent never does: with one, the working
+tree would skip the compile that the parent pays.
 
 The host's speed drifts for minutes at a time, so the trees take turns:
 `--repeats` rounds per tree, and in round i `turns` runs the parent first
@@ -29,7 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+NO_BYTECODE = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+ENV = {**NO_BYTECODE, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ANALYSIS_RUN = "bench/run.py --workload analysis --seconds 20 --trace 0"
 
 
@@ -102,6 +108,13 @@ def host() -> dict:
             "src_bytecode": (ROOT / "src" / "graphbandit" / "__pycache__").is_dir()}
 
 
+def cached_bytecode(tree: Path) -> list:
+    """The `__pycache__` directories under `tree`'s `src/`, `tests/` and
+    `bench/`, relative to `tree`."""
+    return [str(path.relative_to(tree)) for part in ("src", "tests", "bench")
+            for path in sorted((tree / part).rglob("__pycache__"))]
+
+
 def _git(*argv) -> bytes:
     return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -129,6 +142,10 @@ def start(doc: str, out: str, workers: dict, repeats: int, seeds=None, min_repea
         sys.exit(0)
     if args.repeats < min_repeats:
         parser.error(f"--repeats must be at least {min_repeats}")
+    cached = cached_bytecode(ROOT)
+    if cached:
+        sys.exit("the working tree holds bytecode that the parent's extraction does not; "
+                 f"remove it first: {' '.join(cached)}")
 
     work = Path(args.work or tempfile.mkdtemp(prefix=Path(out).stem.lower() + "_"))
     parent = work / "parent"
@@ -152,7 +169,8 @@ def write(report: dict, out: str) -> None:
 def _bench_run(tree: Path, seed: int, trace: int) -> str:
     cmd = [sys.executable, "bench/run.py", "--workload", "analysis", "--seed", str(seed),
            "--seconds", "20", "--trace", str(trace)]
-    return subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return subprocess.run(cmd, env=NO_BYTECODE, cwd=tree, check=True, capture_output=True,
+                          text=True).stdout
 
 
 def analysis(report: dict, trees: dict, seeds: list, layer=None, lower=()) -> None:

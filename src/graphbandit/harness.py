@@ -309,10 +309,13 @@ def _play_batch(graph, spec: LearnerSpec, games):
     drawn up front as `rng.random(T)`, the same numbers T calls to
     `rng.random()` give.
 
-    Every row acts through one `exp3g_distribution` call (see `_player_row`).
-    Hedge's update adds the full loss rows; every other row adds importance-
-    weighted estimates, which gamma = 1 rows never read and cannot make raise
-    (an observed vertex has P(i) >= p(a) > 0).
+    Each round of every row is three calls to the learners module: the play
+    distribution `exponential_weights` (Hedge is its gamma = 0 row, see
+    `_player_row`), the draw `sample_index`, and the update
+    `importance_weighted_estimates`, which adds the round's estimates into
+    the cumulative losses. The loop keeps only Hedge's update, the full loss
+    rows added unweighted. gamma = 1 rows never read their estimates and
+    cannot make them raise (an observed vertex has P(i) >= p(a) > 0).
 
     The arithmetic is the learners module's, called with buffers allocated
     once per batch and sliced per segment. A segment that starts an epoch
@@ -461,7 +464,7 @@ def _play_batch(graph, spec: LearnerSpec, games):
             for i in range(rounds):
                 if retarget:
                     terms = table.take(seg_keys[i], axis=0)
-                p = learners.exp3g_distribution(cum, eta_t, (keep, terms), out=p_out)
+                p = learners.exponential_weights(cum, eta_t, (keep, terms), out=p_out)
                 a = learners.sample_index(p, seg_uniforms[i], out=seg_actions[i])
                 if hedge:  # full information: every loss, unweighted
                     cum += seg_losses[i]
@@ -469,8 +472,8 @@ def _play_batch(graph, spec: LearnerSpec, games):
                 if switching:  # the actions' rows of out_rows on the round graphs
                     in_mat = in_mats.take(seg_ids[i], axis=0)
                     a = seg_rows[i] + a
-                cum += learners.importance_weighted_estimates(
-                    in_mat, p, out_rows.take(a, axis=0), seg_losses[i], out=est_out
+                learners.importance_weighted_estimates(
+                    in_mat, p, out_rows.take(a, axis=0), seg_losses[i], cum, out=est_out
                 )
 
     for r, best in enumerate(best_fixed):
@@ -494,17 +497,13 @@ def _play_row(cumulative, eta, terms, hedge, mats, observed, uniforms, losses, g
     cum = cumulative.tolist()
     drawn = []
     for u, g, row in zip(uniforms.tolist(), graph_ids.tolist(), losses):
-        p = learners.exp3g_distribution(cum, eta, terms[g])
+        p = learners.exponential_weights(cum, eta, terms[g])
         a = learners.sample_index(p, u)
         drawn.append(a)
         if hedge:  # full information: every loss, unweighted
             cum = [c + x for c, x in zip(cum, row.tolist())]
             continue
-        seen = observed[g][a]
-        est = learners.importance_weighted_estimates(mats[g], p, seen, row.tolist())
-        # the other estimates are 0.0, and c + 0.0 is c (no entry is -0.0)
-        for i in seen:
-            cum[i] += est[i]
+        learners.importance_weighted_estimates(mats[g], p, observed[g][a], row.tolist(), cum)
     actions[:] = drawn
     cumulative[:] = cum
 

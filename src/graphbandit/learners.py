@@ -1,23 +1,24 @@
 """Exponential-weights learners with graph feedback: Exp3.G's row functions
-(play distribution, draw, importance-weighted estimates), its parameter
-presets, and the single-game `Exp3G` reference. Hedge is exponential weights
-over cumulative losses.
+(play distribution, draw, and the update that adds importance-weighted
+estimates), its parameter presets, and the single-game `Exp3G` reference.
+Hedge is exponential weights over cumulative losses: the play distribution
+with gamma = 0.
 
 Actions are the graph's vertices, 1-indexed; entry i-1 of a probability
-vector belongs to action i. The row functions work along a trailing action
-axis, in the two forms the lockstep engine plays them:
+vector belongs to action i. A round is three row-function calls,
+`exponential_weights`, `sample_index` and `importance_weighted_estimates`,
+along a trailing action axis, in the two forms the lockstep engine plays:
 - one row as Python floats and lists: the cumulative losses, rates and
   distribution are lists and floats, the draw takes a float uniform and
-  returns an int, and the estimate reads the observed vertices as 0-based
+  returns an int, and the update reads the observed vertices as 0-based
   indices. The engine plays a lone row so, and so does the single-game
   `Exp3G` reference;
 - R x K rows of games in lockstep, as numpy arrays written into buffers the
   engine allocates once per batch (`out=`): the draw takes the R x 1 column
-  of uniforms, the estimate an in-matrix, a boolean mask and full loss rows.
-`exponential_weights` and `exp3g_distribution` also allocate a new array
-when no `out=` is given, the same bits. The estimate takes one matrix-vector
-product per row for any R, as BLAS rounds a product over all rows by their
-count.
+  of uniforms, the update an in-matrix, a boolean mask and full loss rows.
+`exponential_weights` also allocates a new array when no `out=` is given,
+the same bits. The estimate takes one matrix-vector product per row for any
+R, as BLAS rounds a product over all rows by their count.
 
 A numpy call on K <= 10 floats costs about a microsecond (2-vCPU Xeon,
 numpy 2.4), most of it overhead, so the list form calls numpy only where its
@@ -63,52 +64,45 @@ def _check_rates(eta, gamma):
         raise ValueError("gamma must lie in [0, 1]")
 
 
-def exponential_weights(cumulative, eta, out: np.ndarray | None = None):
-    """Distribution proportional to exp(-eta * cumulative) along the trailing
-    action axis: one K-vector, or R x K rows with `eta` a scalar, an R x 1
-    column or an R x K array (the same bits, but no column is broadcast).
+def exponential_weights(cumulative, eta, terms: tuple, out: np.ndarray | None = None):
+    """Exp3.G's play distribution: (1 - gamma) times the distribution
+    proportional to exp(-eta * cumulative), plus gamma * u, along the
+    trailing action axis. One K-vector, or R x K rows with `eta` a scalar,
+    an R x 1 column or an R x K array (the same bits, but no column is
+    broadcast).
+
+    `terms` is `exploration_terms(gamma, u)` for the exploration rate gamma
+    and distribution u, computed once by a caller that plays many rounds
+    with the same gamma and u. Hedge and the plain weights pass gamma = 0
+    terms, whose 1.0 * w + 0.0 is w bit for bit.
 
     Computed with a max shift in log space: the cumulative estimates can reach
     |U|/gamma per round, so the naive product underflows long before the
     distribution itself degenerates.
 
-    A list of floats is one row, with `eta` a float: the result is a list,
-    the bits of its row of an R x K call. `out`, a float array of the
-    cumulative's shape, receives an array result and is returned; by
-    default a new array is. Both give the same bits.
+    A list of floats is one row, with `eta` a float and the exploration term
+    a list: the result is a list, the bits of its row of an R x K call.
+    `out`, a float array of the cumulative's shape, receives an array result
+    and is returned; by default a new array is. Both give the same bits.
     """
+    keep, explore = terms
     if isinstance(cumulative, list):  # one row
         low = min(cumulative)
         w = np.exp([eta * (low - c) for c in cumulative])
         total = float(np.add.reduce(w))
-        return [x / total for x in w.tolist()]
+        return [keep * (x / total) + e for x, e in zip(w.tolist(), explore)]
     low = np.minimum.reduce(cumulative, axis=-1, keepdims=True)
     w = np.multiply(eta, np.subtract(low, cumulative, out=out), out=out)
     np.exp(w, out=w)
-    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
+    np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
+    np.multiply(keep, w, out=w)
+    return np.add(w, explore, out=w)
 
 
 def exploration_terms(gamma, u: np.ndarray) -> tuple:
     """The two parts of Exp3.G's mixture that the weights do not change: the
     factor 1 - gamma and the exploration term gamma * u."""
     return 1.0 - gamma, gamma * u
-
-
-def exp3g_distribution(cumulative, eta, terms: tuple, out: np.ndarray | None = None):
-    """Exp3.G's play distribution: exponential weights mixed with a uniform
-    exploration distribution, row by row like `exponential_weights`.
-
-    `terms` is `exploration_terms(gamma, u)` for the exploration rate gamma
-    and distribution u, computed once by a caller that plays many rounds
-    with the same gamma and u; a list row takes the factor as a float and
-    the term as a list. `out` works as in `exponential_weights`.
-    """
-    keep, explore = terms
-    p = exponential_weights(cumulative, eta, out=out)
-    if isinstance(p, list):  # one row
-        return [keep * x + e for x, e in zip(p, explore)]
-    np.multiply(keep, p, out=p)
-    return np.add(p, explore, out=p)
 
 
 def exploration_vector(num_actions: int, vertices) -> np.ndarray:
@@ -156,45 +150,49 @@ def sample_index(dist, u, out: np.ndarray | None = None):
     return np.greater(c, u).argmax(-1, out)
 
 
-def importance_weighted_estimates(in_matrix: np.ndarray, p, observed, losses, out=None):
-    """Loss estimates: observed losses divided by their observation
-    probability P(i) = in-neighborhood mass under p; zero elsewhere.
+def importance_weighted_estimates(in_matrix: np.ndarray, p, observed, losses, cumulative,
+                                  out=None):
+    """Add the round's loss estimates into `cumulative` in place and return
+    it: observed losses divided by their observation probability P(i) =
+    in-neighborhood mass under p; zero elsewhere, so an unobserved entry
+    keeps its bits (c + 0.0 is c, and no cumulative loss is -0.0).
 
     Two forms, the two the engine plays. One row: p is a list of floats on
     one K x K in-matrix, `observed` lists the observed actions' 0-based
-    indices, `losses` is the row's losses as floats, and the estimates come
-    back as a list. R x K rows: `in_matrix` is one K x K broadcast over the
-    rows, or R x K x K with one per row; `observed` is a boolean R x K mask
-    and `losses` the full loss rows, of which only the masked entries are
-    read; `out`, a float array of p's shape, is zero-filled, receives the
-    estimates and is returned.
+    indices, `losses` is the row's losses as floats, and `cumulative` a list
+    of floats. R x K rows: `in_matrix` is one K x K broadcast over the rows,
+    or R x K x K with one per row; `observed` is a boolean R x K mask and
+    `losses` the full loss rows, of which only the masked entries are read;
+    `out`, a float array of p's shape, is zero-filled and receives the
+    estimates, which are then added to the `cumulative` array.
 
     When the indicator is zero the estimate is zero with no division
     performed, so P(i)=0 off the observed set is fine: the masked divide
     never touches those entries and sets no floating-point flag. P(i)=0 on
     the observed set means the event is inconsistent with p and signals a
-    harness bug; it raises a RuntimeError naming the vertices. The rows
-    catch it from numpy's divide flags, with no pass over the result, so
-    the caller calls them under `np.errstate(divide="raise",
-    invalid="raise")`, entered once around its rounds, since entering it
-    costs more than the rest of the call. The list row catches Python's
-    ZeroDivisionError, which x/0 and 0/0 both raise.
+    harness bug; it raises a RuntimeError naming the vertices, before
+    `cumulative` changes. The rows catch it from numpy's divide flags, with
+    no pass over the result, so the caller calls them under
+    `np.errstate(divide="raise", invalid="raise")`, entered once around its
+    rounds, since entering it costs more than the rest of the call. The list
+    row catches Python's ZeroDivisionError, which x/0 and 0/0 both raise.
     """
     if isinstance(p, list):  # one row
         prob = in_matrix.dot(p).tolist()
-        est = [0.0] * len(p)
         try:
-            for i in observed:
-                est[i] = losses[i] / prob[i]
+            est = [losses[i] / prob[i] for i in observed]
         except ZeroDivisionError:
             _zero_probability([i + 1 for i in observed if prob[i] <= 0.0])
-        return est
+        for i, x in zip(observed, est):
+            cumulative[i] += x
+        return cumulative
     out.fill(0.0)
     prob = np.matmul(in_matrix, p[..., None])[..., 0]
     try:
-        return np.divide(losses, prob, out=out, where=observed)
+        np.divide(losses, prob, out=out, where=observed)
     except FloatingPointError:  # x/0 is a divide flag, 0/0 an invalid one
         _zero_probability((np.argwhere(observed & (prob <= 0.0))[:, -1] + 1).tolist())
+    return np.add(cumulative, out, out=cumulative)
 
 
 def _zero_probability(vertices):
@@ -265,12 +263,12 @@ class Exp3G:
 
     @property
     def q(self) -> list:
-        return exponential_weights(self.cumulative, self.eta)
+        return exponential_weights(self.cumulative, self.eta, (1.0, [0.0] * self.num_actions))
 
     @property
     def p(self) -> list:
         if self._p is None:
-            self._p = exp3g_distribution(self.cumulative, self.eta, self._terms)
+            self._p = exponential_weights(self.cumulative, self.eta, self._terms)
         return self._p
 
     def set_round_graph(self, g: FeedbackGraph, prof: GraphProfile | None = None):
@@ -320,10 +318,7 @@ class Exp3G:
         row = [0.0] * self.num_actions
         for i, x in zip(seen, losses):
             row[i] = x
-        est = importance_weighted_estimates(g.in_matrix, self.p, seen, row)
-        # the other estimates are 0.0, and c + 0.0 is c (no entry is -0.0)
-        for i in seen:
-            self.cumulative[i] += est[i]
+        importance_weighted_estimates(g.in_matrix, self.p, seen, row, self.cumulative)
         self.round += 1
         self._p = None
         if self.mode != MODE_FIXED:

@@ -168,6 +168,13 @@ def domination_counts(g: FeedbackGraph, members):
     return counts
 
 
+def hedge_terms(num_actions: int) -> tuple:
+    """The gamma = 0 exploration terms, with which
+    `learners.exponential_weights` is Hedge's distribution bit for bit
+    (1.0 * w + 0.0 is w). The term is a list, which both forms take."""
+    return 1.0, [0.0] * num_actions
+
+
 def hedge_distribution_highprec(losses, eta, upto):
     """Exponential-weights distribution after `upto` rounds, via mpmath."""
     import mpmath
@@ -714,7 +721,7 @@ def hedge_second_order_bound(losses, eta: float, subsets=None, comparator=None) 
     # round t plays exponential weights over the losses of rounds before t
     cumulative = np.zeros(losses.shape)
     np.cumsum(losses[:-1], axis=0, out=cumulative[1:])
-    q = learners.exponential_weights(cumulative, eta)
+    q = learners.exponential_weights(cumulative, eta, hedge_terms(num_actions))
     sq = q * losses * losses
     sq = np.where(masks, sq * (1.0 - q), sq)
     player = 0.0
@@ -795,7 +802,7 @@ class Hedge:
 
     @property
     def distribution(self) -> np.ndarray:
-        return learners.exponential_weights(self.cumulative, self.eta)
+        return learners.exponential_weights(self.cumulative, self.eta, hedge_terms(self.num_actions))
 
     def step(self, losses) -> np.ndarray:
         """Accumulate one round of losses and return the next distribution."""

@@ -153,7 +153,7 @@ def test_criterion_03_estimator_unbiasedness():
         for j in range(1, k + 1):
             observed = np.flatnonzero(g.in_matrix[:, j - 1]).tolist()  # j's out-neighborhood
             expectation += p[j - 1] * np.array(importance_weighted_estimates(
-                g.in_matrix, p.tolist(), observed, row.tolist()
+                g.in_matrix, p.tolist(), observed, row.tolist(), [0.0] * k
             ))
         observable = (g.in_matrix @ p) > 0
         gap = np.abs(expectation - row)[observable]

@@ -101,7 +101,7 @@ def test_exp3g_with_zero_gamma_matches_hedge_on_full_feedback():
 def test_zero_probability_path_raises_without_a_warning(monkeypatch, mu):
     # the play distribution puts all mass on action 1, yet action 2 is drawn,
     # whose observed loss (1, or 0 for a 0/0) then has observation probability 0
-    monkeypatch.setattr(learners, "exp3g_distribution", _point_mass)
+    monkeypatch.setattr(learners, "exponential_weights", _point_mass)
     # a float uniform is a one-row draw, which returns an int
     monkeypatch.setattr(learners, "sample_index",
                         lambda p, u, **_: 1 if isinstance(u, float) else np.ones(len(p), np.intp))
@@ -124,7 +124,7 @@ def _point_mass_player(monkeypatch, draw):
     # the play distribution puts all mass on action 1; `draw(rows)` gives the
     # rows' drawn actions, 0-based, and a one-row draw (a float uniform)
     # returns its action as an int, as `sample_index` does
-    monkeypatch.setattr(learners, "exp3g_distribution", _point_mass)
+    monkeypatch.setattr(learners, "exponential_weights", _point_mass)
     monkeypatch.setattr(learners, "sample_index", lambda p, u, **_: (
         int(draw(1)[0]) if isinstance(u, float) else draw(len(p))
     ))
@@ -174,7 +174,7 @@ def test_long_horizon_play_distribution_stays_normalised(monkeypatch):
     # the cumulative estimates grow, every round's p must stay finite and
     # sum to 1 within 1e-12 (math.fsum is exact)
     horizon, rounds = 1 << 18, []
-    distribution = learners.exp3g_distribution
+    distribution = learners.exponential_weights
 
     def checked(*args, **kwargs):
         p = distribution(*args, **kwargs)
@@ -183,7 +183,7 @@ def test_long_horizon_play_distribution_stays_normalised(monkeypatch):
         rounds.append(None)
         return p
 
-    monkeypatch.setattr(learners, "exp3g_distribution", checked)
+    monkeypatch.setattr(learners, "exponential_weights", checked)
     env = bernoulli_env((0.3,) + (0.5,) * 9, horizon, seed=18)
     run = run_game(catalog("loopy_star", 10), LearnerSpec(algorithm="exp3g", preset="strong"),
                    env, 18)

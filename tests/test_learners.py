@@ -11,7 +11,6 @@ from graphbandit.graph import FeedbackGraph, GraphClass, catalog, profile
 from graphbandit.learners import (
     Exp3G,
     doubling_rates,
-    exp3g_distribution,
     exploration_terms,
     exploration_vector,
     exponential_weights,
@@ -26,6 +25,7 @@ from graphbandit.learners import (
 from oracles import (
     hedge_distribution_highprec,
     hedge_second_order_bound,
+    hedge_terms,
     random_distribution,
     random_graph,
 )
@@ -43,13 +43,13 @@ def full_feedback(g, action, row):
 
 
 def test_hedge_first_step_example():
-    q = exponential_weights(np.array([0.0, math.log(2.0)]), eta=1.0)
+    q = exponential_weights(np.array([0.0, math.log(2.0)]), eta=1.0, terms=hedge_terms(2))
     assert np.allclose(q, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_hedge_equal_losses_stay_uniform():
     losses = np.repeat([[0.3], [1.0], [0.0], [2.5]], 5, axis=1)
-    for q in exponential_weights(np.cumsum(losses, axis=0), 0.7):
+    for q in exponential_weights(np.cumsum(losses, axis=0), 0.7, hedge_terms(5)):
         assert np.allclose(q, 0.2, atol=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_hedge_matches_direct_recomputation():
         k = int(rng.integers(2, 8))
         eta = float(rng.uniform(0.05, 2.0))
         losses = rng.uniform(0, 3.0, size=(20, k))
-        dists = exponential_weights(np.cumsum(losses, axis=0), eta)
+        dists = exponential_weights(np.cumsum(losses, axis=0), eta, hedge_terms(k))
         for t in range(20):
             direct = np.exp(-eta * losses[: t + 1].sum(axis=0))
             direct /= direct.sum()
@@ -77,7 +77,7 @@ def test_hedge_matches_high_precision_reference():
         k = int(rng.integers(2, 6))
         eta = float(rng.uniform(0.1, 1.5))
         losses = rng.uniform(0, 5.0, size=(15, k))
-        q = exponential_weights(np.cumsum(losses, axis=0), eta)[-1]
+        q = exponential_weights(np.cumsum(losses, axis=0), eta, hedge_terms(k))[-1]
         expected = hedge_distribution_highprec(losses, eta, 15)
         assert np.allclose(q, expected, atol=1e-12)
 
@@ -88,15 +88,15 @@ def test_exponential_weights_shift_invariance():
     cum = rng.uniform(0, 50, size=8)
     for c in (-3.0, 0.0, 17.5, 400.0):
         assert np.allclose(
-            exponential_weights(cum, 0.3),
-            exponential_weights(cum + c, 0.3),
+            exponential_weights(cum, 0.3, hedge_terms(8)),
+            exponential_weights(cum + c, 0.3, hedge_terms(8)),
             atol=1e-12,
         )
 
 
 def test_exponential_weights_survives_huge_cumulatives():
     cum = np.array([0.0, 5_000.0, 10_000.0])
-    q = exponential_weights(cum, 1.0)
+    q = exponential_weights(cum, 1.0, hedge_terms(3))
     assert q[0] == pytest.approx(1.0)
     assert np.isfinite(q).all() and q.sum() == pytest.approx(1.0)
 
@@ -121,15 +121,15 @@ def test_buffered_row_functions_equal_allocating_calls(rows, k):
     def junk():
         return np.full((rows, k), 7.0)
 
-    q = exponential_weights(cum, eta)
+    q = exponential_weights(cum, eta, hedge_terms(k))
     out = junk()
-    assert exponential_weights(cum, eta_rows, out=out) is out
+    assert exponential_weights(cum, eta_rows, hedge_terms(k), out=out) is out
     assert np.array_equal(out, q)
 
-    p = exp3g_distribution(cum, eta, exploration_terms(gamma, u))
+    p = exponential_weights(cum, eta, exploration_terms(gamma, u))
     out = junk()
     terms = exploration_terms(gamma_rows, u)
-    assert exp3g_distribution(cum, eta_rows, terms, out=out) is out
+    assert exponential_weights(cum, eta_rows, terms, out=out) is out
     assert np.array_equal(out, p)
     assert np.isfinite(p).all() and (p >= 0).all()
     assert np.abs(np.add.reduce(p, axis=1) - 1.0).max() <= 1e-12
@@ -142,10 +142,12 @@ def test_buffered_row_functions_equal_allocating_calls(rows, k):
     in_matrix = random_graph(rng, k, 0.4, self_loop_prob=1.0).in_matrix
     observed = in_matrix.T[drawn] > 0
     losses = (rng.integers(0, 3, size=(rows, k)) / 2).astype(np.float16)
-    est = junk()  # zero-filled where not observed
+    est, updated = junk(), np.zeros((rows, k))  # est: zero-filled where not observed
     with np.errstate(divide="raise", invalid="raise"):
-        assert importance_weighted_estimates(in_matrix, p, observed, losses, out=est) is est
+        assert importance_weighted_estimates(
+            in_matrix, p, observed, losses, updated, out=est) is updated
     assert np.isfinite(est).all() and (est[~observed] == 0).all()
+    assert np.array_equal(updated, est)
 
 
 @pytest.mark.parametrize("loss", [0.3, 0.0])
@@ -154,9 +156,10 @@ def test_one_row_list_estimates_raise_the_same_error(loss):
     # turns it into the array forms' RuntimeError, naming the vertex
     g = FeedbackGraph(2, [(1, 2), (2, 2)])
     with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero") as caught:
-        importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0])
+        importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0], [0.0, 0.0])
     assert caught.value.__suppress_context__
-    assert importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [1], [loss, 0.5]) == [0.0, 0.5]
+    assert importance_weighted_estimates(
+        g.in_matrix, [0.5, 0.5], [1], [loss, 0.5], [0.0, 0.0]) == [0.0, 0.5]
 
 
 @pytest.mark.parametrize("loss", [0.3, 0.0])
@@ -167,7 +170,7 @@ def test_estimates_zero_probability_raises_without_a_warning(loss):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="zero observation probability"):
-            importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0])
+            importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [loss, 0.0], [0.0, 0.0])
 
 
 def test_estimates_zero_probability_on_observed_set_raises():
@@ -180,7 +183,7 @@ def test_estimates_zero_probability_on_observed_set_raises():
         with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero"):
             importance_weighted_estimates(
                 in_matrices, np.full((2, 2), 0.5), np.array([[True, True], [True, False]]),
-                np.array([[0.3, 0.0], [0.3, 0.0]]), out=np.empty((2, 2)),
+                np.array([[0.3, 0.0], [0.3, 0.0]]), np.zeros((2, 2)), out=np.empty((2, 2)),
             )
 
 
@@ -194,7 +197,7 @@ def test_estimates_zero_probability_off_the_observed_set_is_no_error():
     expected = [0.0, 0.5 / (p @ g.in_matrix.T)[0, 1]]
     out = np.full((1, 2), 7.0)
     with np.errstate(all="raise"):
-        importance_weighted_estimates(g.in_matrix, p, observed, losses, out=out)
+        importance_weighted_estimates(g.in_matrix, p, observed, losses, np.zeros((1, 2)), out=out)
     assert out.tolist() == [expected]
 
 
@@ -209,7 +212,7 @@ def test_buffered_estimates_raise_from_the_divide_flags(loss):
         with pytest.raises(RuntimeError, match=r"observed actions \[1\] have zero"):
             importance_weighted_estimates(
                 g.in_matrix, np.array([[0.5, 0.5]]), np.array([[True, False]]),
-                np.array([[loss, 0.0]]), out=np.empty((1, 2)),
+                np.array([[loss, 0.0]]), np.zeros((1, 2)), out=np.empty((1, 2)),
             )
     assert np.geterr() == before
 
@@ -218,11 +221,78 @@ def _hex(values) -> list:
     return [float(x).hex() for x in np.ravel(values)]
 
 
-def _buffered_estimates(in_matrix, p, observed, losses):
-    """The estimate rows as the engine takes them: into a buffer, under the
-    errstate it enters once per batch."""
+# vertex 3 has no in-edges, so P(3) = 0 under any p; vertices 1 and 2 have
+# in-edges from vertex 1, so P > 0 on them under a p with p(1) > 0
+UPDATE_GRAPH = FeedbackGraph(3, [(1, 1), (1, 2), (2, 2), (3, 1)])
+
+
+def _update(cumulative, p, observed, losses):
+    """One update in the form `cumulative` takes: a list is one row with
+    0-based observed vertices, an array R x K rows with a boolean mask."""
+    if isinstance(cumulative, list):
+        return importance_weighted_estimates(
+            UPDATE_GRAPH.in_matrix, p, observed, losses, cumulative)
     with np.errstate(divide="raise", invalid="raise"):
-        return importance_weighted_estimates(in_matrix, p, observed, losses, out=np.empty(p.shape))
+        return importance_weighted_estimates(
+            UPDATE_GRAPH.in_matrix, p, observed, losses, cumulative,
+            out=np.empty(cumulative.shape))
+
+
+@pytest.mark.parametrize("form", ["list", "rows"])
+def test_update_adds_into_the_cumulative_and_returns_it(form):
+    # the update returns the cumulative it was given, with each observed
+    # entry moved by its estimate and every other entry's bits kept
+    rng = np.random.default_rng(31)
+    cum = rng.random((4, 3)) * 100.0
+    cum[0, 2] = 5e-324  # a subnormal keeps its bits too
+    p = np.array([random_distribution(rng, 3) for _ in range(4)])
+    losses = np.array([[0.5, 1.0, 0.25]] * 4)
+    observed = np.array([[True, True, False], [False, True, False],
+                         [True, False, False], [False, False, False]])
+    est = np.divide(losses, p @ UPDATE_GRAPH.in_matrix.T, where=observed, out=np.zeros((4, 3)))
+    if form == "list":
+        for r in range(4):
+            row = cum[r].tolist()
+            seen = np.flatnonzero(observed[r]).tolist()
+            assert _update(row, p[r].tolist(), seen, losses[r].tolist()) is row
+            assert _hex([row[i] for i in range(3) if i not in seen]) == _hex(cum[r][~observed[r]])
+            assert [row[i] - cum[r, i] for i in seen] == pytest.approx(est[r, seen].tolist())
+        return
+    updated = cum.copy()
+    assert _update(updated, p, observed, losses) is updated
+    assert _hex(updated[~observed]) == _hex(cum[~observed])
+    assert (updated - cum)[observed].tolist() == pytest.approx(est[observed].tolist())
+
+
+@pytest.mark.parametrize("loss", [0.3, 0.0])
+@pytest.mark.parametrize("form", ["list", "rows"])
+def test_update_raises_before_the_cumulative_changes(form, loss):
+    # one row observes vertex 1 (P > 0) and then vertex 3 (P = 0): the
+    # estimate of vertex 1 is computed first, yet no entry moves; R rows
+    # raise on the row that observes vertex 3
+    cum = [[0.75, 2.5, 1e9], [3.0, 0.125, 7.0]]
+    p = [[0.25, 0.25, 0.5], [0.5, 0.25, 0.25]]
+    losses = [[0.5, 1.0, loss], [0.5, 1.0, loss]]
+    if form == "list":
+        args = (cum[0], p[0], [0, 2], losses[0])
+    else:
+        cum = np.array(cum)
+        args = (cum, np.array(p), np.array([[True, True, False], [True, False, True]]),
+                np.array(losses))
+    before = _hex(cum)
+    with pytest.raises(RuntimeError, match=r"observed actions \[3\] have zero"):
+        _update(*args)
+    assert _hex(cum) == before
+
+
+def _buffered_estimates(in_matrix, p, observed, losses, cumulative=None):
+    """The update rows as the engine takes them: into a buffer, under the
+    errstate it enters once per batch; added to zero, they are the
+    estimates."""
+    cumulative = np.zeros(p.shape) if cumulative is None else cumulative.copy()
+    with np.errstate(divide="raise", invalid="raise"):
+        return importance_weighted_estimates(
+            in_matrix, p, observed, losses, cumulative, out=np.empty(p.shape))
 
 
 # 32 rows is a sweep's width, at which a BLAS product over all rows rounded
@@ -252,22 +322,23 @@ def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
     ])
     losses = (rng.integers(0, 3, size=(rows, k)) / 2).astype(np.float16)
 
-    q = exponential_weights(cum, eta)
-    p = exp3g_distribution(cum, eta, exploration_terms(gamma, u))
+    q = exponential_weights(cum, eta, hedge_terms(k))
+    p = exponential_weights(cum, eta, exploration_terms(gamma, u))
     drawn = sample_index(p, uniforms[:, None], out=np.empty(rows, dtype=np.intp))
     observed = in_matrix.T[drawn] > 0
     observed_seq = np.transpose(in_matrices, (0, 2, 1))[np.arange(rows), drawn] > 0
     est = _buffered_estimates(in_matrix, p, observed, losses)
     est_seq = _buffered_estimates(in_matrices, p, observed_seq, losses)
+    updated = _buffered_estimates(in_matrix, p, observed, losses, cum)
     for r in range(rows):
         one = slice(r, r + 1)
-        assert _hex(exponential_weights(cum[one], eta[one])) == _hex(q[r])
-        assert _hex(exponential_weights(cum[r], eta[r])) == _hex(q[r])
+        assert _hex(exponential_weights(cum[one], eta[one], hedge_terms(k))) == _hex(q[r])
+        assert _hex(exponential_weights(cum[r], eta[r], hedge_terms(k))) == _hex(q[r])
         out = np.empty((1, k))
-        assert exponential_weights(cum[one], eta[one], out=out) is out
+        assert exponential_weights(cum[one], eta[one], hedge_terms(k), out=out) is out
         assert _hex(out) == _hex(q[r])
         terms = exploration_terms(gamma[one], u[one])
-        assert _hex(exp3g_distribution(cum[one], eta[one], terms, out=out)) == _hex(p[r])
+        assert _hex(exponential_weights(cum[one], eta[one], terms, out=out)) == _hex(p[r])
         idx = np.full(1, -1, dtype=np.intp)
         assert sample_index(p[one], uniforms[one, None], out=idx) is idx
         assert idx.tolist() == [drawn[r]]
@@ -281,18 +352,20 @@ def test_one_row_calls_equal_their_row_of_the_batch(rows, k):
         # the list form: the row's state as Python floats, observed vertices
         # as 0-based indices
         cum_r, eta_r, row_losses = cum[r].tolist(), float(eta[r, 0]), losses[r].tolist()
-        q_r = exponential_weights(cum_r, eta_r)
+        q_r = exponential_weights(cum_r, eta_r, hedge_terms(k))
         assert type(q_r) is list and _hex(q_r) == _hex(q[r])
         keep, explore = exploration_terms(float(gamma[r, 0]), u[r])
-        p_r = exp3g_distribution(cum_r, eta_r, (keep, explore.tolist()))
+        p_r = exponential_weights(cum_r, eta_r, (keep, explore.tolist()))
         assert type(p_r) is list and _hex(p_r) == _hex(p[r])
         assert sample_index(p_r, float(uniforms[r])) == drawn[r]
         seen = np.flatnonzero(observed[r]).tolist()
-        est_r = importance_weighted_estimates(in_matrix, p_r, seen, row_losses)
+        est_r = importance_weighted_estimates(in_matrix, p_r, seen, row_losses, [0.0] * k)
         assert type(est_r) is list and _hex(est_r) == _hex(est[r])
+        assert _hex(importance_weighted_estimates(
+            in_matrix, p_r, seen, row_losses, cum_r)) == _hex(updated[r])
         seen = np.flatnonzero(observed_seq[r]).tolist()
         assert _hex(importance_weighted_estimates(
-            in_matrices[r], p_r, seen, row_losses)) == _hex(est_seq[r])
+            in_matrices[r], p_r, seen, row_losses, [0.0] * k)) == _hex(est_seq[r])
 
     # a CDF that rounds below 1, and a uniform above its last compared entry
     # and above its total: both forms put the draw on the last action
@@ -462,14 +535,15 @@ def test_second_order_comparator():
 def test_estimates_full_feedback_are_exact():
     g = catalog("full", 4)
     row = [0.5, 0.1, 0.9, 0.0]
-    est = importance_weighted_estimates(g.in_matrix, [0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], row)
+    est = importance_weighted_estimates(
+        g.in_matrix, [0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], row, [0.0] * 4)
     assert np.allclose(est, row, atol=1e-15)
 
 
 def test_estimates_bandit_pair_example():
     g = catalog("bandit", 2)
     # only the observed entry of the loss row is read
-    est = importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [0.5, 0.7])
+    est = importance_weighted_estimates(g.in_matrix, [0.5, 0.5], [0], [0.5, 0.7], [0.0, 0.0])
     assert est == [1.0, 0.0]
 
 
@@ -484,7 +558,7 @@ def test_estimates_unbiased_by_enumeration():
         for j in range(1, k + 1):
             observed = np.flatnonzero(g.in_matrix[:, j - 1]).tolist()  # j's out-neighborhood
             expectation += p[j - 1] * np.array(importance_weighted_estimates(
-                g.in_matrix, p.tolist(), observed, row.tolist()))
+                g.in_matrix, p.tolist(), observed, row.tolist(), [0.0] * k))
         prob = g.in_matrix @ p
         for i in range(k):
             if prob[i] > 0:

@@ -35,4 +35,60 @@ def test_recorder_worker_measures_this_tree(monkeypatch, script, argv, keys):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     import paired
 
-    assert set(paired.run_worker(str(SCRIPTS / script), ROOT, *argv)) == keys
+    result = paired.run_worker(str(SCRIPTS / script), ROOT, *argv)
+    assert set(result) == keys
+    if script == "bench_pm.py":  # the witnesses' verdicts are the checks'
+        assert result["verdicts"] == _pm_verdicts()
+
+
+def _pm_verdicts() -> list:
+    """`bench_pm.py`'s verdict rows from the named checks: global and local
+    observability, and the row count of each vertex's signal matrix."""
+    import bench_pm
+
+    from graphbandit import partial_monitoring as pm
+
+    rows = []
+    for g in bench_pm._graphs():
+        instance = pm.encode(g)
+        rows.append([pm.check_global_observability(instance),
+                     pm.check_local_observability(instance),
+                     [s.shape[0] for s in instance.signal_matrices]])
+    return rows
+
+
+def test_recorders_start_no_interpreter_that_writes_bytecode(monkeypatch, tmp_path):
+    # the workers (and the pilot and Tier-1 runs, on the same environment)
+    # and the analysis runs compile what they import, as the parent's do
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import paired
+
+    assert paired.tree_env(tmp_path)["PYTHONDONTWRITEBYTECODE"] == "1"
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(cmd, 0, stdout="{}\n")
+
+    monkeypatch.setattr(paired.subprocess, "run", run)
+    paired._bench_run(tmp_path, 1, 0)
+    assert calls[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, capsys):
+    # a __pycache__ under src/, tests/ or bench/ is named and nothing is
+    # measured; a worker run does not look
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import paired
+
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "scripts" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(paired, "ROOT", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_x.py"])
+    with pytest.raises(SystemExit, match="src/pkg/__pycache__") as stopped:
+        paired.start("doc", "BENCH_x.json", {}, 1)
+    assert "scripts" not in str(stopped.value)
+    monkeypatch.setattr(sys, "argv", ["bench_x.py", "--worker", "w"])
+    with pytest.raises(SystemExit) as stopped:
+        paired.start("doc", "BENCH_x.json", {"w": lambda: {"ok": 1}}, 1)
+    assert stopped.value.code == 0 and capsys.readouterr().out == '{"ok": 1}\n'
