@@ -16,8 +16,8 @@ on both trees back to back:
   trick) play; the median over rounds, with its quartiles, and per cell
   the median over rounds of the before/after ratio;
 - pilot: wall time of `scripts/run_pilot.py` (32 reps), the median over
-  rounds, and whether its CSVs equal the committed `pilot/*.csv` byte for
-  byte;
+  rounds, and whether every committed file under `pilot/` equals the run's
+  byte for byte;
 - tier1: wall time of the Tier-1 suite, its pass/fail counts and the set-up
   time of the criterion-05 fixtures.
 """
@@ -43,6 +43,8 @@ def _configs(reps, horizons):
     from graphbandit.graph import catalog
     from graphbandit.harness import LearnerSpec, SweepConfig
 
+    # "fixed" is the pilot's strong side, written out: both trees' workers run
+    # this file, and its run_pilot.py would put this tree's src/ first on the path
     thm7 = dict(graph=None, graph_name="thm7-sequence", env=EnvSpec("thm7", {"k": 8}),
                 horizons=horizons, reps=reps, seed=SEED)
     return {
@@ -82,11 +84,10 @@ def measure_pilot(tree: Path, work: Path) -> dict:
     subprocess.run([sys.executable, str(tree / "scripts" / "run_pilot.py"), "--out", str(out_dir)],
                    env=paired.tree_env(tree), check=True, capture_output=True, cwd=tree)
     wall = time.perf_counter() - start
-    same = all(
-        (out_dir / name).read_bytes() == (paired.ROOT / "pilot" / name).read_bytes()
-        for name in ("rate_separation_strong.csv", "rate_separation_weak.csv")
-    )
-    return {"wall_s": wall, "csv_equal_committed": same}
+    same = all((out_dir / path.name).is_file()
+               and (out_dir / path.name).read_bytes() == path.read_bytes()
+               for path in (paired.ROOT / "pilot").iterdir())
+    return {"wall_s": wall, "files_equal_committed": same}
 
 
 def measure_tier1(tree: Path) -> dict:
@@ -134,7 +135,7 @@ def main():
             key: statistics.quantiles(us, n=4)[::2] for key, us in per_round.items()}
         out["pilot_32_reps"] = {
             "wall_s": statistics.median(run["wall_s"] for run in pilot),
-            "csv_equal_committed": all(run["csv_equal_committed"] for run in pilot),
+            "files_equal_committed": all(run["files_equal_committed"] for run in pilot),
         }
         print(f"{label}: tier-1", file=sys.stderr)
         out["tier1"] = measure_tier1(tree)

@@ -104,8 +104,7 @@ def host() -> dict:
     # moves set-up times (PYTHONDONTWRITEBYTECODE, or a fresh checkout)
     return {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "dont_write_bytecode": sys.dont_write_bytecode,
-            "src_bytecode": (ROOT / "src" / "graphbandit" / "__pycache__").is_dir()}
+            "dont_write_bytecode": sys.dont_write_bytecode}
 
 
 def cached_bytecode(tree: Path) -> list:

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Pilot for the rate-separation experiment: runs the exact configurations
-the acceptance suite uses (same graphs, presets, grid, reps, seed) and writes
-the raw rows plus a summary under pilot/.
+"""Pilot for the rate-separation experiment, and its one definition:
+`SEPARATION` holds the strong and the weak sweep (graphs, presets, grid,
+reps, seed), which criteria 05a-05c of the acceptance suite and the
+pilot-row test read, and `summary` gives the lines of `summary.txt`.
 
-Usage: python scripts/run_pilot.py [--reps 32] [--out pilot]
-Re-running with the same flags reproduces the committed files byte for byte;
-the wall time goes to stdout only, so a faster engine changes no file.
+Usage: python scripts/run_pilot.py [--out pilot]
+Writes the raw rows and the summary under --out. Re-running reproduces the
+committed files byte for byte; the wall time goes to stdout only, so a
+faster engine changes no file.
 """
 
 import argparse
@@ -20,55 +22,26 @@ from graphbandit.environments import EnvSpec  # noqa: E402
 from graphbandit.graph import catalog  # noqa: E402
 from graphbandit.harness import LearnerSpec, SweepConfig, sweep  # noqa: E402
 
-RATE_GRID = tuple(2**k for k in range(9, 15))
-RATE_SEED = 2025
-
-
-def strong_config(reps):
-    return SweepConfig(
-        graph=catalog("loopy_star", 10),
-        graph_name="loopy_star",
+# both sides play the same grid, reps and seed
+_SHARED = dict(horizons=tuple(2**k for k in range(9, 15)), reps=32, seed=2025)
+SEPARATION = {
+    "strong": SweepConfig(
+        graph=catalog("loopy_star", 10), graph_name="loopy_star",
         learner=LearnerSpec(algorithm="exp3g", preset="strong"),
-        env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 9}),
-        horizons=RATE_GRID,
-        reps=reps,
-        seed=RATE_SEED,
-    )
-
-
-def weak_config(reps):
-    return SweepConfig(
-        graph=catalog("clique_minus", 5),
-        graph_name="clique_minus",
+        env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 9}), **_SHARED),
+    "weak": SweepConfig(
+        graph=catalog("clique_minus", 5), graph_name="clique_minus",
         learner=LearnerSpec(algorithm="exp3g", preset="weak"),
-        env=EnvSpec("thm8", {}),
-        horizons=RATE_GRID,
-        reps=reps,
-        seed=RATE_SEED,
-        chi_average=True,
-    )
+        env=EnvSpec("thm8", {}), chi_average=True, **_SHARED),
+}
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=32)
-    parser.add_argument("--out", default="pilot")
-    args = parser.parse_args()
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    start = time.time()
-    strong = sweep(strong_config(args.reps))
-    weak = sweep(weak_config(args.reps))
-    elapsed = time.time() - start
-
-    strong.write_csv(out_dir / "rate_separation_strong.csv")
-    weak.write_csv(out_dir / "rate_separation_weak.csv")
-
+def summary(strong, weak) -> list:
+    """The lines of `summary.txt` for the two sides' reports."""
+    grid = _SHARED["horizons"]
     lines = [
         "rate-separation pilot",
-        f"grid={','.join(str(t) for t in RATE_GRID)} reps={args.reps} seed={RATE_SEED}",
+        f"grid={','.join(str(t) for t in grid)} reps={_SHARED['reps']} seed={_SHARED['seed']}",
         "",
         "strong side: Exp3.G strong preset, loopy star K=10, alpha=9,",
         "             Bernoulli means (0.3, 0.5 x 9)",
@@ -79,12 +52,12 @@ def main():
     s_means = strong.mean_regret()
     w_means = weak.mean_regret()
     lines.append(f"{'T':>8} {'strong_mean':>12} {'strong_se':>10} {'weak_mean':>12} {'weak_se':>10} {'ratio':>7}")
-    for t in RATE_GRID:
+    for t in grid:
         sm, sse = s_means[t]
         wm, wse = w_means[t]
         lines.append(f"{t:>8} {sm:>12.1f} {sse:>10.1f} {wm:>12.1f} {wse:>10.1f} {wm / sm:>7.2f}")
-    top = RATE_GRID[-1]
-    lines += [
+    top = grid[-1]
+    return lines + [
         "",
         f"strong slope (top half of grid): {strong.slope():.4f}",
         f"weak slope (top half of grid):   {weak.slope():.4f}",
@@ -99,6 +72,22 @@ def main():
         "  T^(1/6) and sits near 2.0 at T=2^14; it would cross 3.0 only around",
         "  T ~ 2^18 under these presets.",
     ]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", default="pilot")
+    out_dir = Path(parser.parse_args().out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    start = time.time()
+    reports = {side: sweep(config) for side, config in SEPARATION.items()}
+    elapsed = time.time() - start
+
+    for side, report in reports.items():
+        report.write_csv(out_dir / f"rate_separation_{side}.csv")
+    lines = summary(reports["strong"], reports["weak"])
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     print(f"pilot wall time: {elapsed:.1f}s")

@@ -4,14 +4,18 @@ The solver references enumerate rather than search, and share no code with
 the implementations under test. The analysis oracles evaluate the paper's
 inequalities that criteria 02 and 09 check (the weighted in-neighborhood
 ratio and Hedge's second-order regret bound), and `adversarial_tables` gives
-criterion 06 its loss tables; nothing in the package calls them. The
+criterion 06 its loss tables; nothing in the package calls them.
+`run_pilot` loads the script that defines the rate-separation sweeps. The
 protocol players at the end are the
 single-game form of the engine's learners: one object per game, acting and
 updating one round at a time, which the lockstep engine must reproduce.
 """
 
+import functools
+import importlib.util
 import math
 from itertools import combinations
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -778,6 +782,22 @@ def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: in
     while len(named) < count:
         named.append((f"bernoulli_{len(named)}", _draw(rng, t, rng.uniform(0.0, 1.0, size=k))))
     return named[:count]
+
+
+# ---------------------------------------------------------------------------
+# the rate-separation experiment
+
+
+@functools.cache
+def run_pilot():
+    """`scripts/run_pilot.py`, loaded by path on the first call. Its
+    `SEPARATION` defines the sweeps of criteria 05a-05c and of the pilot
+    tests. Not loaded at import: `bench/workloads.py` imports this module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_pilot.py"
+    spec = importlib.util.spec_from_file_location("run_pilot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

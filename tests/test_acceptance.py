@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, run at the stated tolerances.
 
 Each test prints a `ACCEPTANCE <id> ...` line with the measured quantities
-(visible with `pytest -s` or on failure). The rate-separation experiments
-are shared across the criterion-5 tests through module-scoped fixtures; the
-pilot script under scripts/ re-runs the same configurations.
+(visible with `pytest -s` or on failure). The criterion-5 tests share the
+rate-separation sweeps through module-scoped fixtures, which play the
+configurations that `scripts/run_pilot.py` defines in `SEPARATION`.
 """
 
 import math
@@ -52,13 +52,10 @@ from oracles import (
     random_distribution,
     random_graph,
     random_weakly_observable_graph,
+    run_pilot,
     weight_ratio_bound,
     weight_ratio_sum,
 )
-
-RATE_GRID = tuple(2**k for k in range(9, 15))
-RATE_REPS = 32
-RATE_SEED = 2025
 
 
 def report(tag, elapsed, budget, detail):
@@ -194,67 +191,50 @@ def test_criterion_04_solver_oracle_equivalence():
 _rate_elapsed = {}
 
 
+def _rate_sweep(side):
+    start = time.time()
+    out = sweep(run_pilot().SEPARATION[side])
+    _rate_elapsed[side] = time.time() - start
+    return out
+
+
 @pytest.fixture(scope="module")
 def strong_report():
-    start = time.time()
-    config = SweepConfig(
-        graph=catalog("loopy_star", 10),
-        graph_name="loopy_star",
-        learner=LearnerSpec(algorithm="exp3g", preset="strong"),
-        env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 9}),
-        horizons=RATE_GRID,
-        reps=RATE_REPS,
-        seed=RATE_SEED,
-    )
-    out = sweep(config)
-    _rate_elapsed["strong"] = time.time() - start
-    return out
+    return _rate_sweep("strong")
 
 
 @pytest.fixture(scope="module")
 def weak_report():
-    start = time.time()
-    config = SweepConfig(
-        graph=catalog("clique_minus", 5),
-        graph_name="clique_minus",
-        learner=LearnerSpec(algorithm="exp3g", preset="weak"),
-        env=EnvSpec("thm8", {}),
-        horizons=RATE_GRID,
-        reps=RATE_REPS,
-        seed=RATE_SEED,
-        chi_average=True,
-    )
-    out = sweep(config)
-    _rate_elapsed["weak"] = time.time() - start
-    return out
+    return _rate_sweep("weak")
 
 
 def test_criterion_05a_strong_graph_rate(strong_report):
+    grid = run_pilot().SEPARATION["strong"].horizons
     means = strong_report.mean_regret()
     slope = strong_report.slope()
     alpha, k = 9, 10
     budget = {
-        t: 40.0 * math.sqrt(alpha * t * math.log(k * t)) for t in RATE_GRID
+        t: 40.0 * math.sqrt(alpha * t * math.log(k * t)) for t in grid
     }
-    detail = " ".join(f"T={t}:{means[t][0]:.0f}" for t in RATE_GRID)
+    detail = " ".join(f"T={t}:{means[t][0]:.0f}" for t in grid)
     report("05a strong rate", _rate_elapsed.get("strong", 0.0), None,
            f"slope={slope:.3f} (<=0.65) means {detail}")
     assert slope <= 0.65
-    for t in RATE_GRID:
+    for t in grid:
         assert means[t][0] <= budget[t]
 
 
 def test_criterion_05b_weak_graph_rate(weak_report):
     means = weak_report.mean_regret()
     slope = weak_report.slope()
-    detail = " ".join(f"T={t}:{means[t][0]:.0f}" for t in RATE_GRID)
+    detail = " ".join(f"T={t}:{means[t][0]:.0f}" for t in means)
     report("05b weak rate", _rate_elapsed.get("weak", 0.0), None,
            f"slope={slope:.3f} (>=0.55) means {detail}")
     assert slope >= 0.55
 
 
 def test_criterion_05c_separation_ratio(strong_report, weak_report):
-    top = RATE_GRID[-1]
+    top = run_pilot().SEPARATION["strong"].horizons[-1]
     strong_mean = strong_report.mean_regret()[top][0]
     weak_mean = weak_report.mean_regret()[top][0]
     ratio = weak_mean / strong_mean

@@ -1,4 +1,4 @@
-import importlib.util
+import csv
 import math
 import warnings
 from dataclasses import replace
@@ -20,6 +20,7 @@ from graphbandit import harness, learners
 from graphbandit.graph import FeedbackGraph, catalog
 from graphbandit.harness import (
     CSV_COLUMNS,
+    ExperimentReport,
     LearnerSpec,
     SweepConfig,
     doubling_wrapper,
@@ -29,7 +30,7 @@ from graphbandit.harness import (
 )
 from graphbandit.learners import Exp3G
 
-from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom
+from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom, run_pilot
 
 MANUAL = dict(preset="manual", eta=0.2, gamma=0.1)
 ROOT = Path(__file__).resolve().parent.parent
@@ -846,18 +847,10 @@ def test_learner_classes_play_the_engine_game(case):
     assert np.array_equal(run_game(graph, spec, env, 9).actions, reference)
 
 
-def _pilot_configs():
-    path = ROOT / "scripts" / "run_pilot.py"
-    spec = importlib.util.spec_from_file_location("run_pilot", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {"strong": module.strong_config, "weak": module.weak_config}
-
-
 @pytest.mark.parametrize("side", ["strong", "weak"])
 def test_pilot_rows_reproduce_committed_csv(side, tmp_path):
     reps = 4
-    config = _pilot_configs()[side](reps)
+    config = replace(run_pilot().SEPARATION[side], reps=reps)
     path = tmp_path / f"{side}.csv"
     sweep(config).write_csv(path)
     lines = path.read_bytes().splitlines()
@@ -868,3 +861,15 @@ def test_pilot_rows_reproduce_committed_csv(side, tmp_path):
         for hi in range(len(config.horizons)) for rep in range(reps)
     ]
     assert lines == want
+
+
+def test_pilot_summary_reproduces_committed_file():
+    # the summary of the committed rows is the committed summary
+    reports = {}
+    for side in ("strong", "weak"):
+        with open(ROOT / "pilot" / f"rate_separation_{side}.csv", newline="") as fh:
+            rows = [dict(row, T=int(row["T"]), regret=float(row["regret"]))
+                    for row in csv.DictReader(fh)]
+        reports[side] = ExperimentReport(rows)
+    lines = run_pilot().summary(reports["strong"], reports["weak"])
+    assert ("\n".join(lines) + "\n").encode() == (ROOT / "pilot" / "summary.txt").read_bytes()

@@ -1,9 +1,15 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from graphbandit.graph import FeedbackGraph, GraphClass, catalog, classify_graph
+from graphbandit.graph import (
+    FeedbackGraph,
+    GraphClass,
+    catalog,
+    classify_graph,
+    independence_number,
+)
 from graphbandit.partial_monitoring import (
     PMInstance,
     check_global_observability,
@@ -15,6 +21,7 @@ from graphbandit.partial_monitoring import (
 )
 
 from oracles import (
+    brute_force_alpha,
     random_graph,
     reference_certificates,
     reference_encode,
@@ -165,21 +172,52 @@ def test_forward_preservation_on_random_graphs():
             assert check_global_observability(inst)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+def _one_mask_per_class(k):
+    """One edge-set mask per isomorphism class of digraphs on k vertices
+    (loops allowed; bit (u-1)*k + (v-1) is the edge (u, v)): each mask not
+    yet seen, after which its k! relabelled images count as seen."""
+    masks = np.arange(1 << (k * k))
+    images = []
+    for perm in permutations(range(k)):
+        image = np.zeros_like(masks)
+        for u in range(k):
+            for v in range(k):
+                image |= (masks >> (u * k + v) & 1) << (perm[u] * k + perm[v])
+        images.append(image)
+    images = np.array(images)
+    seen = np.zeros(len(masks), dtype=bool)
+    out = []
+    for mask in range(len(masks)):
+        if not seen[mask]:
+            out.append(mask)
+            seen[images[:, mask]] = True
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_verdicts_equal_the_class_on_every_small_graph(k):
-    # all 2^(K^2) edge sets, self-loops included: 16 + 512 graphs. At K = 1
-    # there is no pair to check, so the loopless vertex is the one exception
+    # all 2^(K^2) edge sets, self-loops included, at K = 2, 3 (16 + 512
+    # graphs); at K = 4 one per isomorphism class (3,044 of 65,536, OEIS
+    # A000595), since relabelling keeps the class, the verdicts and alpha.
+    # At K = 1 there is no pair to check, so the loopless vertex is the one
+    # exception
     want = {
         GraphClass.STRONGLY_OBSERVABLE: (True, True),
         GraphClass.WEAKLY_OBSERVABLE: (False, True),
         GraphClass.NOT_OBSERVABLE: (False, False),
     }
     cells = [(u, v) for u in range(1, k + 1) for v in range(1, k + 1)]
-    for mask in range(1 << len(cells)):
+    if k < 4:
+        masks = range(1 << len(cells))
+    else:
+        masks = _one_mask_per_class(k)
+        assert len(masks) == 3044
+    for mask in masks:
         g = FeedbackGraph(k, [cell for n, cell in enumerate(cells) if mask >> n & 1])
         inst = encode(g)
         verdicts = (check_local_observability(inst), check_global_observability(inst))
         assert verdicts == want[classify_graph(g)], sorted(g.edges)
+        assert independence_number(g)[0] == brute_force_alpha(g), sorted(g.edges)
 
 
 def test_identical_signature_families_encode_identically():

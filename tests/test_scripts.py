@@ -92,3 +92,31 @@ def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, c
     with pytest.raises(SystemExit) as stopped:
         paired.start("doc", "BENCH_x.json", {"w": lambda: {"ok": 1}}, 1)
     assert stopped.value.code == 0 and capsys.readouterr().out == '{"ok": 1}\n'
+
+
+def test_host_names_the_machine_and_the_bytecode_rule(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import paired
+
+    assert set(paired.host()) == {"platform", "cpu", "cpus", "python", "numpy",
+                                  "dont_write_bytecode"}
+
+
+def test_pilot_measure_compares_every_committed_file(monkeypatch, tmp_path):
+    # summary.txt counts as much as the rows: a changed byte in it reads false
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_engine
+
+    edit = {}
+
+    def run(cmd, **kwargs):
+        out_dir = Path(cmd[cmd.index("--out") + 1])
+        out_dir.mkdir(parents=True)
+        for path in (ROOT / "pilot").iterdir():
+            (out_dir / path.name).write_bytes(edit.get(path.name, path.read_bytes()))
+        return subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(bench_engine.subprocess, "run", run)
+    assert bench_engine.measure_pilot(ROOT, tmp_path / "same")["files_equal_committed"]
+    edit["summary.txt"] = (ROOT / "pilot" / "summary.txt").read_bytes().replace(b"1.988", b"1.989")
+    assert not bench_engine.measure_pilot(ROOT, tmp_path / "edited")["files_equal_committed"]
