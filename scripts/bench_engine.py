@@ -11,7 +11,8 @@ on both trees back to back:
 
 - per_round: microseconds per game round of a sweep with one horizon
   (T = 16384 at R = 1, T = 2048 at R = 8 and 32 repetitions), for fixed
-  (loopy_star K=10, strong preset, Bernoulli), informed and uninformed
+  (the measured tree's `SEPARATION["strong"]` in `scripts/run_pilot.py`:
+  loopy_star K=10, strong preset, Bernoulli), informed and uninformed
   (thm7 K=8, uninformed preset) and doubling (thm7 K=8, informed doubling
   trick) play; the median over rounds, with its quartiles, and per cell
   the median over rounds of the before/after ratio;
@@ -25,10 +26,12 @@ on both trees back to back:
 from __future__ import annotations
 
 import re
+import runpy
 import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import paired
@@ -40,20 +43,15 @@ PER_ROUND_T = {1: 16384, 8: 2048, 32: 2048}
 
 def _configs(reps, horizons):
     from graphbandit.environments import EnvSpec
-    from graphbandit.graph import catalog
     from graphbandit.harness import LearnerSpec, SweepConfig
 
-    # "fixed" is the pilot's strong side, written out: both trees' workers run
-    # this file, and its run_pilot.py would put this tree's src/ first on the path
+    # a worker runs in the measured tree, so this reads that tree's script,
+    # which puts that tree's src/ first on the path
+    strong = runpy.run_path("scripts/run_pilot.py")["SEPARATION"]["strong"]
     thm7 = dict(graph=None, graph_name="thm7-sequence", env=EnvSpec("thm7", {"k": 8}),
                 horizons=horizons, reps=reps, seed=SEED)
     return {
-        "fixed": SweepConfig(
-            graph=catalog("loopy_star", 10), graph_name="loopy_star",
-            learner=LearnerSpec(algorithm="exp3g", preset="strong"),
-            env=EnvSpec("bernoulli", {"mu": (0.3,) + (0.5,) * 9}),
-            horizons=horizons, reps=reps, seed=SEED,
-        ),
+        "fixed": replace(strong, horizons=horizons, reps=reps, seed=SEED),
         "informed": SweepConfig(
             **thm7, learner=LearnerSpec(algorithm="exp3g", preset="uninformed", mode="informed")),
         "uninformed": SweepConfig(

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Pilot for the rate-separation experiment, and its one definition:
 `SEPARATION` holds the strong and the weak sweep (graphs, presets, grid,
-reps, seed), which criteria 05a-05c of the acceptance suite and the
-pilot-row test read, and `summary` gives the lines of `summary.txt`.
+reps, seed), `summary` gives the lines of `summary.txt`, and `write` writes
+the rows and the summary. The acceptance suite imports this script: its
+criterion-5 fixtures play `SEPARATION`, and its byte test passes their
+reports to `write` and compares every file with the committed ones; the
+harness tests replay 4 reps of each side and re-summarise the committed rows.
 
 Usage: python scripts/run_pilot.py [--out pilot]
 Writes the raw rows and the summary under --out. Re-running reproduces the
@@ -74,22 +77,28 @@ def summary(strong, weak) -> list:
     ]
 
 
+def write(reports, out_dir: Path) -> list:
+    """Write each side's rows and the summary under `out_dir`; return the
+    summary's lines."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for side, report in reports.items():
+        report.write_csv(out_dir / f"rate_separation_{side}.csv")
+    lines = summary(reports["strong"], reports["weak"])
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="pilot")
     out_dir = Path(parser.parse_args().out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.time()
     reports = {side: sweep(config) for side, config in SEPARATION.items()}
     elapsed = time.time() - start
 
-    for side, report in reports.items():
-        report.write_csv(out_dir / f"rate_separation_{side}.csv")
-    lines = summary(reports["strong"], reports["weak"])
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+    print("\n".join(write(reports, out_dir)))
     print(f"pilot wall time: {elapsed:.1f}s")
 
 

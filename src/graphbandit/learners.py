@@ -271,15 +271,14 @@ class Exp3G:
             self._p = exponential_weights(self.cumulative, self.eta, self._terms)
         return self._p
 
-    def set_round_graph(self, g: FeedbackGraph, prof: GraphProfile | None = None):
+    def set_round_graph(self, g: FeedbackGraph):
         """Supply round t's graph before acting, in the informed model; the
-        uninformed model gets its graph with the feedback. `prof` is
-        the graph's profile when the caller has it already."""
+        uninformed model gets its graph with the feedback."""
         if g.num_vertices != self.num_actions:
             raise ValueError("graph size does not match num_actions")
         if self.mode != MODE_INFORMED:
             raise ValueError("round graphs are set before acting only in informed mode")
-        self._set_exploration(informed_exploration_set(prof or graph_profile(g)))
+        self._set_exploration(informed_exploration_set(graph_profile(g)))
         self._round_graph = g
         self._p = None
 

@@ -4,18 +4,14 @@ The solver references enumerate rather than search, and share no code with
 the implementations under test. The analysis oracles evaluate the paper's
 inequalities that criteria 02 and 09 check (the weighted in-neighborhood
 ratio and Hedge's second-order regret bound), and `adversarial_tables` gives
-criterion 06 its loss tables; nothing in the package calls them.
-`run_pilot` loads the script that defines the rate-separation sweeps. The
-protocol players at the end are the
-single-game form of the engine's learners: one object per game, acting and
-updating one round at a time, which the lockstep engine must reproduce.
+criterion 06 its loss tables; nothing in the package calls them. The
+protocol players at the end are the single-game form of the engine's
+learners: one object per game, acting and updating one round at a time,
+which the lockstep engine must reproduce.
 """
 
-import functools
-import importlib.util
 import math
 from itertools import combinations
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -785,22 +781,6 @@ def adversarial_tables(num_actions: int, horizon: int, count: int = 20, seed: in
 
 
 # ---------------------------------------------------------------------------
-# the rate-separation experiment
-
-
-@functools.cache
-def run_pilot():
-    """`scripts/run_pilot.py`, loaded by path on the first call. Its
-    `SEPARATION` defines the sweeps of criteria 05a-05c and of the pilot
-    tests. Not loaded at import: `bench/workloads.py` imports this module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_pilot.py"
-    spec = importlib.util.spec_from_file_location("run_pilot", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# ---------------------------------------------------------------------------
 # single-game protocol players: act(rng) -> action,
 # update(action, observed_actions, observed_losses, graph=None)
 
@@ -887,7 +867,7 @@ class DoublingExp3G:
             self._learner = learners.Exp3G(
                 self.num_actions, eta, gamma, mode=learners.MODE_INFORMED
             )
-        self._learner.set_round_graph(g, prof)
+        self._learner.set_round_graph(g)
 
     def act(self, rng) -> int:
         return self._learner.act(rng)

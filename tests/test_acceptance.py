@@ -3,11 +3,14 @@
 Each test prints a `ACCEPTANCE <id> ...` line with the measured quantities
 (visible with `pytest -s` or on failure). The criterion-5 tests share the
 rate-separation sweeps through module-scoped fixtures, which play the
-configurations that `scripts/run_pilot.py` defines in `SEPARATION`.
+configurations that `scripts/run_pilot.py` defines in `SEPARATION`. After
+05c, the same two reports pass through the script's `write`, and every file
+it writes must equal its committed copy under `pilot/` byte for byte.
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,10 +55,12 @@ from oracles import (
     random_distribution,
     random_graph,
     random_weakly_observable_graph,
-    run_pilot,
     weight_ratio_bound,
     weight_ratio_sum,
 )
+import run_pilot
+
+PILOT = Path(__file__).resolve().parent.parent / "pilot"
 
 
 def report(tag, elapsed, budget, detail):
@@ -193,7 +198,7 @@ _rate_elapsed = {}
 
 def _rate_sweep(side):
     start = time.time()
-    out = sweep(run_pilot().SEPARATION[side])
+    out = sweep(run_pilot.SEPARATION[side])
     _rate_elapsed[side] = time.time() - start
     return out
 
@@ -209,7 +214,7 @@ def weak_report():
 
 
 def test_criterion_05a_strong_graph_rate(strong_report):
-    grid = run_pilot().SEPARATION["strong"].horizons
+    grid = run_pilot.SEPARATION["strong"].horizons
     means = strong_report.mean_regret()
     slope = strong_report.slope()
     alpha, k = 9, 10
@@ -234,7 +239,7 @@ def test_criterion_05b_weak_graph_rate(weak_report):
 
 
 def test_criterion_05c_separation_ratio(strong_report, weak_report):
-    top = run_pilot().SEPARATION["strong"].horizons[-1]
+    top = run_pilot.SEPARATION["strong"].horizons[-1]
     strong_mean = strong_report.mean_regret()[top][0]
     weak_mean = weak_report.mean_regret()[top][0]
     ratio = weak_mean / strong_mean
@@ -243,6 +248,17 @@ def test_criterion_05c_separation_ratio(strong_report, weak_report):
            f"T={top}: weak {weak_mean:.0f} vs strong {strong_mean:.0f}, ratio {ratio:.2f} (>=3)")
     assert elapsed < 600.0
     assert ratio >= 3.0
+
+
+def test_pilot_files_reproduce_committed_bytes(strong_report, weak_report, tmp_path):
+    # every row of the 32 reps and the summary are the committed pilot's.
+    # It stays after 05a and 05b: pytest charges a fixture's set-up to the
+    # first test that asks for it, and scripts/bench_engine.py reads the
+    # sweeps' times from those two tests' set-up
+    run_pilot.write({"strong": strong_report, "weak": weak_report}, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in PILOT.iterdir())
+    for path in PILOT.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 # ---------------------------------------------------------------------------

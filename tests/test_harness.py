@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from graphbandit.harness import (
 )
 from graphbandit.learners import Exp3G
 
-from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom, run_pilot
+from oracles import ConstantAction, DoublingExp3G, Hedge, HedgePlayer, UniformRandom
+import run_pilot
 
 MANUAL = dict(preset="manual", eta=0.2, gamma=0.1)
 ROOT = Path(__file__).resolve().parent.parent
@@ -708,11 +710,20 @@ LOCKSTEP_CASES = {
 }
 
 
+def below_weak_regime(case):
+    """thm5's weak preset warns at each horizon of the lockstep grid: all lie
+    under K^3 ln K / delta^2 = 387 on revealing_action K=6."""
+    if case == "thm5":
+        return pytest.warns(RuntimeWarning, match="below K")
+    return nullcontext()
+
+
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 def test_lockstep_rows_never_mix(case):
     # mixed horizons, so rows retire at different rounds of the lockstep run
     config = SweepConfig(**LOCKSTEP_CASES[case], horizons=(37, 100, 256), reps=3, seed=5)
-    rows = sweep(config).rows
+    with below_weak_regime(case):
+        rows = sweep(config).rows
     cells = [(hi, rep) for hi in range(3) for rep in range(3)]
     chis = CHI_PAIRS["thm8"] if config.chi_average else (None,)
     for (hi, rep), row in zip(cells, rows):
@@ -721,7 +732,8 @@ def test_lockstep_rows_never_mix(case):
         runs = []
         for chi in chis:
             env = build_environment(config.env, horizon, env_ss, graph=config.graph, chi=chi)
-            runs.append(run_game(config.graph, config.learner, env, player_ss))
+            with below_weak_regime(case):
+                runs.append(run_game(config.graph, config.learner, env, player_ss))
         assert (row["T"], row["rep"]) == (horizon, rep)
         # the cell's action count and environment kind are its environment's
         assert (row["K"], row["env"]) == (env.num_actions, env.kind)
@@ -849,8 +861,10 @@ def test_learner_classes_play_the_engine_game(case):
 
 @pytest.mark.parametrize("side", ["strong", "weak"])
 def test_pilot_rows_reproduce_committed_csv(side, tmp_path):
+    # a 4-rep sweep gives the first 4 reps of each committed horizon: a row
+    # does not depend on how many reps share its batch
     reps = 4
-    config = replace(run_pilot().SEPARATION[side], reps=reps)
+    config = replace(run_pilot.SEPARATION[side], reps=reps)
     path = tmp_path / f"{side}.csv"
     sweep(config).write_csv(path)
     lines = path.read_bytes().splitlines()
@@ -871,5 +885,5 @@ def test_pilot_summary_reproduces_committed_file():
             rows = [dict(row, T=int(row["T"]), regret=float(row["regret"]))
                     for row in csv.DictReader(fh)]
         reports[side] = ExperimentReport(rows)
-    lines = run_pilot().summary(reports["strong"], reports["weak"])
+    lines = run_pilot.summary(reports["strong"], reports["weak"])
     assert ("\n".join(lines) + "\n").encode() == (ROOT / "pilot" / "summary.txt").read_bytes()

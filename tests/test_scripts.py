@@ -1,9 +1,16 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from graphbandit import partial_monitoring as pm
+
+import bench_engine
+import bench_pm
+import paired
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -29,12 +36,9 @@ def test_script_imports_and_prints_its_help(script):
     ("bench_setup.py", ("stages",),
      {"import_s", "corpus_s", "relabel_s", "edges_s", "graphs", "digest"}),
 ], ids=["engine", "pm", "solvers", "setup"])
-def test_recorder_worker_measures_this_tree(monkeypatch, script, argv, keys):
+def test_recorder_worker_measures_this_tree(script, argv, keys):
     # the worker call each recorder makes on both trees, at its smallest
     # argument, gives every key its report reads
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import paired
-
     result = paired.run_worker(str(SCRIPTS / script), ROOT, *argv)
     assert set(result) == keys
     if script == "bench_pm.py":  # the witnesses' verdicts are the checks'
@@ -44,10 +48,6 @@ def test_recorder_worker_measures_this_tree(monkeypatch, script, argv, keys):
 def _pm_verdicts() -> list:
     """`bench_pm.py`'s verdict rows from the named checks: global and local
     observability, and the row count of each vertex's signal matrix."""
-    import bench_pm
-
-    from graphbandit import partial_monitoring as pm
-
     rows = []
     for g in bench_pm._graphs():
         instance = pm.encode(g)
@@ -60,9 +60,6 @@ def _pm_verdicts() -> list:
 def test_recorders_start_no_interpreter_that_writes_bytecode(monkeypatch, tmp_path):
     # the workers (and the pilot and Tier-1 runs, on the same environment)
     # and the analysis runs compile what they import, as the parent's do
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import paired
-
     assert paired.tree_env(tmp_path)["PYTHONDONTWRITEBYTECODE"] == "1"
     calls = []
 
@@ -78,9 +75,6 @@ def test_recorders_start_no_interpreter_that_writes_bytecode(monkeypatch, tmp_pa
 def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, capsys):
     # a __pycache__ under src/, tests/ or bench/ is named and nothing is
     # measured; a worker run does not look
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import paired
-
     (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
     (tmp_path / "scripts" / "__pycache__").mkdir(parents=True)
     monkeypatch.setattr(paired, "ROOT", tmp_path)
@@ -94,19 +88,13 @@ def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, c
     assert stopped.value.code == 0 and capsys.readouterr().out == '{"ok": 1}\n'
 
 
-def test_host_names_the_machine_and_the_bytecode_rule(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import paired
-
+def test_host_names_the_machine_and_the_bytecode_rule():
     assert set(paired.host()) == {"platform", "cpu", "cpus", "python", "numpy",
                                   "dont_write_bytecode"}
 
 
 def test_pilot_measure_compares_every_committed_file(monkeypatch, tmp_path):
     # summary.txt counts as much as the rows: a changed byte in it reads false
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import bench_engine
-
     edit = {}
 
     def run(cmd, **kwargs):
@@ -120,3 +108,27 @@ def test_pilot_measure_compares_every_committed_file(monkeypatch, tmp_path):
     assert bench_engine.measure_pilot(ROOT, tmp_path / "same")["files_equal_committed"]
     edit["summary.txt"] = (ROOT / "pilot" / "summary.txt").read_bytes().replace(b"1.988", b"1.989")
     assert not bench_engine.measure_pilot(ROOT, tmp_path / "edited")["files_equal_committed"]
+
+
+def test_no_module_binds_an_import_it_never_reads():
+    # an import left behind by a deleted caller; `from __future__` and the
+    # names a module lists in `__all__` are read by the import system
+    unused = []
+    for path in sorted(path for part in ("src/graphbandit", "scripts", "tests")
+                       for path in (ROOT / part).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {element.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for element in node.value.elts}
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in bound.items() if name not in read]
+    assert unused == []
