@@ -70,8 +70,9 @@ class FeedbackGraph:
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]]):
         k = _vertex_count(num_vertices)
-        in_masks = [0] * k
-        out_masks = [0] * k
+        bit = [0] + [1 << i for i in range(k)]  # bit[v]: vertex v's bit in a mask
+        in_masks = [0] * (k + 1)  # 1-based: entry 0 stays unused
+        out_masks = [0] * (k + 1)
         for u, v in edges:
             if type(u) is not int or type(v) is not int:  # a plain int skips the per-edge call
                 try:
@@ -82,11 +83,11 @@ class FeedbackGraph:
                     ) from None
             if not (1 <= u <= k and 1 <= v <= k):
                 raise ValueError(f"edge ({u}, {v}) out of range for K={k}")
-            out_masks[u - 1] |= 1 << (v - 1)
-            in_masks[v - 1] |= 1 << (u - 1)
+            out_masks[u] |= bit[v]
+            in_masks[v] |= bit[u]
         self._k = k
-        self._in = tuple(in_masks)
-        self._out = tuple(out_masks)
+        self._in = tuple(in_masks[1:])
+        self._out = tuple(out_masks[1:])
         self._in_matrix = None
         self._sym = None
         self._tags = None
@@ -238,6 +239,12 @@ def _mis_size(adj, cand: int) -> int:
     considered, the candidates left lie in cliques 1..c, and an independent
     set meets each clique at most once, so the node stops as soon as
     size + c cannot beat the best set found.
+
+    Before it partitions, a node makes one pass over its candidates in
+    index order and takes each vertex with at most one neighbour left
+    among them. The rule only prunes: a vertex whose degree falls that low
+    after the pass scanned it is left to the branching or to the child's
+    own pass, so the size stays exact.
     """
     best = 0
 
@@ -245,19 +252,15 @@ def _mis_size(adj, cand: int) -> int:
         nonlocal best
         # take every vertex with at most one neighbour inside `sub`: some
         # maximum independent set contains it (swap it for that neighbour)
-        taken = True
-        while taken:
-            taken = False
-            scan = sub
-            while scan:
-                b = scan & -scan
-                scan ^= b
-                nb = adj[b.bit_length() - 1] & sub
-                if nb & (nb - 1) == 0:
-                    sub &= ~(b | nb)
-                    scan &= sub
-                    size += 1
-                    taken = True
+        scan = sub
+        while scan:
+            b = scan & -scan
+            scan ^= b
+            nb = adj[b.bit_length() - 1] & sub
+            if nb & (nb - 1) == 0:
+                sub &= ~(b | nb)
+                scan &= sub
+                size += 1
         if size > best:
             best = size
         # greedy clique partition of `sub`, each vertex with its clique number
@@ -359,9 +362,12 @@ def weak_domination_number(g: FeedbackGraph):
     is the lexicographically smallest optimum. It branches only up to the
     last dominator of the lowest uncovered weak vertex, and prunes when more
     uncovered weak vertices have pairwise disjoint dominator sets than picks
-    are left. Beyond the cap a greedy set cover runs and `exact` is False:
-    each pick is the first vertex, in index order, whose out-mask covers the
-    most weak vertices still uncovered (a popcount).
+    are left. The last pick is read, not searched: a single vertex that
+    covers every uncovered weak vertex dominates the lowest of them, so it
+    is the lowest such dominator at or above the next index, if any. Beyond
+    the cap a greedy set cover runs and `exact` is False: each pick is the
+    first vertex, in index order, whose out-mask covers the most weak
+    vertices still uncovered (a popcount).
     """
     wmask = sum(1 << i for i, t in enumerate(_vertex_tags(g)) if t is VertexClass.WEAK)
     if not wmask:
@@ -392,13 +398,20 @@ def weak_domination_number(g: FeedbackGraph):
                     need += 1
             return need
 
+        # sizes grow from a lower bound, so `uncovered` is never empty here:
+        # a cover with picks to spare would be a smaller cover
         def first(uncovered: int, start: int, picks: int):
-            if not uncovered:
-                return 0
             allowed = -1 << start
+            doms = dominators[(uncovered & -uncovered).bit_length() - 1] & allowed
+            if picks == 1:
+                while doms:
+                    b = doms & -doms
+                    if not uncovered & ~cover[b.bit_length() - 1]:
+                        return b
+                    doms ^= b
+                return None
             if packing(uncovered, allowed) > picks:
                 return None
-            doms = dominators[(uncovered & -uncovered).bit_length() - 1] & allowed
             for v in range(start, doms.bit_length()):
                 if cover[v]:
                     rest = first(uncovered & ~cover[v], v + 1, picks - 1)

@@ -35,8 +35,10 @@ global iff observable. (At K = 1 there is no pair, and both checks pass
 even for a loopless vertex.)
 
 The K x K table of both certificates, per (source, vertex), is computed
-once per instance. A vertex for which neither certificate verifies means H
-does not encode a feedback graph; the checks then raise rather than guess.
+once per instance, and so are its columns as one bitmask of sources per
+vertex, which both checks read. A vertex for which neither certificate
+verifies means H does not encode a feedback graph; the checks then raise
+rather than guess.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ class PMInstance:
     @cached_property
     def certificates(self) -> Certificates:
         """Both certificates for every (source, vertex) pair, from one
-        bincount of L over the K x K x 2^K (source, vertex, column) cells
-        and one of the symbol class sizes.
+        unweighted bincount over the support of each L_i, the (source,
+        vertex, column) cells where L_i is 1, and one of the symbol class
+        sizes.
 
         With hits[a, i, s] the number of columns of a's symbol class s
         where L_i is 1 and size[a, s] the class's size: v . S_a reproduces
@@ -109,17 +112,45 @@ class PMInstance:
         exact integer identities for any H and any 0/1 loss matrix, so the
         combination v is never formed."""
         loss, symbols = self.loss_matrix, self.symbol_matrix
-        k, m = loss.shape
+        k = len(loss)
         n = int(symbols.max()) + 1
-        # bins[a, i, y]: the flat index of (a, i, H[a, y]) in a K x K x n table
-        bins = np.arange(k * k).reshape(k, k, 1) * n + symbols[:, None, :]
-        hits = np.bincount(bins.ravel(), weights=np.broadcast_to(loss, (k, k, m)).ravel(),
-                           minlength=k * k * n).reshape(k, k, n)
+        rows, cols = np.nonzero(loss)
+        # bins[a, c]: the flat index of (a, i, H[a, y]) in a K x K x n table
+        # for the c-th cell (i, y) where L_i is 1
+        bins = np.arange(k)[:, None] * (k * n) + rows * n + symbols[:, cols]
+        hits = np.bincount(bins.ravel(), minlength=k * k * n).reshape(k, k, n)
         sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(),
                             minlength=k * n).reshape(k, 1, n)
         member = ((hits == 0) | (hits == sizes)).all(axis=2)
         orthogonal = (2 * hits == sizes).all(axis=2)
         return Certificates(member, orthogonal)
+
+    @cached_property
+    def vertex_masks(self) -> tuple:
+        """Both certificate tables read by column, once for both checks: per
+        vertex i, the bitmask of the sources a (bit a) whose membership,
+        then whose non-membership, certificate of L_i verifies."""
+        return tuple((table.T @ _BITS[:len(table)]).tolist() for table in self.certificates)
+
+
+_BITS = 1 << np.arange(63, dtype=np.int64)  # bit a of a source mask
+
+
+def _loss_table() -> np.ndarray:
+    """L for K = ENCODE_CAP, read-only. Row i holds the bit of vertex i+1
+    in each column y, vertex 1 most significant: bit b = ENCODE_CAP - i - 1
+    of y, which is 1 on the upper half of every block of 2^(b+1) columns.
+    Every process that imports the package holds it, so it is filled in
+    place as uint8 (48 KB): wider temporaries left about 0.2 MB more in
+    each process's peak resident set than the table itself."""
+    table = np.zeros((ENCODE_CAP, 1 << ENCODE_CAP), dtype=np.uint8)
+    for row, bit in zip(table, range(ENCODE_CAP - 1, -1, -1)):
+        row.reshape(-1, 2 << bit)[:, 1 << bit:] = 1
+    table.setflags(write=False)
+    return table
+
+
+_LOSS = _loss_table()
 
 
 def encode(g) -> PMInstance:
@@ -130,14 +161,15 @@ def encode(g) -> PMInstance:
     numbered by first appearance along the columns: the first column that
     shows a given pattern of visible losses is the one with every other
     loss 0, and those columns come in the order of their patterns.
+
+    L is rows of one table: vertex i's bit in y < 2^K is bit K - i of y,
+    which is row ENCODE_CAP - K + i - 1 of the table for K = ENCODE_CAP,
+    so L is that table's last K rows and first 2^K columns.
     """
     k = g.num_vertices
     if k > ENCODE_CAP:
         raise ValueError(f"K={k} exceeds the encoding cap {ENCODE_CAP}")
-    columns = np.arange(1 << k)
-    # L[i, y]: bit of vertex i+1 in assignment y, vertex 1 most significant
-    shifts = (k - 1) - np.arange(k)
-    loss = ((columns[None, :] >> shifts[:, None]) & 1).astype(np.int64)
+    loss = _LOSS[ENCODE_CAP - k:, :1 << k].astype(np.int64)
 
     # place[i, j] = 2^(number of i's out-neighbors after j) if i sees j, else 0
     sees = (g.in_matrix.T > 0).astype(np.int64)
@@ -155,15 +187,6 @@ def claim_c1_check(instance: PMInstance, i: int, j: int) -> bool:
     if not instance.graph.has_edge(i, j):
         raise ValueError(f"({i}, {j}) is not an edge")
     return bool(instance.certificates.member[i - 1, j - 1])
-
-
-_BITS = 1 << np.arange(63, dtype=np.int64)  # bit a of a source mask
-
-
-def _vertex_masks(table: np.ndarray) -> list:
-    """Per vertex i, the bitmask of the sources a (bit a) whose entry
-    [a, i] of a K x K certificate table holds."""
-    return (table.T @ _BITS[:len(table)]).tolist()
 
 
 def _first_failing_pair(seen: list, blind: list) -> Witness | None:
@@ -197,26 +220,26 @@ def _first_failing_pair(seen: list, blind: list) -> Witness | None:
 def global_witness(instance: PMInstance) -> Witness | None:
     """A pair whose loss difference is outside the combined row space of all
     signal matrices, or None if the game is globally observable."""
-    member, orthogonal = instance.certificates
+    member, orthogonal = instance.vertex_masks
     full = (1 << len(member)) - 1
     # every pair has all K sources: a vertex is seen by the pair if any
     # source sees it, and blind if none does
     return _first_failing_pair(
-        [full if m else 0 for m in _vertex_masks(member)],
-        [full if o == full else 0 for o in _vertex_masks(orthogonal)],
+        [full if m else 0 for m in member],
+        [full if o == full else 0 for o in orthogonal],
     )
 
 
 def local_witness(instance: PMInstance) -> Witness | None:
     """A pair whose loss difference is outside the row space of the pair's
     own two signal matrices, or None if the game is locally observable."""
-    member, orthogonal = instance.certificates
+    member, orthogonal = instance.vertex_masks
     full = (1 << len(member)) - 1
     # vertex v of the pair {v, w} has the sources v and w: seen if v sees
     # itself or w sees it, blind if neither does
     return _first_failing_pair(
-        [full if m >> v & 1 else m for v, m in enumerate(_vertex_masks(member))],
-        [o if o >> v & 1 else 0 for v, o in enumerate(_vertex_masks(orthogonal))],
+        [full if m >> v & 1 else m for v, m in enumerate(member)],
+        [o if o >> v & 1 else 0 for v, o in enumerate(orthogonal)],
     )
 
 

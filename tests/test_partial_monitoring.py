@@ -11,6 +11,7 @@ from graphbandit.graph import (
     independence_number,
 )
 from graphbandit.partial_monitoring import (
+    ENCODE_CAP,
     PMInstance,
     check_global_observability,
     check_local_observability,
@@ -42,6 +43,12 @@ def test_loss_columns_enumerate_all_assignments():
     assert tuple(inst.loss_matrix[:, 0]) == (0, 0, 0)
     assert tuple(inst.loss_matrix[:, 1]) == (0, 0, 1)
     assert tuple(inst.loss_matrix[:, 4]) == (1, 0, 0)
+    # at every K up to the cap, column y is y's bits, vertex 1 most significant
+    for k in range(1, ENCODE_CAP + 1):
+        loss = encode(catalog("bandit", k)).loss_matrix
+        y = np.arange(1 << k)
+        assert loss.dtype == np.int64 and not loss.flags.writeable
+        assert np.array_equal(loss, (y >> np.arange(k - 1, -1, -1)[:, None]) & 1)
 
 
 def test_symbol_rows_respect_signatures():
@@ -346,8 +353,10 @@ def test_certificate_table_is_the_adjacency_matrix():
 
 
 def test_certificate_counts_equal_the_reference_table_on_corrupted_symbols():
-    # the identities hold for any H, not only for the encoding of a graph:
-    # merge classes, split them, and overwrite cells with fresh symbols
+    # the identities hold for any H and any 0/1 L, not only for the encoding
+    # of a graph: merge classes, split them, and overwrite cells with fresh
+    # symbols; then also give L a row of zeros, a row of ones and random 0/1
+    # cells, so a row's support is not the 2^(K-1) columns of the cube
     rng = np.random.default_rng(1313)
     for g in _seeded_graphs()[::3]:
         inst = encode(g)
@@ -358,6 +367,13 @@ def test_certificate_counts_equal_the_reference_table_on_corrupted_symbols():
             corrupted.flat[cells] = rng.integers(0, int(corrupted.max()) + 3, size=len(cells))
             _assert_certificates_equal(
                 PMInstance(g, inst.loss_matrix, corrupted))
+            loss = inst.loss_matrix.copy()
+            cells = rng.integers(0, k * m, size=int(rng.integers(1, k * m + 1)))
+            loss.flat[cells] = rng.integers(0, 2, size=len(cells))
+            zero, one = rng.permutation(k)[[0, -1]]
+            loss[one] = 1
+            loss[zero] = 0  # at K = 1 the same row, which ends with no ones
+            _assert_certificates_equal(PMInstance(g, loss, corrupted))
     g = catalog("bandit", 2)
     inst = encode(g)
     corrupted = inst.symbol_matrix.copy()
