@@ -105,8 +105,8 @@ def measure_tier1(tree: Path) -> dict:
 
 
 def main():
-    args, work, trees, report = paired.start(__doc__, "BENCH_engine.json",
-                                             {"per_round": worker_per_round}, 3, min_repeats=2)
+    args, work, trees, report = paired.start(paired.flags(__doc__, "BENCH_engine.json", 3),
+                                             {"per_round": worker_per_round})
     report["config"].update({
         "seed": SEED, "per_round_T_by_R": PER_ROUND_T,
         "per_round_modes": {

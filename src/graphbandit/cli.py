@@ -77,9 +77,23 @@ def _parse_horizons(text: str):
 
 
 def _learner_spec(args) -> harness.LearnerSpec:
+    # refused here, by the flags the user typed, as _env_spec refuses its own
+    if args.learner == "hedge":
+        if args.preset is not None:
+            raise ValueError("hedge reads no --preset; it takes --eta")
+        player, preset, takes = "hedge", "manual", ("eta",)
+    else:
+        preset = (args.preset or "strong").replace("-", "_")
+        player, takes = f"the {preset} preset", ("eta", "gamma") if preset == "manual" else ()
+    unread = [f"--{flag}" for flag in ("eta", "gamma")
+              if getattr(args, flag) is not None and flag not in takes]
+    if unread:
+        rates = ("it takes " + ", ".join(f"--{flag}" for flag in takes) if takes
+                 else "it sets its own rates")
+        raise ValueError(f"{player} reads no {', '.join(unread)}; {rates}")
     return harness.LearnerSpec(
         algorithm=args.learner,
-        preset="manual" if args.learner == "hedge" else args.preset.replace("-", "_"),
+        preset=preset,
         eta=args.eta,
         gamma=args.gamma,
         mode=args.mode,
@@ -303,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_game_flags(p):
         _add_graph_source(p, positional=False)
         p.add_argument("--learner", choices=("hedge", "exp3g"), default="exp3g")
+        # no argparse default, so that a typed --preset beside hedge is refused
         p.add_argument("--preset", choices=[name.replace("_", "-") for name in harness.PRESETS],
-                       default="strong")
+                       help="exp3g parameter preset (default: strong)")
         p.add_argument("--eta", type=float, help="learning rate (manual preset / hedge)")
         p.add_argument("--gamma", type=float, help="exploration rate (manual preset)")
         p.add_argument("--mode", choices=MODES, default="fixed")

@@ -280,6 +280,24 @@ def test_unread_env_flags_are_named_by_their_flags(capsys, env, flags, message):
 
 
 @pytest.mark.parametrize("flags,message", [
+    (("--eta", "0.5"), "the strong preset reads no --eta; it sets its own rates"),
+    (("--preset", "weak", "--gamma", "0.9"),
+     "the weak preset reads no --gamma; it sets its own rates"),
+    (("--learner", "hedge", "--eta", "0.1", "--gamma", "0.7"),
+     "hedge reads no --gamma; it takes --eta"),
+    # typed, even as the preset hedge plays under
+    (("--learner", "hedge", "--eta", "0.1", "--preset", "manual"),
+     "hedge reads no --preset; it takes --eta"),
+], ids=["eta", "gamma", "hedge_gamma", "hedge_preset"])
+def test_unread_learner_flags_are_named_by_their_flags(capsys, flags, message):
+    # the default preset is strong, which tunes its own eta and gamma
+    code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "3", "--env", "bernoulli",
+                             "--mu", "0.3,0.5,0.5", "--T", "16", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
     ((), "thm7 environment needs the action count"),
     (("--catalog", "full", "--k", "5"), "the thm7 environment provides its own graph sequence"),
     # refused before the file is read

@@ -1,4 +1,6 @@
 import ast
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +10,8 @@ import pytest
 
 from graphbandit import partial_monitoring as pm
 
+import bench_analysis
 import bench_engine
-import bench_pm
 import paired
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,8 +19,7 @@ SCRIPTS = ROOT / "scripts"
 MODES = ("fixed", "informed", "uninformed", "doubling")
 
 
-@pytest.mark.parametrize("script", ["bench_engine.py", "bench_pm.py", "bench_solvers.py",
-                                    "bench_setup.py", "run_pilot.py"])
+@pytest.mark.parametrize("script", ["bench_analysis.py", "bench_engine.py", "run_pilot.py"])
 def test_script_imports_and_prints_its_help(script):
     # without PYTHONPATH, as in a plain checkout: each script finds its own
     # tree's modules, so `--help` fails on a name any of them no longer finds
@@ -29,27 +30,38 @@ def test_script_imports_and_prints_its_help(script):
     assert "usage:" in done.stdout
 
 
-@pytest.mark.parametrize("script,argv,keys", [
-    ("bench_engine.py", ("per_round", 1), {f"{mode}_R1" for mode in MODES}),
-    ("bench_pm.py", ("per_k",), {"per_K", "verdicts"}),
-    ("bench_solvers.py", ("per_k",), {"per_K", "results"}),
-    ("bench_setup.py", ("stages",),
-     {"import_s", "corpus_s", "relabel_s", "edges_s", "graphs", "digest"}),
+@functools.cache
+def _worker(script: str, *argv) -> dict:
+    return paired.run_worker(str(SCRIPTS / script), ROOT, *argv)
+
+
+@pytest.mark.parametrize("script,argv,section,keys", [
+    ("bench_engine.py", ("per_round", 1), None, {f"{mode}_R1" for mode in MODES}),
+    ("bench_analysis.py", ("round",), "pm_per_K", {"4", "5", "6", "7", "8", "9"}),
+    ("bench_analysis.py", ("round",), "solvers_per_K",
+     {"12", "16", "20", "24", "28", "32", "36", "40"}),
+    ("bench_analysis.py", ("round",), "stages",
+     {"import_s", "corpus_s", "relabel_s", "edges_s", "graphs"}),
 ], ids=["engine", "pm", "solvers", "setup"])
-def test_recorder_worker_measures_this_tree(script, argv, keys):
+def test_recorder_worker_measures_this_tree(script, argv, section, keys):
     # the worker call each recorder makes on both trees, at its smallest
-    # argument, gives every key its report reads
-    result = paired.run_worker(str(SCRIPTS / script), ROOT, *argv)
+    # argument, gives every key its report reads; one bench_analysis call
+    # holds every section and the outputs the trees must agree on
+    result = _worker(script, *argv)
+    if section is not None:
+        assert set(result) == {"stages", "solvers_per_K", "pm_per_K", "outputs"}
+        assert set(result["outputs"]) == {"inputs_digest", "solver_results", "pm_verdicts"}
+        # the witnesses' verdicts are the checks'
+        assert result["outputs"]["pm_verdicts"] == _pm_verdicts()
+        result = result[section]
     assert set(result) == keys
-    if script == "bench_pm.py":  # the witnesses' verdicts are the checks'
-        assert result["verdicts"] == _pm_verdicts()
 
 
 def _pm_verdicts() -> list:
-    """`bench_pm.py`'s verdict rows from the named checks: global and local
-    observability, and the row count of each vertex's signal matrix."""
+    """`bench_analysis.py`'s verdict rows from the named checks: global and
+    local observability, and the row count of each vertex's signal matrix."""
     rows = []
-    for g in bench_pm._graphs():
+    for g in bench_analysis._pm_graphs():
         instance = pm.encode(g)
         rows.append([pm.check_global_observability(instance),
                      pm.check_local_observability(instance),
@@ -67,9 +79,79 @@ def test_recorders_start_no_interpreter_that_writes_bytecode(monkeypatch, tmp_pa
         calls.append(kwargs)
         return subprocess.CompletedProcess(cmd, 0, stdout="{}\n")
 
-    monkeypatch.setattr(paired.subprocess, "run", run)
-    paired._bench_run(tmp_path, 1, 0)
+    monkeypatch.setattr(bench_analysis.subprocess, "run", run)
+    bench_analysis._bench_run(tmp_path, 1, 0)
     assert calls[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+# canned `bench/run.py` results by (tree, seed): (correct, items_per_s, wall_s,
+# setup_s, peak_rss_mb); seed 1's pair has an incorrect run, whose figures
+# would turn every count below
+CANNED = {
+    ("before", 1): (True, 100.0, 1.0, 0.4, 80.0), ("after", 1): (False, 50.0, 2.0, 0.1, 90.0),
+    ("before", 2): (True, 100.0, 1.0, 0.4, 80.0), ("after", 2): (True, 110.0, 0.9, 0.5, 79.0),
+    ("before", 3): (True, 100.0, 1.0, 0.4, 80.0), ("after", 3): (True, 120.0, 0.8, 0.6, 78.0),
+}
+TRACED = {"graph.alpha_pct": 40.0, "graph.share_pct": 60.0,
+          "partial_monitoring.global_pct": 16.0, "partial_monitoring.share_pct": 23.0,
+          "bench.share_pct": 17.0, "trace.job_s": 0.12, "harness.share_pct": 0.0,
+          "learners.weights_pct": 0.0, "trace.overhead_ratio": 1.1}
+
+
+def _canned_run(tree: Path, seed: int, trace: int) -> str:
+    if trace:
+        metrics = TRACED
+        lines = ["jobs=3", "graph.alpha_ms_k16=0.5", "partial_monitoring.global_ms_p50=0.05",
+                 "harness.share_of_traced_wall_pct=0"]
+        correct = True
+    else:
+        correct, *values = CANNED[tree.name, seed]
+        metrics = dict(zip(("items_per_s", "wall_s", "setup_s", "peak_rss_mb"), values))
+        lines = [f"seed={seed}"]
+    result = {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+              "metrics": {name: {"value": value, "unit": ""} for name, value in metrics.items()}}
+    return "\n".join([*lines, json.dumps(result)]) + "\n"
+
+
+def test_analysis_pairs_count_wins_in_the_benchmarks_direction(monkeypatch):
+    # a pair with an incorrect run is left out and its seed listed; each
+    # end-to-end metric's wins follow BENCHMARK.json's `better`
+    monkeypatch.setattr(bench_analysis, "_bench_run", _canned_run)
+    trees = {"before": Path("before"), "after": Path("after")}
+    pairs = bench_analysis.analysis_pairs(trees, [1, 2, 3])
+    assert [(run["seed"], run["side"], run["first"]) for run in pairs["runs"]] == [
+        (1, "before", "before"), (1, "after", "before"), (2, "after", "after"),
+        (2, "before", "after"), (3, "before", "before"), (3, "after", "before")]
+    summary = pairs["summary"]
+    assert (summary["pairs"], summary["seeds_with_a_failed_run"]) == (2, [1])
+    better = {m["name"]: m["better"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert better == {"items_per_s": "higher", "wall_s": "lower", "setup_s": "lower",
+                      "peak_rss_mb": "lower"}
+    assert {metric: (summary[metric]["better"], summary[metric]["after_wins"])
+            for metric in better} == {"items_per_s": ("higher", 2), "wall_s": ("lower", 2),
+                                      "setup_s": ("lower", 0), "peak_rss_mb": ("lower", 2)}
+    assert summary["items_per_s"]["before"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+    assert summary["items_per_s"]["after_over_before_median"] == pytest.approx(1.15)
+
+
+def test_analysis_trace_keeps_every_analysis_layer(monkeypatch):
+    # one traced run gives the graph and the matrix-game layers together,
+    # with the bench's own share and the job time, and nothing of the rest
+    monkeypatch.setattr(bench_analysis, "_bench_run", _canned_run)
+    assert bench_analysis.analysis_trace(Path("after"), 1) == {
+        "graph.alpha_pct": 40.0, "graph.share_pct": 60.0, "partial_monitoring.global_pct": 16.0,
+        "partial_monitoring.share_pct": 23.0, "bench.share_pct": 17.0, "trace.job_s": 0.12,
+        "graph.alpha_ms_k16": 0.5, "partial_monitoring.global_ms_p50": 0.05}
+
+
+def test_recorder_refuses_fewer_than_two_rounds(monkeypatch, capsys):
+    # the quartiles of every report need two rounds per tree
+    monkeypatch.setattr(sys, "argv", ["bench_x.py", "--repeats", "1"])
+    with pytest.raises(SystemExit) as stopped:
+        paired.start(paired.flags("doc", "BENCH_x.json", 2), {})
+    assert stopped.value.code == 2
+    assert "--repeats must be at least 2" in capsys.readouterr().err
 
 
 def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, capsys):
@@ -80,11 +162,11 @@ def test_recorder_stops_on_bytecode_in_the_working_tree(monkeypatch, tmp_path, c
     monkeypatch.setattr(paired, "ROOT", tmp_path)
     monkeypatch.setattr(sys, "argv", ["bench_x.py"])
     with pytest.raises(SystemExit, match="src/pkg/__pycache__") as stopped:
-        paired.start("doc", "BENCH_x.json", {}, 1)
+        paired.start(paired.flags("doc", "BENCH_x.json", 2), {})
     assert "scripts" not in str(stopped.value)
     monkeypatch.setattr(sys, "argv", ["bench_x.py", "--worker", "w"])
     with pytest.raises(SystemExit) as stopped:
-        paired.start("doc", "BENCH_x.json", {"w": lambda: {"ok": 1}}, 1)
+        paired.start(paired.flags("doc", "BENCH_x.json", 2), {"w": lambda: {"ok": 1}})
     assert stopped.value.code == 0 and capsys.readouterr().out == '{"ok": 1}\n'
 
 
