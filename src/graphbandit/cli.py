@@ -100,23 +100,22 @@ def _learner_spec(args) -> harness.LearnerSpec:
     )
 
 
-# the environment flags, by argparse name, and the EnvSpec parameter each sets
-ENV_FLAGS = {"chi": "chi", "mu": "mu", "eps": "eps", "table": "path"}
+# the environment flags, each named for the EnvSpec parameter it sets
+ENV_FLAGS = ("chi", "mu", "eps", "table")
 
 
 def _env_spec(args) -> environments.EnvSpec:
-    given = {flag: getattr(args, flag) for flag in ENV_FLAGS if getattr(args, flag) is not None}
-    # refused here, by the flags the user typed, rather than by EnvSpec's
-    # parameter names
+    params = {flag: getattr(args, flag) for flag in ENV_FLAGS if getattr(args, flag) is not None}
+    # refused here, as flags, rather than by EnvSpec, which would offer
+    # thm7's `k` (set by --k) as a parameter
     reads = environments.ENV_PARAMS[args.env]
-    unread = [f"--{flag}" for flag in given if ENV_FLAGS[flag] not in reads]
+    unread = [f"--{flag}" for flag in params if flag not in reads]
     if unread:
-        takes = [f"--{flag}" for flag, param in ENV_FLAGS.items() if param in reads]
+        takes = [f"--{flag}" for flag in ENV_FLAGS if flag in reads]
         raise ValueError(
             f"the {args.env} environment reads no {', '.join(unread)}; "
             f"it takes {', '.join(takes)}"
         )
-    params = {ENV_FLAGS[flag]: value for flag, value in given.items()}
     if args.env == "thm7" and args.k is not None:  # --k sizes the sequence
         params["k"] = args.k
     if "mu" in params:

@@ -9,17 +9,18 @@ construction, never of the player's actions. All losses lie in [0, 1].
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import FeedbackGraph, weak_domination_number, weakly_observable_set
-from .graph import _integer, _mask_to_vertices
+from .graph import _integer, _mask_to_vertices, _set_bits
 
 # each kind and the EnvSpec parameters it reads; thm7, which has no fixed
 # graph, is sized by its `k`
 ENV_PARAMS = {
-    "table": ("table", "path"),
+    "table": ("table",),
     "bernoulli": ("mu",),
     "thm4": ("chi",),
     "thm5": ("chi", "eps"),
@@ -49,8 +50,10 @@ def _gap(eps: float) -> float:
 
 
 def _draw(rng: np.random.Generator, horizon: int, means) -> np.ndarray:
-    """A horizon x K table of independent Bernoulli losses with per-arm means."""
-    return (rng.random((horizon, len(means))) < means[None, :]).astype(float)
+    """A horizon x K table of independent Bernoulli losses with per-arm means,
+    written over the uniforms it is drawn from."""
+    table = rng.random((horizon, len(means)))
+    return np.less(table, means[None, :], out=table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +72,8 @@ class Environment:
     def __post_init__(self):
         if self.losses.ndim != 2:
             raise ValueError(f"loss table must be two-dimensional, got shape {self.losses.shape}")
-        if not ((self.losses >= 0) & (self.losses <= 1)).all():  # NaN fails too
+        # NaN fails too; the empty table passes
+        if not (self.losses.min(initial=0.0) >= 0 and self.losses.max(initial=1.0) <= 1):
             raise ValueError("losses must lie in [0, 1]")
         self.losses.setflags(write=False)
 
@@ -284,7 +288,7 @@ def domination_capped_independent_set(g: FeedbackGraph, seed=0) -> CappedIndepen
         chosen = 0
         for v in order:
             if adj[v - 1] & chosen or capped and any(
-                (out[d - 1] & chosen).bit_count() >= cap for d in _mask_to_vertices(inc[v - 1])
+                (out[d] & chosen).bit_count() >= cap for d in _set_bits(inc[v - 1])
             ):
                 continue
             chosen |= 1 << (v - 1)
@@ -303,7 +307,7 @@ def domination_capped_independent_set(g: FeedbackGraph, seed=0) -> CappedIndepen
                 break
             r &= ~hit
         m = math.floor(1.0 / (10.0 * beta))
-        r_list = sorted(_mask_to_vertices(r))
+        r_list = [b + 1 for b in _set_bits(r)]
         for _ in range(CAPPED_SET_ATTEMPTS):
             if m < 1 or not r_list:
                 break
@@ -397,10 +401,9 @@ def build_environment(
     if spec.kind == "table":
         table = params.get("table")
         if table is None:
-            path = params.get("path")
-            if path is None:
-                raise ValueError("table environment needs `table` or `path`")
-            table = load_loss_table(path)
+            raise ValueError("table environment needs `table`")
+        if isinstance(table, (str, os.PathLike)):
+            table = load_loss_table(table)
         env = table_env(table)
         if env.horizon != horizon:
             raise ValueError(f"table has {env.horizon} rows but horizon is {horizon}")

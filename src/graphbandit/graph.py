@@ -138,7 +138,7 @@ class FeedbackGraph:
         if self._in_matrix is None:
             m = np.zeros((self._k, self._k))
             for i, in_mask in enumerate(self._in):
-                m[i, [u - 1 for u in _mask_to_vertices(in_mask)]] = 1.0
+                m[i, _set_bits(in_mask)] = 1.0
             m.setflags(write=False)
             self._in_matrix = m
         return self._in_matrix
@@ -161,13 +161,18 @@ class FeedbackGraph:
         return hash((self._k, self._out))
 
 
-def _mask_to_vertices(mask: int) -> frozenset:
+def _set_bits(mask: int) -> list:
+    """The 0-based positions of `mask`'s set bits, ascending."""
     out = []
     while mask:
         b = mask & -mask
-        out.append(b.bit_length())
+        out.append(b.bit_length() - 1)
         mask ^= b
-    return frozenset(out)
+    return out
+
+
+def _mask_to_vertices(mask: int) -> frozenset:
+    return frozenset(b + 1 for b in _set_bits(mask))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import learners
 from .environments import CHI_PAIRS, Environment, EnvSpec, build_environment
-from .graph import FeedbackGraph, GraphClass, _integer
+from .graph import FeedbackGraph, GraphClass, _integer, _set_bits
 from .graph import profile as graph_profile
 from .learners import (
     MODE_FIXED,
@@ -279,16 +279,6 @@ def _fill(table, cells, values):
 def _gather(table, cells):
     """One row's entries of a segment-major table, in round order."""
     return np.concatenate([table[where] for _, where in cells] + [table[:0]])
-
-
-def _set_bits(mask: int) -> list:
-    """The 0-based positions of `mask`'s set bits, ascending."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 def _play_batch(graph, spec: LearnerSpec, games):

@@ -15,16 +15,16 @@ coordinate y_i of the cube {0,1}^K and the rows of S_a span the functions of
 the losses a sees, so L_i - L_j is in the span iff L_i and L_j each are, and
 L_i is iff some a in A has i among its out-neighbours. Both checks decide
 this exactly, from integer certificates checked against H and L alone. Both
-are read from two counts per symbol class s of a source a: hits, the
-columns of the class where L_i is 1, and size, all its columns.
+are the two extremes of one count per source a and vertex i, the sum over
+a's symbol classes s of |2 hits - size| = ||S_a (2 L_i - 1)||_1, with hits
+the columns of class s where L_i is 1 and size all its columns. Each term
+is at most size, so the count lies in 0..2^K:
 
-- membership: the claim-C1 combination v of S_a's rows (v[s] = 1 for the
-  symbols s of a that occur where L_i is 1) reproduces L_i iff every class
-  lies wholly inside or wholly outside L_i's support, that is hits is 0 or
-  size for every class;
-- non-membership: z = 2 L_i - 1 sums to 2 hits - size over a class, so it
-  is orthogonal to S_a's span iff 2 hits == size for every class of every
-  a in A, while <L_i - L_j, z> = 2^(K-1) != 0 rules the difference out.
+- membership: 2^K iff every class lies wholly inside or wholly outside
+  L_i's support, which is when the claim-C1 combination v of S_a's rows
+  (v[s] = 1 for the symbols s of a that occur where L_i is 1) reproduces L_i;
+- non-membership: 0 iff z = 2 L_i - 1 is orthogonal to S_a's rows; if so
+  for every a in A, <L_i - L_j, z> = 2^(K-1) != 0 rules the difference out.
 
 So for K >= 2 the verdicts are the graph's class. Pair {i, j} is locally
 observable iff i and j each have an in-neighbour among {i, j}. A vertex
@@ -86,17 +86,17 @@ class PMInstance:
     @cached_property
     def signal_matrices(self) -> tuple:
         """The per-vertex signal matrices S_i with S_i[s, y] = 1 iff
-        H[i, y] = s, built on first use: S_i holds 2^(|out(i)| + K)
-        entries, 1.5 GB in all for the complete graph at K = 12, and no
-        check reads them."""
-        m = self.num_columns
-        signals = []
-        for row in self.symbol_matrix:
-            s_i = np.zeros((int(row.max()) + 1, m), dtype=np.int64)
-            s_i[row, np.arange(m)] = 1
-            s_i.setflags(write=False)
-            signals.append(s_i)
-        return tuple(signals)
+        H[i, y] = s, built on first use as read-only row blocks of one
+        table: S_i holds 2^(|out(i)| + K) entries, 1.5 GB in all for the
+        complete graph at K = 12, and no check reads them."""
+        symbols = self.symbol_matrix
+        ends = np.cumsum(symbols.max(axis=1) + 1)
+        starts = np.concatenate(([0], ends[:-1]))
+        table = np.zeros((int(ends[-1]), self.num_columns), dtype=np.int64)
+        # S_i is rows starts[i] .. ends[i] - 1; its 1 in column y is row H[i, y]
+        table[starts[:, None] + symbols, np.arange(self.num_columns)] = 1
+        table.setflags(write=False)
+        return tuple(np.split(table, ends[:-1]))
 
     @cached_property
     def certificates(self) -> Certificates:
@@ -106,11 +106,11 @@ class PMInstance:
         sizes.
 
         With hits[a, i, s] the number of columns of a's symbol class s
-        where L_i is 1 and size[a, s] the class's size: v . S_a reproduces
-        L_i iff hits is 0 or size[a, s] for every s, and 2 L_i - 1 is
-        orthogonal to S_a iff 2 hits == size[a, s] for every s. Both are
-        exact integer identities for any H and any 0/1 loss matrix, so the
-        combination v is never formed."""
+        where L_i is 1 and size[a, s] the class's size, the count
+        sum_s |2 hits - size[a, s]| is ||S_a (2 L_i - 1)||_1: v . S_a
+        reproduces L_i iff it is 2^K, and 2 L_i - 1 is orthogonal to S_a
+        iff it is 0. Both are exact integer identities for any H and any
+        0/1 loss matrix, so the combination v is never formed."""
         loss, symbols = self.loss_matrix, self.symbol_matrix
         k = len(loss)
         n = int(symbols.max()) + 1
@@ -121,9 +121,8 @@ class PMInstance:
         hits = np.bincount(bins.ravel(), minlength=k * k * n).reshape(k, k, n)
         sizes = np.bincount((np.arange(k)[:, None] * n + symbols).ravel(),
                             minlength=k * n).reshape(k, 1, n)
-        member = ((hits == 0) | (hits == sizes)).all(axis=2)
-        orthogonal = (2 * hits == sizes).all(axis=2)
-        return Certificates(member, orthogonal)
+        counts = np.abs(2 * hits - sizes).sum(axis=2)
+        return Certificates(counts == self.num_columns, counts == 0)
 
     @cached_property
     def vertex_masks(self) -> tuple:

@@ -272,8 +272,7 @@ def test_unread_env_flags_exit_2(capsys, tmp_path):
     ("thm7", ("--mu", "0.5"), "reads no --mu; it takes --chi, --eps"),
 ], ids=["bernoulli_table", "table_mu", "thm4_eps", "thm7_mu"])
 def test_unread_env_flags_are_named_by_their_flags(capsys, env, flags, message):
-    # the refusal names the flag typed, not the parameter it would set
-    # (--table sets `path`), before any file is read
+    # the refusal names the flags typed, before any file is read
     code, out, err = run_cli(capsys, "run", "--catalog", "full", "--k", "2", "--env", env, *flags)
     assert (code, out) == (2, "")
     assert f"error: the {env} environment {message}\n" == err

@@ -54,11 +54,26 @@ def test_table_env_rejects_out_of_range():
         table_env([[-0.1, 0.5]])
 
 
+def test_table_env_accepts_the_ends_of_the_range():
+    assert table_env([[-0.0, 1.0]]).num_actions == 2
+    assert table_env(np.zeros((0, 3))).horizon == 0
+
+
 def test_table_roundtrip(tmp_path):
     table = np.random.default_rng(1).uniform(0, 1, size=(7, 4))
     path = tmp_path / "table.csv"
     save_loss_table(path, table)
     assert np.allclose(load_loss_table(path), table)
+
+
+def test_table_spec_given_a_path_loads_the_file(tmp_path):
+    # `table` is an array or a file path, given as a str or a PathLike
+    table = np.random.default_rng(2).uniform(0, 1, size=(6, 3))
+    path = tmp_path / "table.csv"
+    save_loss_table(path, table)
+    for given in (path, str(path)):
+        env = build_environment(EnvSpec("table", {"table": given}), 6, 0)
+        assert np.array_equal(env.losses, load_loss_table(path))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +361,8 @@ REFUSALS = {
     "bernoulli_chi": (lambda: EnvSpec("bernoulli", {"mu": (0.5,), "chi": 1}), "reads no chi"),
     "thm4_eps": (lambda: EnvSpec("thm4", {"eps": 0.1}), "reads no eps"),
     "thm8_k": (lambda: EnvSpec("thm8", {"k": 5}), "reads no k"),
-    "table_mu": (lambda: EnvSpec("table", {"path": "t.csv", "mu": (0.5,)}), "reads no mu"),
+    "table_mu": (lambda: EnvSpec("table", {"table": "t.csv", "mu": (0.5,)}), "reads no mu"),
+    "table_path": (lambda: EnvSpec("table", {"path": "t.csv"}), "reads no path; it takes table$"),
     "chi_average_with_chi": (lambda: _sweep(EnvSpec("thm4", {"chi": 1}), chi_average=True),
                              "chi averaging"),
     # an integer that is not one is refused by name, not truncated
@@ -405,7 +421,7 @@ REFUSALS = {
     "thm7_chi": (lambda: uninformed_separation_env(5, 10, 0, chi=0), "chi must be -1 or \\+1"),
     "unknown_kind": (lambda: EnvSpec("thm9"), "unknown environment kind"),
     "no_action_count": (lambda: build_environment(THM4, 10, 0), "needs the action count"),
-    "no_table": (lambda: build_environment(EnvSpec("table"), 10, 0), "needs `table` or `path`"),
+    "no_table": (lambda: build_environment(EnvSpec("table"), 10, 0), "needs `table`$"),
     "no_mu": (lambda: build_environment(EnvSpec("bernoulli"), 10, 0), "needs `mu`"),
 }
 

@@ -95,6 +95,21 @@ def test_signal_matrix_columns_partition():
             assert np.all(s.sum(axis=0) == 1)
 
 
+def test_signal_matrices_are_read_only_blocks_of_one_table():
+    # vertex 1 of loopy_star sees all 8 losses (256 symbols) and every other
+    # vertex its own (2 symbols), so the blocks stack to 256 + 7 * 2 rows;
+    # one block per vertex of the largest height would take 8 * 256
+    g = catalog("loopy_star", 8)
+    signals = encode(g).signal_matrices
+    assert not any(s.flags.writeable for s in signals)
+    assert {id(s.base) for s in signals} == {id(signals[0].base)}
+    assert signals[0].base.shape == (270, 256)
+    reference = reference_encode(g)[2]
+    assert len(signals) == len(reference)
+    for new, old in zip(signals, reference):
+        assert np.array_equal(new, old)
+
+
 def test_encode_cap():
     with pytest.raises(ValueError):
         encode(catalog("bandit", 13))
@@ -301,8 +316,8 @@ def _k9_graph():
 
 
 def _assert_certificates_equal(inst):
-    # hits in {0, size} and 2 hits == size decide what the evaluated
-    # combination v . S_a and the z-sums decide
+    # the count sum_s |2 hits - size| at 2^K and at 0 decides what the
+    # evaluated combination v . S_a and the z-sums decide
     member, orthogonal = inst.certificates
     expected = reference_certificates(inst)
     assert member.dtype == orthogonal.dtype == bool
