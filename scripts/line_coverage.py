@@ -7,8 +7,9 @@ Runs pytest in this interpreter under `sys.settrace` (by default the whole
 suite, as Tier-1 runs it: `-q --continue-on-collection-errors`), tracing
 only frames whose code lives in `src/graphbandit`, and then prints each
 statement that never executed as `module.py:LINE`, one a line, in file and
-line order, with a count on stderr. The exit status is pytest's. Standard
-library only, besides pytest itself.
+line order, with a count on stderr; when no line of the package ran, as
+under `--help`, it says so and lists nothing. The exit status is pytest's.
+Standard library only, besides pytest itself.
 
 A statement counts as executed when a line event reached one of its own
 lines: its first line through its last, less the lines of the statements
@@ -72,6 +73,9 @@ def main(argv) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    if not hits:  # no test ran, so a list would name every statement
+        print("no statement of src/graphbandit ran", file=sys.stderr)
+        return int(status)
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         ran = {line for name, line in hits if name == str(path)}

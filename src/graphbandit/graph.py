@@ -379,13 +379,8 @@ def weak_domination_number(g: FeedbackGraph):
         return 0, frozenset(), True
     k = g.num_vertices
     cover = [out & wmask for out in g._out]
+    # a weak vertex has an in-neighbor and no self-loop, so `cand`'s covers hold W
     cand = [v for v in range(k) if cover[v]]
-    union = 0
-    for v in cand:
-        union |= cover[v]
-    if union != wmask:
-        # cannot happen: every observable vertex has an in-neighbor
-        raise RuntimeError("weakly observable vertex without a dominator")
     if k <= DELTA_EXACT_CAP:
         dominators = g._in  # a weak vertex's in-neighbors are all candidates
 

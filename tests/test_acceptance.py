@@ -253,7 +253,7 @@ def test_criterion_05c_separation_ratio(strong_report, weak_report):
 def test_pilot_files_reproduce_committed_bytes(strong_report, weak_report, tmp_path):
     # every row of the 32 reps and the summary are the committed pilot's.
     # It stays after 05a and 05b: pytest charges a fixture's set-up to the
-    # first test that asks for it, and scripts/bench_engine.py reads the
+    # first test that asks for it, and scripts/bench_record.py reads the
     # sweeps' times from those two tests' set-up
     run_pilot.write({"strong": strong_report, "weak": weak_report}, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in PILOT.iterdir())
